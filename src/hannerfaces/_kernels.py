@@ -1,27 +1,27 @@
 """Low-level kernels: log-domain convolution and exact big-integer convolution.
 
-The log-domain convolution is the one hot floating-point loop in the
-package (quadratic in the truncation bound, run once per recursion step).
-It ships in two interchangeable implementations:
-
-* a numba ``@njit`` kernel with a strict left-to-right inner summation,
-* a pure-numpy fallback using numpy's deterministic pairwise reduction.
-
-Selection is by the ``HANNER_KERNELS`` environment variable ("numba" or
-"numpy"); default is numba when importable.  Both paths are deterministic
-run-to-run; they may differ from each other by a few ULPs, which the test
-tolerances account for.
+``log_convolve`` is the one log kernel, run once per log-engine step.  Every
+such step squares the state, and on engine states log2 a_{n,k} is concave in
+k along one leading run of finite entries.  For a concave run h, output k is
+a sum of the pair terms h[c - d] + h[k - c + d] (c = k // 2), which fall
+monotonically in d, so the square sums only the band d <= W and counts each
+pair twice.  W is the smallest half-width whose first dropped term lies more
+than 53 + ceil(log2(K + 1)) below the row maximum; concavity makes that edge
+check sufficient, and the dropped mass stays below 2**-53 of every output.
+Every other input (two different operands, a non-concave run, interior
+zeros) goes through the full quadratic log-sum-exp ``_log_convolve_full``,
+which is also the oracle the band is tested against.  Both paths are
+deterministic run to run.
 
 Exact convolution packs nonnegative big-integer coefficients into one huge
-integer (Kronecker substitution) and multiplies once, via gmpy2 when
-available.  A schoolbook reference implementation is kept alongside as the
+integer (Kronecker substitution) and multiplies once, via gmpy2 when it is
+installed.  A schoolbook reference implementation is kept alongside as the
 independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -29,24 +29,24 @@ try:
     import gmpy2
 
     _HAS_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra
     _HAS_GMPY2 = False
 
-try:
-    import numba
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAS_NUMBA = False
-
 NEG_INF = float("-inf")
+ACTIVE_KERNEL = "numpy"
+
+# Centers per block of the banded square: its temporaries hold at most
+# _BAND_BLOCK x (W + 1) floats, whatever K is.
+_BAND_BLOCK = 64
+# Past 2**53 a float64 log2 value no longer resolves a factor of 2.
+_LOG2_LIMIT = 2.0**53
 
 
 # ---------------------------------------------------------------------------
 # log-domain convolution
 # ---------------------------------------------------------------------------
 
-def _log_convolve_numpy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _log_convolve_full(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """out[k] = log2 sum_j 2**(f[j] + g[k-j]), by max extraction per entry."""
     n = f.shape[0]
     out = np.empty(n, dtype=np.float64)
@@ -60,59 +60,92 @@ def _log_convolve_numpy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _log_convolve_jit(f, g):  # pragma: no cover - exercised via wrapper
-        n = f.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for k in range(n):
-            m = NEG_INF
-            for j in range(k + 1):
-                s = f[j] + g[k - j]
-                if s > m:
-                    m = s
-            if m == NEG_INF:
-                out[k] = NEG_INF
-                continue
-            acc = 0.0
-            for j in range(k + 1):
-                s = f[j] + g[k - j]
-                if s != NEG_INF:
-                    acc += 2.0 ** (s - m)
-            out[k] = m + math.log2(acc)
-        return out
+def _concave_run(f: np.ndarray) -> int:
+    """Length of f's leading run of finite entries when f is -inf after it
+    and concave along it (second differences <= 0), else -1."""
+    finite = np.isfinite(f)
+    run = f.shape[0] if finite.all() else int(finite.argmin())
+    if not np.isneginf(f[run:]).all() or not (np.diff(f[:run], 2) <= 0).all():
+        return -1
+    return run
 
 
-def _select_impl(name: str | None):
-    if name in (None, ""):
-        name = "numba" if _HAS_NUMBA else "numpy"
-    if name == "numba":
-        if not _HAS_NUMBA:
-            raise RuntimeError("HANNER_KERNELS=numba requested but numba is not importable")
-        return _log_convolve_jit, "numba"
-    if name == "numpy":
-        return _log_convolve_numpy, "numpy"
-    raise RuntimeError(f"unknown HANNER_KERNELS value {name!r} (use 'numba' or 'numpy')")
+def _band(x: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
+    """View of x whose entry [i, d] is x[start + i + step * d].
+
+    Built with the ndarray constructor, which checks the view against the
+    buffer.  numpy's as_strided and sliding_window_view (measured on numpy
+    2.4) keep about 5 bytes per call alive, and a long scan makes many views.
+    """
+    unit = x.itemsize
+    return np.ndarray(
+        (rows, width), x.dtype, buffer=x, offset=start * unit, strides=(unit, step * unit)
+    )
 
 
-_log_convolve_impl, ACTIVE_KERNEL = _select_impl(os.environ.get("HANNER_KERNELS"))
-
-
-def select_kernel(name: str | None) -> str:
-    """Re-select the log-convolution path ('numba'/'numpy'/None for default)."""
-    global _log_convolve_impl, ACTIVE_KERNEL
-    _log_convolve_impl, ACTIVE_KERNEL = _select_impl(name)
-    return ACTIVE_KERNEL
+def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
+    """First n outputs of the log-domain square of a concave finite run h
+    (all coefficients above the run are zero)."""
+    size = h.shape[0]
+    out = np.full(n, NEG_INF)
+    rows = min(n, 2 * size - 1)
+    centers = (rows + 1) // 2
+    cutoff = 53 + math.ceil(math.log2(n + 1))
+    # hp[pad + i] is h[i], -inf outside the run; the pad covers every index
+    # a block's width search and band can reach.
+    pad = _BAND_BLOCK + 4
+    hp = np.full(size + 2 * pad, NEG_INF)
+    hp[pad : pad + size] = h
+    for c0 in range(0, centers, _BAND_BLOCK):
+        # Row 2c peaks at d = 0 with 2 h[c], row 2c + 1 with h[c] + h[c + 1];
+        # every center has an even row, all but possibly the last an odd one.
+        c = np.arange(c0, min(c0 + _BAND_BLOCK, centers))
+        b, n_odd = c.shape[0], min(c.shape[0], rows // 2 - c0)
+        top_even = 2.0 * h[c]
+        top_odd = h[c[:n_odd]] + h[c[:n_odd] + 1]
+        # Edge of half-width w: the pair at d = w + 1 of every row.
+        low = np.concatenate((c, c[:n_odd])) + (pad - 1)
+        high = np.concatenate((c, c[:n_odd] + 1)) + (pad + 1)
+        limit = np.concatenate((top_even, top_odd)) - cutoff
+        # Any w past hi_w puts every edge outside the run.
+        lo_w, hi_w = 0, min(int(c[-1]), size - 1 - c0)
+        while lo_w < hi_w:
+            mid = (lo_w + hi_w) // 2
+            if (hp[low - mid] + hp[high + mid] <= limit).all():
+                hi_w = mid
+            else:
+                lo_w = mid + 1
+        w = lo_w
+        # Row i of the block pairs h[c0 + i - d] with h[c0 + i + d] (even
+        # rows) or h[c0 + i + 1 + d] (odd rows), for d = 0..w.
+        down = _band(hp, pad + c0, b, w + 1, -1)
+        terms = down + _band(hp, pad + c0, b, w + 1, 1)
+        terms -= top_even[:, None]
+        s = np.exp2(terms, out=terms).sum(axis=1)
+        out[2 * c0 : 2 * (c0 + b) : 2] = top_even + np.log2(2.0 * s - 1.0)
+        if n_odd:
+            odd = terms[:n_odd]
+            np.add(down[:n_odd], _band(hp, pad + c0 + 1, n_odd, w + 1, 1), out=odd)
+            odd -= top_odd[:, None]
+            s = np.exp2(odd, out=odd).sum(axis=1)
+            out[2 * c0 + 1 : 2 * (c0 + n_odd) : 2] = top_odd + 1.0 + np.log2(s)
+    return out
 
 
 def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Truncated log-domain convolution of two equal-length log2-coefficient arrays.
 
-    Raises OverflowError if any output leaves the finite-or--inf range.
+    Squares (``g is f``) of a concave leading run take the banded path;
+    everything else takes the full kernel.  Raises OverflowError if any
+    output is +inf, NaN, or finite above 2**53 in magnitude.
     """
-    out = _log_convolve_impl(np.ascontiguousarray(f), np.ascontiguousarray(g))
-    if np.isposinf(out).any() or np.isnan(out).any():
+    run = _concave_run(f) if g is f else -1
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the raise below
+        if run >= 0:
+            out = _log_square_banded(np.ascontiguousarray(f[:run]), f.shape[0])
+        else:
+            out = _log_convolve_full(np.ascontiguousarray(f), np.ascontiguousarray(g))
+    if not (np.isneginf(out) | (np.abs(out) <= _LOG2_LIMIT)).all():
         raise OverflowError("log-domain convolution left the representable exponent range")
     return out
 

@@ -1,11 +1,11 @@
 """Scan driver, exponent fitting, envelope tracking, and the exponent-budget report.
 
-A scan runs the recursion per dimension exponent n, extracts
-log2 a_{n,k} at k = floor(d^delta) (computed in exact integer
-arithmetic), and tags each row with its window data.  Exponents are
-fitted by least squares of log2 log2 a_{n,k} against n; for rational
-a = p/q only rows with n = 0 mod q enter the fit, which suppresses the
-window-phase oscillation that would otherwise bias the slope.
+A scan runs the recursion once, up to the largest dimension exponent n,
+extracts log2 a_{n,k} at k = floor(d^delta) (computed in exact integer
+arithmetic) from each state on the way, and tags each row with its window
+data.  Exponents are fitted by least squares of log2 log2 a_{n,k} against
+n; for rational a = p/q only rows with n = 0 mod q enter the fit, which
+suppresses the window-phase oscillation that would otherwise bias the slope.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polys import int_nth_root, log2_int
-from .recursion import Engine, run
+from .recursion import Engine, trajectory
 from .schedule import DensityParam, choose_window, window_profile
 
 # Feasibility caps on k = floor(d^delta) per engine family; these reproduce
@@ -56,19 +56,33 @@ def scan(
     n_range,
     engine: Engine,
 ) -> list[ScanRow]:
-    """One row per n: run the engine to n at truncation k = floor(d^delta)."""
-    rows = []
-    for n in sorted(n_range):
+    """One row per n: log2 a_{n,k} at k = floor(d^delta).
+
+    Every n is checked against the engine cap first; then one trajectory at
+    the largest k serves all rows, which agree with per-n runs at their own
+    k because coefficient k depends only on lower coefficients.
+    """
+    ns = sorted(n_range)
+    cap = LOG_KMAX_CAP if engine.is_log else EXACT_KMAX_CAP
+    ks = []
+    for n in ns:
         if n < 0:
             raise UsageError("scan indices must be nonnegative")
         k = floor_d_delta(n, delta)
-        cap = LOG_KMAX_CAP if engine.is_log else EXACT_KMAX_CAP
         if k > cap:
             raise UsageError(
                 f"k = floor(d^delta) = {k} exceeds the {engine.value} engine cap {cap} "
                 f"(exact caps at n=20, log at n=26, for delta=1/2)"
             )
-        state = run(a, n, max(k, 1), engine)
+        ks.append(k)
+    if not ns:
+        return []
+    states = trajectory(a, ns[-1], max(ks), engine)
+    state = next(states)
+    rows = []
+    for n, k in zip(ns, ks):
+        while state.n < n:
+            state = next(states)
         log2_coeff = float(state.poly[k]) if engine.is_log else log2_int(state.poly[k])
         Q = choose_window(max(n, 1), a)
         m = n // Q

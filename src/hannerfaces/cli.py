@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -176,8 +175,13 @@ def _cmd_trees(args) -> int:
         else:
             record.append("")
         rows.append(record)
-    sys.stdout.write(f"verdict: exact-match over {result.n_trees} trees\n")
-    _emit_rows(args, ["tree", "leaves", "internal", "weight_at_1", "qcount"], rows)
+    verdict = f"exact-match over {result.n_trees} trees"
+    header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
+    if args.format == "json":
+        _emit_object(args, {"verdict": verdict, "trees": [dict(zip(header, r)) for r in rows]})
+    else:
+        sys.stdout.write(f"verdict: {verdict}\n")
+        _emit_rows(args, header, rows)
     return EXIT_OK
 
 
@@ -263,7 +267,7 @@ def _cmd_oracle(args) -> int:
         obj["face_total"] = None
     obj["crosscheck_failures"] = failures
     _emit_object(args, obj)
-    return EXIT_USAGE if failures else EXIT_OK
+    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
 def _cmd_flm_report(args) -> int:
@@ -383,22 +387,6 @@ def _load_config(path: str) -> list[str]:
     return flags
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("HANNER_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise UsageError(f"HANNER_THREADS must be an integer, got {cap!r}") from None
-    try:
-        import numba
-
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
@@ -411,7 +399,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError("usage: --config PATH SUBCOMMAND [flags]")
             config_flags = _load_config(argv[1])
             argv = argv[2:3] + config_flags + argv[3:]
-        _apply_thread_cap()
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

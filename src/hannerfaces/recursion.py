@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import UsageError, VerificationError
 from .polys import (
@@ -123,11 +123,26 @@ def _geometric_hull(f: IntPoly, n: int) -> IntPoly:
     return out
 
 
-def run(a: DensityParam, n: int, kmax: int, engine: Engine) -> RecursionState:
-    """Run ``n`` schedule steps from the segment."""
+def trajectory(
+    a: DensityParam, n_max: int, kmax: int, engine: Engine
+) -> Iterator[RecursionState]:
+    """The states after 0, 1, ..., ``n_max`` schedule steps from the segment.
+
+    Coefficient k of every state depends only on coefficients <= k of the
+    one before, so the state after n steps agrees up to any k <= ``kmax``
+    with a run to n at truncation bound k.
+    """
     state = initial_state(kmax, engine)
-    for j in range(n):
+    yield state
+    for j in range(n_max):
         state = step(state, is_product_step(j, a))
+        yield state
+
+
+def run(a: DensityParam, n: int, kmax: int, engine: Engine) -> RecursionState:
+    """Run ``n`` schedule steps from the segment: the last state of the trajectory."""
+    for state in trajectory(a, n, kmax, engine):
+        pass
     return state
 
 

@@ -164,23 +164,13 @@ def _check_scan_and_fit():
     check(bound_envelope(rows).ok, "envelope ratio above golden")
 
 
-def _check_kernel_paths():
-    if not _kernels._HAS_NUMBA:
-        return
-    import numpy as np
-
-    rng = np.random.default_rng(0)
-    f = rng.uniform(0, 40, 200)
-    g = rng.uniform(0, 40, 200)
-    before = _kernels.ACTIVE_KERNEL
-    try:
-        _kernels.select_kernel("numpy")
-        a = _kernels.log_convolve(f, g)
-        _kernels.select_kernel("numba")
-        b = _kernels.log_convolve(f, g)
-    finally:
-        _kernels.select_kernel(before)
-    check(bool(np.allclose(a, b, rtol=0, atol=1e-12)), "kernel paths disagree")
+def _check_log_kernel_band():
+    f = run(THIRD, 16, 256, Engine.PAPER_LOG).poly.log2_coeffs
+    check(_kernels._concave_run(f) == f.shape[0], "engine state fails the band's concavity check")
+    band = _kernels.log_convolve(f, f)
+    full = _kernels._log_convolve_full(f, f)
+    err = max(abs(x - y) / max(abs(y), 1.0) for x, y in zip(band, full))
+    check(err <= 2.0**-50, f"banded square off the full kernel by {err:.3g} relative")
 
 
 CHECKS = [
@@ -197,7 +187,7 @@ CHECKS = [
     ("lower-bound certificates vs engine", _check_lower_bound),
     ("geometric oracle, radii, Kalai totals", _check_geometry),
     ("scan monotonicity, fit, envelope", _check_scan_and_fit),
-    ("numba/numpy kernel agreement", _check_kernel_paths),
+    ("banded vs full log kernel agreement", _check_log_kernel_band),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hannerfaces import cli
 from hannerfaces.cli import main
 
 
@@ -79,6 +80,15 @@ class TestTrees:
         assert lines[1] == "tree,leaves,internal,weight_at_1,qcount"
         assert len(lines) == 4
 
+    def test_json_output_parses_with_the_verdict_inside(self, run):
+        code, out, _ = run(
+            "trees", "--a", "1/2", "--Q", "2", "--m", "1", "--kmax", "8", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] == "exact-match over 2 trees"
+        assert [t["tree"] for t in data["trees"]] == ["0", "1"]
+
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run(
             "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", "3"
@@ -142,6 +152,14 @@ class TestOracle:
         assert data["face_total"] == 81
         assert data["ratio_sq"] == "4"
         assert data["crosscheck_failures"] == []
+
+    def test_crosscheck_failure_exits_2(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "proper_f_vector", lambda a, n: [8, 24, 32, 17])
+        code, out, _ = run("oracle", "--a", "1/2", "--n", "2")
+        assert code == 2
+        assert json.loads(out)["crosscheck_failures"] == [
+            "lattice f-vector disagrees with geometric engine"
+        ]
 
     def test_n4_skips_lattice(self, run):
         code, out, _ = run("oracle", "--a", "2/5", "--n", "4")
