@@ -14,9 +14,8 @@ which is also the oracle the band is tested against.  Both paths are
 deterministic run to run.
 
 Exact convolution packs nonnegative big-integer coefficients into one huge
-integer (Kronecker substitution) and multiplies once, via gmpy2 when it is
-installed.  A schoolbook reference implementation is kept alongside as the
-independent oracle.
+integer (Kronecker substitution) and multiplies once, in CPython integers;
+a schoolbook reference implementation is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:
-    import gmpy2
-
-    _HAS_GMPY2 = True
-except ImportError:  # gmpy2 is an optional extra
-    _HAS_GMPY2 = False
 
 NEG_INF = float("-inf")
 ACTIVE_KERNEL = "numpy"
@@ -155,8 +147,7 @@ def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _mul_bigint(x: int, y: int) -> int:
-    if _HAS_GMPY2:
-        return int(gmpy2.mpz(x) * gmpy2.mpz(y))
+    """The big multiply, a function of its own so perfbench/spans.py can time it."""
     return x * y
 
 

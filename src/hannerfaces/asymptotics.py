@@ -15,14 +15,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .polys import int_nth_root, log2_int
-from .recursion import Engine, trajectory
+from .polys import int_nth_root
+from .recursion import EXACT_KMAX_CAP, LOG_KMAX_CAP, Engine, trajectory
 from .schedule import DensityParam, choose_window, window_profile
-
-# Feasibility caps on k = floor(d^delta) per engine family; these reproduce
-# the documented desk-scale limits (exact: n<=20, log: n<=26, at delta=1/2).
-EXACT_KMAX_CAP = 1024
-LOG_KMAX_CAP = 8192
 
 # Recorded after the first full runs; the growth bounds hide an unpinned
 # 2^O(Q) factor, so the envelope is empirical by construction.
@@ -83,7 +78,7 @@ def scan(
     for n, k in zip(ns, ks):
         while state.n < n:
             state = next(states)
-        log2_coeff = float(state.poly[k]) if engine.is_log else log2_int(state.poly[k])
+        log2_coeff = state.poly.log2(k)
         Q = choose_window(max(n, 1), a)
         m = n // Q
         p = window_profile(a, Q, m).p
@@ -120,17 +115,18 @@ def fit_exponent(rows: list[ScanRow], a: DensityParam | None = None) -> FitResul
     """Least-squares slope of log2(log2_coeff) against n.
 
     Rows with log2_coeff <= 0 (only n = 0) carry no signal and are
-    dropped.  For rational a, only n = 0 mod q rows are used.
+    dropped, and rows repeated at one n (a scan over repeated indices)
+    count once.  For rational a, only n = 0 mod q rows are used.
     """
     engines = {r.engine for r in rows}
     if len(engines) > 1:
         raise UsageError(f"fit requires rows from a single engine, got {engines}")
-    usable = [r for r in rows if r.log2_coeff > 0]
+    usable = list({r.n: r for r in rows if r.log2_coeff > 0}.values())
     if a is not None and a.is_rational:
         q = a.value.denominator
         usable = [r for r in usable if r.n % q == 0]
     if len(usable) < 4:
-        raise UsageError(f"need at least 4 usable rows to fit, have {len(usable)}")
+        raise UsageError(f"need at least 4 distinct usable n to fit, have {len(usable)}")
     xs = [r.n for r in usable]
     ys = [math.log2(r.log2_coeff) for r in usable]
     n = len(xs)

@@ -17,19 +17,18 @@ from fractions import Fraction
 from .asymptotics import bound_envelope, fit_exponent, flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
-from .phimap import compose_window, tfree_and_top, word_from_string
-from .polys import log2_int
-from .recursion import Engine, face_numbers, proper_f_vector
+from .phimap import compose_window, tfree_and_top, window_phis, word_from_string
+from .polys import eval_at_one
+from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector
 from .schedule import DensityParam, is_product_step, window_profile
 from .selftest import run_selftest
 from .trees import (
     atypical_count_and_leaf_bound,
-    enumerate_trees,
+    check_tree_sum,
     leaf_count,
     internal_count,
     lower_bound_certificate,
-    tree_sum_check,
-    tree_weight,
+    weighted_trees,
 )
 
 EXIT_OK = 0
@@ -161,20 +160,20 @@ def _cmd_phi(args) -> int:
 
 def _cmd_trees(args) -> int:
     a = _parse_density(args)
-    result = tree_sum_check(a, args.Q, args.m, args.kmax, budget=args.budget)
-    phis = [compose_window(window_profile(a, args.Q, j).word) for j in range(args.m)]
-    constant = len({phi.word for phi in phis}) <= 1
+    phis = window_phis(a, args.Q, args.m)
+    # qcount is defined against one window map, so only for a constant stack
+    qcount_phi = phis[0] if len({phi.word for phi in phis}) == 1 else None
     rows = []
-    for i, tree in enumerate(
-        enumerate_trees(args.m, [phi.support for phi in reversed(phis)], args.budget)
-    ):
-        w1 = sum(tree_weight(tree, list(reversed(phis)), args.kmax).coeffs)
-        record = [str(i), str(leaf_count(tree)), str(internal_count(tree)), str(w1)]
-        if constant and args.m > 0:
-            record.append(str(atypical_count_and_leaf_bound(tree, phis[0]).qcount))
-        else:
-            record.append("")
-        rows.append(record)
+
+    def recorded(pairs):
+        for tree, w in pairs:
+            qcount = "" if qcount_phi is None else atypical_count_and_leaf_bound(tree, qcount_phi).qcount
+            values = (len(rows), leaf_count(tree), internal_count(tree), eval_at_one(w), qcount)
+            rows.append([str(v) for v in values])
+            yield tree, w
+
+    pairs = recorded(weighted_trees(phis, args.kmax, args.budget))
+    result = check_tree_sum(a, args.Q, args.m, args.kmax, pairs)
     verdict = f"exact-match over {result.n_trees} trees"
     header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     if args.format == "json":
@@ -188,10 +187,7 @@ def _cmd_trees(args) -> int:
 def _cmd_lower_bound(args) -> int:
     a = _parse_density(args)
     cert = lower_bound_certificate(a, args.Q, args.m, args.k)
-    n = args.Q * args.m
-    engine = Engine.PAPER_EXACT if args.k <= 1024 else Engine.PAPER_LOG
-    vec = face_numbers(a, n, args.k, engine)
-    engine_log2 = float(vec[args.k]) if engine.is_log else log2_int(vec[args.k])
+    engine_log2 = log2_face_number(a, args.Q * args.m, args.k, Engine.for_kmax(args.k))
     ok = cert.bound_log2 <= engine_log2
     _emit_object(
         args,

@@ -61,6 +61,10 @@ class IntPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k <= self.kmax else 0
 
+    def log2(self, k: int) -> float:
+        """log2 of coefficient k to full float64 precision (-inf for zero)."""
+        return log2_int(self[k])
+
     def __add__(self, other: "IntPoly") -> "IntPoly":
         self._check_compatible(other)
         return IntPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.kmax)
@@ -157,6 +161,8 @@ class LogPoly:
 
     def __getitem__(self, k: int) -> float:
         return float(self.log2_coeffs[k]) if 0 <= k <= self.kmax else NEG_INF
+
+    log2 = __getitem__  # entries are stored as log2 already
 
     def _check_compatible(self, other: "LogPoly"):
         if self.kmax != other.kmax:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice, pairwise
 from typing import Iterator, Union
 
 from .errors import UsageError, VerificationError
@@ -31,6 +32,12 @@ from .polys import (
     log_convolve_truncated,
 )
 from .schedule import DensityParam, StepKind, is_product_step
+
+# Largest truncation bound per engine.  Measured at a = 1/2 on a 2-CPU Xeon
+# VM: an exact run takes 27 s to n=18/K=512 and 404 s to n=20/K=1024 (99% in
+# the big-integer multiply); a log scan to n=26/K=8192 takes 0.6 s.
+EXACT_KMAX_CAP = 1024
+LOG_KMAX_CAP = 8192
 
 
 class Engine(enum.Enum):
@@ -44,6 +51,11 @@ class Engine(enum.Enum):
             if e.value == name:
                 return e
         raise UsageError(f"unknown engine {name!r} (use paper|geometric|log)")
+
+    @classmethod
+    def for_kmax(cls, kmax: int) -> "Engine":
+        """The printed recursion at bound ``kmax``: exact up to EXACT_KMAX_CAP, else log."""
+        return cls.PAPER_EXACT if kmax <= EXACT_KMAX_CAP else cls.PAPER_LOG
 
     @property
     def is_log(self) -> bool:
@@ -132,6 +144,8 @@ def trajectory(
     one before, so the state after n steps agrees up to any k <= ``kmax``
     with a run to n at truncation bound k.
     """
+    if n_max < 0:
+        raise UsageError(f"step count must be >= 0, got {n_max}")
     state = initial_state(kmax, engine)
     yield state
     for j in range(n_max):
@@ -156,8 +170,6 @@ def face_numbers(a: DensityParam, n: int, kmax: int, engine: Engine):
     is the generating-polynomial iteration, which is what the growth
     analysis actually uses.
     """
-    if n < 0:
-        raise UsageError(f"step count must be >= 0, got {n}")
     state = run(a, n, kmax, engine)
     if engine.is_log:
         return [float(x) for x in state.poly.log2_coeffs]
@@ -173,8 +185,7 @@ def proper_f_vector(a: DensityParam, n: int) -> list[int]:
 
 def log2_face_number(a: DensityParam, n: int, k: int, engine: Engine) -> float:
     """log2 a_{n,k} under the given engine (exact engines converted exactly)."""
-    vec = face_numbers(a, n, max(1, k), engine)
-    return vec[k] if engine.is_log else log2_int(vec[k])
+    return run(a, n, max(1, k), engine).poly.log2(k)
 
 
 @dataclass(frozen=True)
@@ -209,20 +220,16 @@ def verify_growth_bounds(a: DensityParam, n: int, r: int, kmax: int) -> GrowthRe
     The stated upper bounds are genuinely false at k in {0, 1} (the honest
     induction carries (k+1)**(2^r - 1)); they are reported as-is.
     """
-    if r < 0:
-        raise UsageError("r must be >= 0")
-    states = [run(a, n, kmax, Engine.PAPER_EXACT)]
-    for j in range(r):
-        states.append(step(states[-1], is_product_step(n + j, a)))
+    if n < 0 or r < 0:
+        raise UsageError(f"n and r must be >= 0, got n={n}, r={r}")
+    states = list(islice(trajectory(a, n + r, kmax, Engine.PAPER_EXACT), n, None))
     base = states[0].poly
     final = states[-1].poly
     checks = []
     running_max = 0
     for k in range(kmax + 1):
         running_max = max(running_max, base[k])
-        monotone = all(
-            states[i + 1].poly[k] >= states[i].poly[k] for i in range(len(states) - 1)
-        )
+        monotone = all(s.poly[k] <= t.poly[k] for s, t in pairwise(states))
         bound = (k ** (2**r)) * (running_max ** (2**r))
         upper_ok = final[k] <= bound
         if final[k] == 0:

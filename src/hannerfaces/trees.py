@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
 from .polys import IntPoly, convolve_truncated, power_truncated
-from .recursion import Engine, run
+from .recursion import Engine, log2_face_number, run
 from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
@@ -161,25 +161,31 @@ class TreeSumResult:
         return self.total == self.engine_poly
 
 
-def tree_sum_check(
-    a: DensityParam, Q: int, m: int, kmax: int, budget: int = DEFAULT_BUDGET
+def weighted_trees(
+    phis: Sequence[PhiMap], kmax: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[Tree, IntPoly]]:
+    """(T, W(T)) for every tree over the window maps ``phis`` (window 0
+    first; the root takes the last window), weights truncated at ``kmax``."""
+    by_height = phis[::-1]
+    for tree in enumerate_trees(len(phis), [phi.support for phi in by_height], budget):
+        yield tree, tree_weight(tree, by_height, kmax)
+
+
+def check_tree_sum(
+    a: DensityParam, Q: int, m: int, kmax: int, pairs: Iterable[tuple[Tree, IntPoly]]
 ) -> TreeSumResult:
-    """Evaluate sum_T W(T)*(2+t)^L(T) and compare it, exactly, with the
-    stepwise recursion run over the same m windows; also cross-check the
-    coefficient formula a_{Qm,k} = sum_{j<=k} sum_T [t^j]W(T) *
-    C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch raises."""
-    phis = window_phis(a, Q, m)
-    by_height = list(reversed(phis))  # root corresponds to the last window
-    supports = [phi.support for phi in by_height]
+    """Evaluate sum_T W(T)*(2+t)^L(T) over the (T, W(T)) ``pairs`` and compare
+    it, exactly, with the stepwise recursion run over the same m windows; also
+    cross-check the coefficient formula a_{Qm,k} = sum_{j<=k} sum_T [t^j]W(T)
+    * C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch raises."""
     seg = IntPoly.from_coeffs([2, 1], kmax)
     total = IntPoly.zero(kmax)
     powers: dict[int, IntPoly] = {}
     coeff_sums = [0] * (kmax + 1)
     n_trees = 0
-    for tree in enumerate_trees(m, supports, budget):
+    for tree, w in pairs:
         n_trees += 1
         L = leaf_count(tree)
-        w = tree_weight(tree, by_height, kmax)
         if L not in powers:
             powers[L] = power_truncated(seg, L)
         total = total + convolve_truncated(w, powers[L])
@@ -194,19 +200,22 @@ def tree_sum_check(
             coeff_sums[k] += s
     engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
     for k in range(kmax + 1):
-        if total[k] != engine_poly[k]:
-            raise VerificationError(
-                f"tree sum differs from recursion first at k={k}: "
-                f"{total[k]} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
-            )
-        if coeff_sums[k] != engine_poly[k]:
-            raise VerificationError(
-                f"coefficient formula differs from recursion first at k={k}: "
-                f"{coeff_sums[k]} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
-            )
+        for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
+            if got != engine_poly[k]:
+                raise VerificationError(
+                    f"{name} differs from recursion first at k={k}: "
+                    f"{got} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
+                )
     return TreeSumResult(
         n_trees=n_trees, total=total, engine_poly=engine_poly, formula_checked_upto=kmax
     )
+
+
+def tree_sum_check(
+    a: DensityParam, Q: int, m: int, kmax: int, budget: int = DEFAULT_BUDGET
+) -> TreeSumResult:
+    """check_tree_sum over every tree of the m aligned windows of length Q."""
+    return check_tree_sum(a, Q, m, kmax, weighted_trees(window_phis(a, Q, m), kmax, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +461,8 @@ def upper_bound_report(a: DensityParam, Q: int, m: int, k: int) -> UpperBoundRep
     The growth bound hides an unpinned 2^O(Q) factor, so rho is recorded
     rather than asserted against a constant.
     """
-    from .polys import log2_int
-
     p = window_profile(a, Q, 0).p
-    n = Q * m
-    engine = Engine.PAPER_EXACT if k <= 1024 else Engine.PAPER_LOG
-    vec = run(a, n, max(k, 1), engine).poly
-    log2_coeff = log2_int(vec[k]) if engine is Engine.PAPER_EXACT else float(vec[k])
+    log2_coeff = log2_face_number(a, Q * m, k, Engine.for_kmax(k))
     denom = 2.0 ** (m * p) * k ** (1.0 - p / Q)
     return UpperBoundReport(
         Q=Q, m=m, p=p, k=k, log2_coeff=log2_coeff, denominator=denom, rho=log2_coeff / denom

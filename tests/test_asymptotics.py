@@ -104,6 +104,12 @@ class TestFitExponent:
         with pytest.raises(UsageError):
             fit_exponent(self.synthetic_rows(0.5, [1, 2, 3]))
 
+    def test_repeated_n_counts_once(self):
+        with pytest.raises(UsageError):
+            fit_exponent(scan(HALF, DELTA_HALF, [4] * 5, Engine.PAPER_EXACT))
+        repeated = fit_exponent(scan(HALF, DELTA_HALF, [2, 4, 4, 6, 8, 8, 10], Engine.PAPER_EXACT))
+        assert repeated == fit_exponent(scan(HALF, DELTA_HALF, [2, 4, 6, 8, 10], Engine.PAPER_EXACT))
+
     def test_rational_filter(self):
         rows = scan(THIRD, DELTA_HALF, range(1, 14), Engine.PAPER_EXACT)
         fit = fit_exponent(rows, THIRD)

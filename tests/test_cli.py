@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from hannerfaces import cli
+from hannerfaces import cli, recursion, trees
 from hannerfaces.cli import main
+from hannerfaces.polys import log2_int
+from hannerfaces.recursion import Engine
+from hannerfaces.schedule import DensityParam
 
 
 @pytest.fixture
@@ -89,6 +93,39 @@ class TestTrees:
         assert data["verdict"] == "exact-match over 2 trees"
         assert [t["tree"] for t in data["trees"]] == ["0", "1"]
 
+    # sha256 of stdout, pinned so the single tree pass keeps the output of
+    # the two-pass version byte for byte.  The windows of a=2/5 coincide, so
+    # qcount is filled; those of a=1/3 differ, so it is left empty.
+    GOLDEN = {
+        ("2/5", "16", "csv"): "a892fd0a7c4116c14fdbb2ca4f55045783fc1cb2e7500455e465934667f511cb",
+        ("2/5", "16", "json"): "106aaade2d44e21ed50c806daa8fe250a4af82cd68878466288f0af00169201d",
+        ("1/3", "8", "csv"): "274da7598675cdfa1807d2856a1aa8afd8bf14029e41a38addeb327c7a787e38",
+        ("1/3", "8", "json"): "3b84acc5b24f3e3dcb6021b72a8bed9c190ed8a895f285f47832e88a922c790e",
+    }
+
+    @pytest.mark.parametrize(("a", "kmax", "fmt"), sorted(GOLDEN))
+    def test_output_bytes_pinned(self, run, a, kmax, fmt):
+        code, out, _ = run("trees", "--a", a, "--Q", "2", "--m", "2", "--kmax", kmax, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, kmax, fmt)]
+
+    def test_each_tree_weighed_once(self, run, monkeypatch):
+        calls = []
+        weigh = trees.tree_weight
+
+        def counted(*args):
+            calls.append(args[0])
+            return weigh(*args)
+
+        for mod in (trees, cli):  # every name the weight could be resolved by
+            monkeypatch.setattr(mod, "tree_weight", counted, raising=False)
+        code, out, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
+        assert code == 0
+        n_trees = int(out.splitlines()[0].split()[-2])
+        assert n_trees == 20
+        assert len(calls) == n_trees
+        assert len(set(calls)) == n_trees
+
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run(
             "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", "3"
@@ -109,6 +146,30 @@ class TestLowerBound:
     def test_violated_precondition(self, run):
         code, _, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "2", "--k", "32")
         assert code == 3
+
+
+class TestEnginePolicy:
+    """lower-bound and upper_bound_report read a_{n,k} from the exact engine
+    up to k = 1024 and from the log engine above it, at truncation bound k."""
+
+    @pytest.mark.parametrize(("k", "engine"), [(1024, Engine.PAPER_EXACT), (1025, Engine.PAPER_LOG)])
+    def test_boundary(self, run, monkeypatch, k, engine):
+        states = []
+        real_run = recursion.run
+
+        def spy(a, n, kmax, engine):
+            states.append(real_run(a, n, kmax, engine))
+            return states[-1]
+
+        monkeypatch.setattr(recursion, "run", spy)
+        report = trees.upper_bound_report(DensityParam.rational(1, 2), 2, 5, k)
+        code, out, _ = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "5", "--k", str(k))
+        assert code == 0
+        assert [(s.n, s.kmax, s.engine) for s in states] == [(10, k, engine)] * 2
+        poly = states[0].poly
+        want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly.coeffs[k])
+        assert report.log2_coeff == want
+        assert json.loads(out)["engine_log2"] == format(want, ".17g")
 
 
 class TestAsymptotics:

@@ -5,6 +5,7 @@ import pytest
 from hannerfaces.errors import UsageError
 from hannerfaces.polys import eval_at_one, log2_int
 from hannerfaces.recursion import (
+    EXACT_KMAX_CAP,
     Engine,
     face_numbers,
     initial_state,
@@ -12,6 +13,7 @@ from hannerfaces.recursion import (
     proper_f_vector,
     run,
     step,
+    trajectory,
     verify_growth_bounds,
 )
 from hannerfaces.schedule import DensityParam, StepKind, is_product_step, schedule_kinds
@@ -112,6 +114,23 @@ class TestFaceNumbers:
     def test_negative_n_rejected(self):
         with pytest.raises(UsageError):
             face_numbers(HALF, -1, 4, Engine.PAPER_EXACT)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_n_rejected_by_every_entry_point(self, n):
+        with pytest.raises(UsageError):
+            run(HALF, n, 8, Engine.PAPER_EXACT)
+        with pytest.raises(UsageError):
+            list(trajectory(HALF, n, 8, Engine.PAPER_LOG))
+        for r in (0, 2, 5):
+            with pytest.raises(UsageError):
+                verify_growth_bounds(HALF, n, r, 8)
+
+
+class TestEnginePolicy:
+    def test_exact_up_to_the_cap_then_log(self):
+        assert Engine.for_kmax(1) is Engine.PAPER_EXACT
+        assert Engine.for_kmax(EXACT_KMAX_CAP) is Engine.PAPER_EXACT
+        assert Engine.for_kmax(EXACT_KMAX_CAP + 1) is Engine.PAPER_LOG
 
 
 class TestLiteralRecursionOracle:
