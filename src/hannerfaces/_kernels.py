@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .errors import PrecisionError
+
 NEG_INF = float("-inf")
 ACTIVE_KERNEL = "numpy"
 
@@ -128,7 +130,7 @@ def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Truncated log-domain convolution of two equal-length log2-coefficient arrays.
 
     Squares (``g is f``) of a concave leading run take the banded path;
-    everything else takes the full kernel.  Raises OverflowError if any
+    everything else takes the full kernel.  Raises PrecisionError if any
     output is +inf, NaN, or finite above 2**53 in magnitude.
     """
     run = _concave_run(f) if g is f else -1
@@ -138,7 +140,7 @@ def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         else:
             out = _log_convolve_full(np.ascontiguousarray(f), np.ascontiguousarray(g))
     if not (np.isneginf(out) | (np.abs(out) <= _LOG2_LIMIT)).all():
-        raise OverflowError("log-domain convolution left the representable exponent range")
+        raise PrecisionError("log2 a_{n,k} left the log engine's range, |log2 a_{n,k}| <= 2**53")
     return out
 
 

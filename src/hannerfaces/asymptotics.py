@@ -45,6 +45,11 @@ def floor_d_delta(n: int, delta: Fraction) -> int:
     return int_nth_root(2 ** (n * delta.numerator), delta.denominator)
 
 
+def rho_denominator(Q: int, m: int, p: int, k: int) -> float:
+    """2^(m p) * k^(1 - p/Q), the growth-bound scale that rho divides log2 a_{n,k} by."""
+    return 2.0 ** (m * p) * k ** (1.0 - p / Q)
+
+
 def scan(
     a: DensityParam,
     delta: Fraction,
@@ -82,7 +87,6 @@ def scan(
         Q = choose_window(max(n, 1), a)
         m = n // Q
         p = window_profile(a, Q, m).p
-        denom = 2.0 ** (m * p) * k ** (1.0 - p / Q)
         rows.append(
             ScanRow(
                 n=n,
@@ -92,7 +96,7 @@ def scan(
                 m=m,
                 p=p,
                 log2_coeff=log2_coeff,
-                rho=log2_coeff / denom,
+                rho=log2_coeff / rho_denominator(Q, m, p, k),
                 engine=engine.value,
             )
         )

@@ -165,8 +165,6 @@ def apply_phi(phi: PhiMap, f: IntPoly, kmax: int | None = None) -> IntPoly:
     return out
 
 
-def window_phis(a: DensityParam, Q: int, m: int, t_truncation: int | None = None) -> list[PhiMap]:
+def window_phis(a: DensityParam, Q: int, m: int) -> list[PhiMap]:
     """PhiMaps of the aligned windows 0..m-1 (index j covers steps Qj..Qj+Q-1)."""
-    return [
-        compose_window(window_profile(a, Q, j).word, t_truncation) for j in range(m)
-    ]
+    return [compose_window(window_profile(a, Q, j).word) for j in range(m)]

@@ -185,6 +185,8 @@ def proper_f_vector(a: DensityParam, n: int) -> list[int]:
 
 def log2_face_number(a: DensityParam, n: int, k: int, engine: Engine) -> float:
     """log2 a_{n,k} under the given engine (exact engines converted exactly)."""
+    if k < 0:
+        raise UsageError(f"face index k must be nonnegative, got {k}")
     return run(a, n, max(1, k), engine).poly.log2(k)
 
 

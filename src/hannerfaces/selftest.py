@@ -1,23 +1,36 @@
-"""Desk-scale invariant suite behind the ``selftest`` subcommand.
+"""The acceptance criteria and invariant checks, as one table.
 
-Each check re-runs one of the package's cross-validation properties at a
-size that keeps the whole suite well under five minutes.  The pytest
-suite covers the same ground (and more) at full scale; this is the
-self-contained smoke battery for installed environments.
+``CHECKS`` is the one definition of acceptance criteria 1-11, at their
+stated grids, seeds, tolerances and runtime limits, followed by the
+cross-validation invariants that no criterion covers.  Each entry is a
+``(name, check)`` pair; the check raises on failure and returns a one-line
+detail.  Two consumers run the whole table: the ``selftest`` subcommand
+(``run_selftest``) and the pytest acceptance gate
+(``tests/test_acceptance.py``).  The table takes about 15 s on one core,
+well under five minutes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from . import _kernels
-from .asymptotics import bound_envelope, fit_exponent, scan
+from .asymptotics import (
+    GOLDEN_DRIFT_CONSTANT,
+    GOLDEN_ENVELOPE_RATIO,
+    bound_envelope,
+    fit_exponent,
+    floor_d_delta,
+    flm_report,
+    scan,
+)
 from .geometry import build_polytope, f_vector_crosscheck, radii, radii_recursion
-from .phimap import compose_window, apply_phi, tfree_and_top, window_phis
+from .phimap import apply_phi, compose_window, tfree_and_top
 from .polys import IntPoly, convolve_truncated, eval_at_one, log2_int
-from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector, run
+from .recursion import Engine, face_numbers, proper_f_vector, run, verify_growth_bounds
 from .schedule import DensityParam, StepKind, is_product_step, window_profile
 from .trees import (
     enumerate_trees,
@@ -30,11 +43,190 @@ from .trees import (
 HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
+TWO_FIFTHS = DensityParam.rational(2, 5)
+DELTA_HALF = Fraction(1, 2)
+DELTA_QUARTER = Fraction(1, 4)
+
+
+def golden_like(bits: int = 128) -> DensityParam:
+    """(sqrt(5)-1)/2 approximated to comfortably more than ``bits`` bits."""
+    digits = bits // 3 + 12
+    scale = 10**digits
+    num = math.isqrt(5 * scale * scale) - scale
+    return DensityParam.real(Fraction(num, 2 * scale), bits)
 
 
 def check(condition, message):
+    # an explicit raise, so the checks still run under ``python -O``
     if not condition:
         raise AssertionError(message)
+
+
+def _check_runtime(start: float, limit: float, what: str):
+    elapsed = time.monotonic() - start
+    check(elapsed < limit, f"{what} took {elapsed:.1f}s, over its {limit:.0f}s limit")
+
+
+def _euler_holds(f_vector, d: int) -> bool:
+    return sum((-1) ** k * f_vector[k] for k in range(d)) == 1 - (-1) ** d
+
+
+def _log_scan_half():
+    return scan(HALF, DELTA_HALF, range(14, 27, 2), Engine.PAPER_LOG)
+
+
+def _criterion_1():
+    start = time.monotonic()
+    for a in (HALF, THIRD, TWO_THIRDS, TWO_FIFTHS):
+        for n in range(4):
+            res = f_vector_crosscheck(a, n)  # raises if lattice != geometric engine
+            d = 2**n
+            check(res.face_total == 3**d, f"lattice face total != 3^{d} (a={a}, n={n})")
+            check(_euler_holds(res.lattice_f, d), f"Euler relation violated (a={a}, n={n})")
+    # past the lattice's reach, the geometric engine alone
+    for a in (HALF, THIRD, TWO_THIRDS):
+        total = eval_at_one(run(a, 5, 2**5, Engine.GEOMETRIC_EXACT).poly)
+        check(total == 3**32, f"engine face total != 3^32 (a={a}, n=5)")
+        check(_euler_holds(proper_f_vector(a, 4), 16), f"Euler relation violated (a={a}, n=4)")
+    _check_runtime(start, 60.0, "criterion 1")
+    return "16 lattice/engine agreements, 3^d totals, Euler; engine 3^32 at n=5, Euler at n=4"
+
+
+def _criterion_2():
+    paper = face_numbers(HALF, 2, 5, Engine.PAPER_EXACT)
+    geo = face_numbers(HALF, 2, 5, Engine.GEOMETRIC_EXACT)
+    check(paper == [8, 24, 34, 24, 8, 1], f"printed-recursion vector {paper} at n=2")
+    check(geo == [8, 24, 32, 16, 1, 0], f"free-sum vector {geo} at n=2")
+    check(paper[0] == geo[0] and paper[1] == geo[1], "engines differ at k < 2")
+    check(paper[2] > geo[2], "printed recursion does not exceed free sum at k=2")
+    for a, n, kmax in ((HALF, 2, 5), (HALF, 9, 32), (THIRD, 9, 32)):
+        paper = face_numbers(a, n, kmax, Engine.PAPER_EXACT)
+        geo = face_numbers(a, n, kmax, Engine.GEOMETRIC_EXACT)
+        check(all(p >= g for p, g in zip(paper, geo)), f"dominance violated (a={a}, n={n})")
+    return "pinned vectors (8,24,34,24,8,1) vs (8,24,32,16,1,0), k<2 equality, dominance to n=9, k<=32"
+
+
+def _criterion_3():
+    start = time.monotonic()
+    for a in (HALF, THIRD, TWO_THIRDS):
+        for Q, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+            res = tree_sum_check(a, Q, m, 16)  # raises on any mismatch
+            check(res.match, f"tree-sum identity failed (a={a}, Q={Q}, m={m})")
+    _check_runtime(start, 120.0, "criterion 3")
+    return "18 (a,Q,m) identities incl. coefficient formula at kmax=16"
+
+
+def _criterion_4():
+    rng = random.Random(20260810)
+    S, R = StepKind.PRODUCT, StepKind.HULL
+    for _ in range(200):
+        q = rng.randrange(1, 9)
+        word = tuple(rng.choice((S, R)) for _ in range(q))
+        phi = compose_window(word)
+        A, p, B, lam = tfree_and_top(phi)  # raises unless the t-free term is unique
+        check(max(phi.support) == 2**q, f"top x-degree wrong for {word}")
+        check(min(phi.support) == 2**p, f"bottom x-degree wrong for {word}")
+        check(B == 1, f"t-free coefficient B = {B} for {word}")
+    c4 = compose_window((R, S, R)).coefficient(4)
+    check(tuple(c4.coeffs[:3]) == (0, 16, 2) and c4.degree() == 2, "(R,S,R) counterexample moved")
+    return "200 random words Q<=8 + exact (R,S,R) counterexample C_4 = 16t + 2t^2"
+
+
+def _criterion_5():
+    # k in {0,1} are genuine counterexamples to the printed k^(2^r) bound
+    # (e.g. a=1/2: a_{2,1}=24 > A_{1,1}^2=16), so the sample is k in [2,64].
+    for a in (HALF, THIRD):
+        for n in range(1, 15):
+            for r in range(4):
+                for c in verify_growth_bounds(a, n, r, 64).checks:
+                    where = f"(a={a}, n={n}, r={r}, k={c.k})"
+                    check(c.monotone_ok, f"monotonicity violated {where}")
+                    if c.k >= 2:
+                        check(c.upper_ok, f"k^(2^r) A^(2^r) bound violated {where}")
+                        check(c.sandwich_ok, f"sandwich violated {where}")
+    return "monotonicity, k^(2^r) A^(2^r) bound, and sandwich over n<=14, r<=3, k in [2,64]"
+
+
+def _criterion_6():
+    for a, Q, m_range in ((HALF, 2, range(3, 9)), (THIRD, 3, range(2, 6))):
+        for m in m_range:
+            n = Q * m
+            k = floor_d_delta(n, DELTA_HALF)
+            cert = lower_bound_certificate(a, Q, m, k)
+            where = f"(a={a}, m={m}, k={k})"
+            check(2 * cert.jstar <= k, f"jstar above k/2 {where}")
+            check(cert.qcount <= k, f"Q(T) above k {where}")
+            check(cert.weight_coeff >= 1, f"certificate weight below 1 {where}")
+            engine_log2 = log2_int(face_numbers(a, n, k, Engine.PAPER_EXACT)[k])
+            check(cert.bound_log2 <= engine_log2, f"lower bound exceeds engine value {where}")
+    return "2^(L-k) <= a_(Qm,k) with jstar<=k/2, Q(T)<=k at 10 grid points"
+
+
+def _criterion_7():
+    start = time.monotonic()
+    rows_h = _log_scan_half()
+    rows_t = scan(THIRD, DELTA_HALF, [15, 18, 21, 24], Engine.PAPER_LOG)
+    values = [r.log2_coeff for r in rows_h]
+    check(all(x < y for x, y in zip(values, values[1:])), "a=1/2 scan not strictly increasing")
+    check(bound_envelope(rows_h).ok, f"a=1/2 rho spread above golden {GOLDEN_ENVELOPE_RATIO}")
+    fit_h = fit_exponent(rows_h, HALF)
+    check(fit_h.within(0.75, 0.05), f"slope {fit_h.slope:.4f} not within 0.75±0.05")
+    fit_t = fit_exponent(rows_t, THIRD)
+    target_t = 1 / 3 + 0.5 * (2 / 3)
+    check(fit_t.within(target_t, 0.05), f"slope {fit_t.slope:.4f} not within {target_t:.4f}±0.05")
+    _check_runtime(start, 120.0, "criterion 7")
+    return f"slopes {fit_h.slope:.4f} (a=1/2) and {fit_t.slope:.4f} (a=1/3) within ±0.05"
+
+
+def _criterion_8():
+    a = golden_like(128)
+    target = float(a.value) + 0.5 * (1 - float(a.value))
+    rows = scan(a, DELTA_HALF, range(10, 27), Engine.PAPER_LOG)
+    fit = fit_exponent(rows)
+    check(fit.within(target, 0.12), f"slope {fit.slope:.4f} not within {target:.4f}±0.12")
+    # drift: per-row empirical exponent approaches the target like C/sqrt(n)
+    drifts = [(r.n, math.log2(r.log2_coeff) / r.n - target) for r in rows]
+    for n, diff in drifts:
+        check(abs(diff) <= GOLDEN_DRIFT_CONSTANT / math.sqrt(n), f"drift {diff:.4f} at n={n}")
+    check(abs(drifts[-1][1]) < abs(drifts[0][1]), "drift does not trend toward the target")
+    env = bound_envelope(rows)
+    check(env.ok, f"rho spread {env.ratio:.2f} above golden {env.golden}")
+    return f"slope {fit.slope:.4f} (target {target:.4f}), rho spread {env.ratio:.2f}"
+
+
+def _criterion_9():
+    for a in (HALF, THIRD, TWO_THIRDS, TWO_FIFTHS, golden_like(128)):
+        for n in range(17):
+            rec = radii_recursion(a, n)
+            check(rec.R_sq * rec.r_inv_sq == 2**n, f"(R/r)^2 != 2^n (a={a}, n={n})")
+        for n in range(5):
+            rec = radii_recursion(a, n)
+            oracle = radii(build_polytope(a, n))
+            check(oracle == (rec.R_sq, rec.r_inv_sq), f"radii oracle mismatch (a={a}, n={n})")
+    return "(R/r)^2 = 2^n exactly: recursion n<=16, vertex/normal oracle n<=4, 5 densities"
+
+
+def _criterion_10():
+    for delta in (DELTA_QUARTER, DELTA_HALF):
+        for a in (HALF, THIRD):
+            exact_rows = scan(a, delta, range(1, 17), Engine.PAPER_EXACT)
+            log_rows = scan(a, delta, range(1, 17), Engine.PAPER_LOG)
+            for e, l in zip(exact_rows, log_rows):
+                ok = abs(e.log2_coeff - l.log2_coeff) <= 1e-6 * abs(e.log2_coeff)
+                check(ok, f"log engine off the exact engine (a={a}, delta={delta}, n={e.n})")
+    return "PaperLog matches PaperExact within 1e-6 relative, n<=16, delta in {1/4,1/2}"
+
+
+def _criterion_11():
+    rep = flm_report(HALF, DELTA_HALF, _log_scan_half(), fit_tol=0.05)
+    t = rep["theoretical"]
+    triple = (t["facet_exponent"], t["vertex_exponent"], t["radii_exponent"])
+    check(triple == (0.5, 0.75, 1.0), f"exponent triple {triple}")
+    check(t["total"] == 2.25 == 2 + 0.5 * (1 - 0.5), f"exponent total {t['total']}")
+    check(rep["fit_ok"], "fit outside its tolerance")
+    measured = rep["measured_vertex_exponent"]
+    check(abs(measured - 0.75) <= 0.05, f"measured middle exponent {measured:.4f}")
+    return f"triple (0.5, 0.75, 1.0), total 2.25, measured middle exponent {measured:.4f} attached"
 
 
 def _check_schedule():
@@ -44,6 +236,7 @@ def _check_schedule():
         check(kinds[:q] * 10 == kinds, f"schedule not {q}-periodic for a={a}")
         count = sum(1 for k in kinds if k is StepKind.PRODUCT)
         check(count == 10 * p, f"period product count off for a={a}")
+    return "q-periodic words with p products per period, 3 densities"
 
 
 def _check_poly_engine():
@@ -55,6 +248,7 @@ def _check_poly_engine():
         fast = convolve_truncated(f, g)
         slow = _kernels.convolve_schoolbook(list(f.coeffs), list(g.coeffs), kmax + 1)
         check(list(fast.coeffs) == slow, "fast convolution disagrees with schoolbook")
+    return "10 random 40-bit products, K < 48"
 
 
 def _check_log_vs_exact():
@@ -67,52 +261,7 @@ def _check_log_vs_exact():
                 abs(want), 1.0
             )
             check(ok, f"log engine off at n=10, k={k}")
-
-
-def _check_engine_vectors():
-    check(
-        face_numbers(HALF, 2, 5, Engine.PAPER_EXACT) == [8, 24, 34, 24, 8, 1],
-        "printed-recursion vector wrong at n=2",
-    )
-    check(
-        face_numbers(HALF, 2, 5, Engine.GEOMETRIC_EXACT) == [8, 24, 32, 16, 1, 0],
-        "free-sum vector wrong at n=2",
-    )
-
-
-def _check_total_face_counts():
-    for a in (HALF, THIRD, TWO_THIRDS):
-        state = run(a, 5, 2**5, Engine.GEOMETRIC_EXACT)
-        check(eval_at_one(state.poly) == 3**32, f"3^d face total violated for a={a}")
-        fv = proper_f_vector(a, 4)
-        euler = sum((-1) ** k * fv[k] for k in range(16))
-        check(euler == 1 - (-1) ** 16, f"Euler relation violated for a={a}")
-
-
-def _check_dominance():
-    for a in (HALF, THIRD):
-        paper = face_numbers(a, 9, 32, Engine.PAPER_EXACT)
-        geo = face_numbers(a, 9, 32, Engine.GEOMETRIC_EXACT)
-        check(all(p >= g for p, g in zip(paper, geo)), f"dominance violated for a={a}")
-
-
-def _check_phi_words():
-    rng = random.Random(3)
-    for _ in range(30):
-        word = tuple(
-            rng.choice((StepKind.PRODUCT, StepKind.HULL))
-            for _ in range(rng.randrange(1, 6))
-        )
-        phi = compose_window(word)
-        A, p, B, lam = tfree_and_top(phi)  # raises on any structural violation
-        check(max(phi.support) == 2 ** len(word), "top x-degree wrong")
-        check(min(phi.support) == 2**p, "bottom x-degree wrong")
-    rsr = compose_window(word_rsr())
-    check(tuple(rsr.coefficient(4).coeffs[:3]) == (0, 16, 2), "(R,S,R) regression moved")
-
-
-def word_rsr():
-    return (StepKind.HULL, StepKind.PRODUCT, StepKind.HULL)
+    return "every k <= 24 at n=10 within 1e-6 relative, a in {1/2,1/3}"
 
 
 def _check_phi_apply():
@@ -122,46 +271,13 @@ def _check_phi_apply():
             before = run(a, 0, 32, Engine.PAPER_EXACT).poly
             after = run(a, Q, 32, Engine.PAPER_EXACT).poly
             check(apply_phi(phi, before) == after, f"phi application off (a={a}, Q={Q})")
-
-
-def _check_tree_identity():
-    for a in (HALF, THIRD, TWO_THIRDS):
-        for Q, m in ((1, 2), (2, 1), (2, 2)):
-            tree_sum_check(a, Q, m, 12)  # raises on mismatch
+    return "Q <= 3, 3 densities, kmax=32"
 
 
 def _check_preorder():
     for t in enumerate_trees(2, {2, 4}):
         check(preorder_decode(preorder_encode(t, [2, 4]), [2, 4]) == t, "round-trip broke")
-
-
-def _check_lower_bound():
-    for m in (3, 4, 5):
-        cert = lower_bound_certificate(HALF, 2, m, 2**m)
-        check(cert.weight_coeff >= 1 and cert.qcount <= 2**m, "certificate invalid")
-        value_log2 = log2_face_number(HALF, 2 * m, 2**m, Engine.PAPER_EXACT)
-        check(value_log2 >= cert.bound_log2, "lower bound exceeds engine value")
-
-
-def _check_geometry():
-    for a in (HALF, THIRD, TWO_THIRDS):
-        for n in (0, 1, 2):
-            f_vector_crosscheck(a, n)  # raises on mismatch
-        for n in range(17):
-            rec = radii_recursion(a, n)
-            check(rec.R_sq * rec.r_inv_sq == 2**n, "radii product violated")
-        r_sq, r_inv_sq = radii(build_polytope(a, 3))
-        rec = radii_recursion(a, 3)
-        check((r_sq, r_inv_sq) == (rec.R_sq, rec.r_inv_sq), "radii oracle mismatch")
-
-
-def _check_scan_and_fit():
-    rows = scan(HALF, Fraction(1, 2), range(2, 15, 2), Engine.PAPER_EXACT)
-    vals = [r.log2_coeff for r in rows]
-    check(vals == sorted(vals) and len(set(vals)) == len(vals), "scan not increasing")
-    fit = fit_exponent(rows, HALF)
-    check(abs(fit.slope - 0.75) < 0.15, f"desk-scale slope {fit.slope:.3f} far from 0.75")
-    check(bound_envelope(rows).ok, "envelope ratio above golden")
+    return "every tree of height <= 2, degrees {2,4}"
 
 
 def _check_log_kernel_band():
@@ -171,27 +287,34 @@ def _check_log_kernel_band():
     full = _kernels._log_convolve_full(f, f)
     err = max(abs(x - y) / max(abs(y), 1.0) for x, y in zip(band, full))
     check(err <= 2.0**-50, f"banded square off the full kernel by {err:.3g} relative")
+    return "a=1/3 state at n=16, K=256, within 2^-50 relative"
 
 
 CHECKS = [
-    ("schedule periodicity and density", _check_schedule),
-    ("exact convolution vs schoolbook", _check_poly_engine),
-    ("log engine vs exact engine", _check_log_vs_exact),
-    ("pinned engine vectors at n=2", _check_engine_vectors),
-    ("3^d face totals and Euler relation", _check_total_face_counts),
-    ("printed recursion dominates free-sum counts", _check_dominance),
-    ("window map structure on random words", _check_phi_words),
-    ("window map application vs stepwise recursion", _check_phi_apply),
-    ("tree-sum identity and coefficient formula", _check_tree_identity),
-    ("preorder encoding round-trip", _check_preorder),
-    ("lower-bound certificates vs engine", _check_lower_bound),
-    ("geometric oracle, radii, Kalai totals", _check_geometry),
-    ("scan monotonicity, fit, envelope", _check_scan_and_fit),
-    ("banded vs full log kernel agreement", _check_log_kernel_band),
+    ("criterion_1_oracle_equivalence", _criterion_1),
+    ("criterion_2_engine_discrepancy_pattern", _criterion_2),
+    ("criterion_3_tree_formula_identity", _criterion_3),
+    ("criterion_4_phi_properties", _criterion_4),
+    ("criterion_5_growth_bounds", _criterion_5),
+    ("criterion_6_lower_bound", _criterion_6),
+    ("criterion_7_exponent_reproduction", _criterion_7),
+    ("criterion_8_irrational_case", _criterion_8),
+    ("criterion_9_radii", _criterion_9),
+    ("criterion_10_engine_cross_precision", _criterion_10),
+    ("criterion_11_flm_report", _criterion_11),
+    ("schedule_periodicity", _check_schedule),
+    ("exact_convolution_vs_schoolbook", _check_poly_engine),
+    ("log_engine_vs_exact_every_k", _check_log_vs_exact),
+    ("window_map_apply_vs_recursion", _check_phi_apply),
+    ("preorder_round_trip", _check_preorder),
+    ("banded_vs_full_log_kernel", _check_log_kernel_band),
 ]
 
 
 def run_selftest(out) -> bool:
+    """Run every entry of ``CHECKS``, one ``ok``/``FAIL`` line each, and
+    continue past failures.  No timings reach ``out``, so identical runs
+    write identical bytes."""
     ok = True
     for name, fn in CHECKS:
         try:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .asymptotics import rho_denominator
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
 from .polys import IntPoly, convolve_truncated, power_truncated
@@ -463,7 +464,7 @@ def upper_bound_report(a: DensityParam, Q: int, m: int, k: int) -> UpperBoundRep
     """
     p = window_profile(a, Q, 0).p
     log2_coeff = log2_face_number(a, Q * m, k, Engine.for_kmax(k))
-    denom = 2.0 ** (m * p) * k ** (1.0 - p / Q)
+    denom = rho_denominator(Q, m, p, k)
     return UpperBoundReport(
         Q=Q, m=m, p=p, k=k, log2_coeff=log2_coeff, denominator=denom, rho=log2_coeff / denom
     )

@@ -1,222 +1,17 @@
-"""Acceptance gate: one test per criterion, at the stated tolerances.
+"""Acceptance gate: every entry of ``hannerfaces.selftest.CHECKS``, one test each.
 
+The table is the one definition of criteria 1-11 and of the invariants
+beside them, so this gate and ``hannerfaces selftest`` run the same checks.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
-per criterion.  The heavyweight scans are shared through module fixtures.
+per entry.
 """
-
-import math
-import random
-import time
-from fractions import Fraction
 
 import pytest
 
-from hannerfaces.asymptotics import (
-    GOLDEN_DRIFT_CONSTANT,
-    GOLDEN_ENVELOPE_RATIO,
-    bound_envelope,
-    fit_exponent,
-    floor_d_delta,
-    flm_report,
-    scan,
-)
-from hannerfaces.geometry import build_polytope, f_vector_crosscheck, radii, radii_recursion
-from hannerfaces.phimap import compose_window, tfree_and_top
-from hannerfaces.polys import log2_int
-from hannerfaces.recursion import Engine, face_numbers, verify_growth_bounds
-from hannerfaces.schedule import DensityParam, StepKind
-from hannerfaces.trees import lower_bound_certificate, tree_sum_check
-
-from test_schedule import golden_like
-
-HALF = DensityParam.rational(1, 2)
-THIRD = DensityParam.rational(1, 3)
-TWO_THIRDS = DensityParam.rational(2, 3)
-TWO_FIFTHS = DensityParam.rational(2, 5)
-DELTA_HALF = Fraction(1, 2)
-DELTA_QUARTER = Fraction(1, 4)
+from hannerfaces.selftest import CHECKS
 
 
-def report(n, detail):
-    print(f"[criterion {n}] PASS — {detail}")
-
-
-@pytest.fixture(scope="module")
-def log_scan_half():
-    start = time.monotonic()
-    rows = scan(HALF, DELTA_HALF, range(14, 27, 2), Engine.PAPER_LOG)
-    return rows, time.monotonic() - start
-
-
-@pytest.fixture(scope="module")
-def log_scan_third():
-    start = time.monotonic()
-    rows = scan(THIRD, DELTA_HALF, [15, 18, 21, 24], Engine.PAPER_LOG)
-    return rows, time.monotonic() - start
-
-
-def test_criterion_1_oracle_equivalence():
-    start = time.monotonic()
-    cases = 0
-    for a in (HALF, THIRD, TWO_THIRDS, TWO_FIFTHS):
-        for n in range(4):
-            res = f_vector_crosscheck(a, n)  # raises if lattice != geometric engine
-            d = 2**n
-            assert res.face_total == 3**d, (a, n)
-            fv = res.lattice_f
-            assert sum((-1) ** k * fv[k] for k in range(d)) == 1 - (-1) ** d, (a, n)
-            cases += 1
-    elapsed = time.monotonic() - start
-    assert elapsed < 60.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 1 minute"
-    report(1, f"{cases} lattice/engine agreements, 3^d totals, Euler; {elapsed:.1f}s")
-
-
-def test_criterion_2_engine_discrepancy_pattern():
-    paper = face_numbers(HALF, 2, 5, Engine.PAPER_EXACT)
-    geo = face_numbers(HALF, 2, 5, Engine.GEOMETRIC_EXACT)
-    assert paper == [8, 24, 34, 24, 8, 1]
-    assert geo == [8, 24, 32, 16, 1, 0]
-    assert all(p >= g for p, g in zip(paper, geo))
-    assert paper[0] == geo[0] and paper[1] == geo[1]  # equality for k < 2
-    assert paper[2] > geo[2]
-    report(2, "pinned vectors (8,24,34,24,8,1) vs (8,24,32,16,1,0), dominance, k<2 equality")
-
-
-def test_criterion_3_tree_formula_identity():
-    start = time.monotonic()
-    grid = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
-    checked = 0
-    for a in (HALF, THIRD, TWO_THIRDS):
-        for Q, m in grid:
-            res = tree_sum_check(a, Q, m, 16)  # raises on any mismatch
-            assert res.match
-            checked += 1
-    elapsed = time.monotonic() - start
-    assert elapsed < 120.0, f"criterion 3 runtime {elapsed:.1f}s exceeds 2 minutes"
-    report(3, f"{checked} (a,Q,m) identities incl. coefficient formula at kmax=16; {elapsed:.1f}s")
-
-
-def test_criterion_4_phi_properties():
-    rng = random.Random(20260810)
-    S, R = StepKind.PRODUCT, StepKind.HULL
-    for i in range(200):
-        q = rng.randrange(1, 9)
-        word = tuple(rng.choice((S, R)) for _ in range(q))
-        phi = compose_window(word)
-        A, p, B, lam = tfree_and_top(phi)  # asserts unique t-free term internally
-        assert max(phi.support) == 2**q, word
-        assert min(phi.support) == 2**p, word
-        assert B == 1, word
-    rsr = compose_window((R, S, R))
-    c4 = rsr.coefficient(4)
-    assert tuple(c4.coeffs[:3]) == (0, 16, 2) and c4.degree() == 2
-    report(4, "200 random words Q<=8 + exact (R,S,R) counterexample C_4 = 16t + 2t^2")
-
-
-def test_criterion_5_growth_bounds():
-    # k in {0,1} are genuine counterexamples to the printed k^(2^r) bound
-    # (e.g. a=1/2: a_{2,1}=24 > A_{1,1}^2=16), so the sample is k in [2,64].
-    for a in (HALF, THIRD):
-        for n in range(1, 15):
-            for r in range(4):
-                rep = verify_growth_bounds(a, n, r, 64)
-                for c in rep.checks:
-                    assert c.monotone_ok, (a, n, r, c.k)
-                    if c.k >= 2:
-                        assert c.upper_ok, (a, n, r, c.k)
-                        assert c.sandwich_ok, (a, n, r, c.k)
-    report(5, "monotonicity, k^(2^r) A^(2^r) bound, and sandwich over n<=14, r<=3, k in [2,64]")
-
-
-def test_criterion_6_lower_bound():
-    checked = []
-    for a, Q, m_range in ((HALF, 2, range(3, 9)), (THIRD, 3, range(2, 6))):
-        for m in m_range:
-            n = Q * m
-            k = floor_d_delta(n, DELTA_HALF)
-            cert = lower_bound_certificate(a, Q, m, k)
-            assert 2 * cert.jstar <= k, (a, m)
-            assert cert.qcount <= k, (a, m)
-            assert cert.weight_coeff >= 1, (a, m)
-            engine_log2 = log2_int(face_numbers(a, n, k, Engine.PAPER_EXACT)[k])
-            assert cert.bound_log2 <= engine_log2, (a, m)
-            checked.append((str(a), m, k, cert.bound_log2, round(engine_log2, 1)))
-    report(6, f"2^(L-k) <= a_(Qm,k) with jstar<=k/2, Q(T)<=k at {len(checked)} grid points")
-
-
-def test_criterion_7_exponent_reproduction(log_scan_half, log_scan_third):
-    rows_h, scan_time_h = log_scan_half
-    rows_t, scan_time_t = log_scan_third
-    start = time.monotonic()
-    fit_h = fit_exponent(rows_h, HALF)
-    assert fit_h.within(0.75, 0.05), f"slope {fit_h.slope:.4f} not within 0.75±0.05"
-    fit_t = fit_exponent(rows_t, THIRD)
-    target_t = 1 / 3 + 0.5 * (2 / 3)
-    assert fit_t.within(target_t, 0.05), f"slope {fit_t.slope:.4f} not within {target_t:.4f}±0.05"
-    elapsed = scan_time_h + scan_time_t + (time.monotonic() - start)
-    assert elapsed < 120.0, f"criterion 7 runtime {elapsed:.1f}s exceeds 2 minutes"
-    report(
-        7,
-        f"a=1/2 slope {fit_h.slope:.4f} (target 0.75), a=1/3 slope {fit_t.slope:.4f} "
-        f"(target {target_t:.4f}), tight ±0.05; {elapsed:.1f}s incl. scans",
-    )
-
-
-def test_criterion_8_irrational_case():
-    a = golden_like(128)
-    target = float(a.value) + 0.5 * (1 - float(a.value))
-    rows = scan(a, DELTA_HALF, range(10, 27), Engine.PAPER_LOG)
-    fit = fit_exponent(rows)
-    assert fit.within(target, 0.12), f"slope {fit.slope:.4f} not within {target:.4f}±0.12"
-    # drift: per-row empirical exponent approaches the target like C/sqrt(n)
-    drifts = [(r.n, math.log2(r.log2_coeff) / r.n - target) for r in rows]
-    for n, diff in drifts:
-        assert abs(diff) <= GOLDEN_DRIFT_CONSTANT / math.sqrt(n), (n, diff)
-    assert abs(drifts[-1][1]) < abs(drifts[0][1])  # trend toward the target
-    env = bound_envelope(rows)
-    assert env.ok, f"rho spread {env.ratio:.2f} above golden {env.golden}"
-    report(
-        8,
-        f"slope {fit.slope:.4f} (target {target:.4f}, ±0.12), drift within "
-        f"{GOLDEN_DRIFT_CONSTANT}/sqrt(n), rho spread {env.ratio:.2f} <= {GOLDEN_ENVELOPE_RATIO}",
-    )
-
-
-def test_criterion_9_radii():
-    for a in (HALF, THIRD, TWO_THIRDS, TWO_FIFTHS, golden_like(128)):
-        for n in range(17):
-            rec = radii_recursion(a, n)
-            assert rec.R_sq * rec.r_inv_sq == 2**n, (a, n)
-        for n in range(5):
-            r_sq, r_inv_sq = radii(build_polytope(a, n))
-            rec = radii_recursion(a, n)
-            assert (r_sq, r_inv_sq) == (rec.R_sq, rec.r_inv_sq), (a, n)
-    report(9, "(R/r)^2 = 2^n exactly: recursion n<=16, vertex/normal oracle n<=4, 5 densities")
-
-
-def test_criterion_10_engine_cross_precision():
-    for delta in (DELTA_QUARTER, DELTA_HALF):
-        for a in (HALF, THIRD):
-            exact_rows = scan(a, delta, range(1, 17), Engine.PAPER_EXACT)
-            log_rows = scan(a, delta, range(1, 17), Engine.PAPER_LOG)
-            for e, l in zip(exact_rows, log_rows):
-                assert abs(e.log2_coeff - l.log2_coeff) <= 1e-6 * abs(e.log2_coeff), (
-                    a,
-                    delta,
-                    e.n,
-                )
-    report(10, "PaperLog matches PaperExact within 1e-6 relative, n<=16, delta in {1/4,1/2}")
-
-
-def test_criterion_11_flm_report(log_scan_half):
-    rep = flm_report(HALF, DELTA_HALF, log_scan_half[0], fit_tol=0.05)
-    t = rep["theoretical"]
-    assert (t["facet_exponent"], t["vertex_exponent"], t["radii_exponent"]) == (0.5, 0.75, 1.0)
-    assert t["total"] == 2.25 == 2 + 0.5 * (1 - 0.5)
-    assert rep["fit_ok"]
-    assert abs(rep["measured_vertex_exponent"] - 0.75) <= 0.05
-    report(
-        11,
-        f"triple (0.5, 0.75, 1.0), total 2.25, measured middle exponent "
-        f"{rep['measured_vertex_exponent']:.4f} attached",
-    )
+@pytest.mark.parametrize(("name", "check"), CHECKS, ids=[name for name, _ in CHECKS])
+def test_check(name, check):
+    detail = check()  # raises on failure
+    print(f"[{name}] PASS — {detail}")

@@ -14,9 +14,8 @@ from hannerfaces.asymptotics import (
 )
 from hannerfaces.errors import UsageError
 from hannerfaces.recursion import Engine
-
-from test_schedule import golden_like
 from hannerfaces.schedule import DensityParam
+from hannerfaces.selftest import golden_like
 
 HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)

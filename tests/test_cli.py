@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from hannerfaces import cli, recursion, trees
+from hannerfaces import cli, recursion, selftest, trees
 from hannerfaces.cli import main
 from hannerfaces.polys import log2_int
 from hannerfaces.recursion import Engine
@@ -276,6 +277,19 @@ class TestPlumbing:
         code, _, _ = run("transmogrify")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fvector", "--a", "1/2", "--n", "120", "--kmax", "4", "--engine", "log"),
+            ("asymptotics", "--a", "1/2", "--delta", "1/100", "--nmax", "120", "--engine", "log"),
+        ],
+    )
+    def test_log_range_overflow_exits_3(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 3
+        assert out == ""
+        assert "log engine's range" in err
+
     def test_determinism(self, run):
         a = run("asymptotics", "--a", "1/3", "--delta", "1/2", "--nmax", "8")
         b = run("asymptotics", "--a", "1/3", "--delta", "1/2", "--nmax", "8")
@@ -294,3 +308,32 @@ class TestPlumbing:
     def test_missing_config(self, run):
         code, _, err = run("--config", "/nonexistent.cfg", "schedule", "--steps", "1")
         assert code == 3
+
+
+class TestSelftest:
+    def test_one_ok_line_per_entry(self, run):
+        code, out, _ = run("selftest")
+        assert code == 0
+        # stdout equals a text fixed by the table's names alone, so any two
+        # runs print identical bytes
+        want = "".join(f"ok   {name}\n" for name, _ in selftest.CHECKS) + "all checks passed\n"
+        assert out == want
+
+    def test_failing_entry_exits_2_and_the_rest_still_run(self, run, monkeypatch):
+        names = [name for name, _ in selftest.CHECKS]
+        ran = []
+        table = [(name, lambda name=name: ran.append(name)) for name in names]
+        table[1] = (names[1], lambda: 1 / 0)
+        monkeypatch.setattr(selftest, "CHECKS", table)
+        code, out, _ = run("selftest")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[1] == f"FAIL {names[1]}: division by zero"
+        assert lines[-1] == "SELFTEST FAILED"
+        assert ran == names[:1] + names[2:]
+
+    def test_table_holds_each_criterion_once(self):
+        names = [name for name, _ in selftest.CHECKS]
+        assert len(set(names)) == len(names)
+        criteria = [int(m.group(1)) for m in map(re.compile(r"criterion_(\d+)_").match, names) if m]
+        assert sorted(criteria) == list(range(1, 12))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hannerfaces import _kernels, selftest
 from hannerfaces.asymptotics import floor_d_delta, scan
+from hannerfaces.errors import PrecisionError
 from hannerfaces.polys import log2_int
 from hannerfaces.recursion import Engine, run, trajectory
 from hannerfaces.schedule import DensityParam
@@ -94,9 +95,9 @@ class TestBandedSquare:
 
     def test_output_beyond_2_pow_53_raises(self):
         f = np.array([2.0**52 + 2.0**51, -np.inf])
-        with pytest.raises(OverflowError):
+        with pytest.raises(PrecisionError):
             _kernels.log_convolve(f, f)
-        with pytest.raises(OverflowError):
+        with pytest.raises(PrecisionError):
             _kernels.log_convolve(f, f.copy())
         ok = np.array([2.0**51, -np.inf])
         assert _kernels.log_convolve(ok, ok)[0] == 2.0**52

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hannerfaces import _kernels
-from hannerfaces.errors import UsageError
+from hannerfaces.errors import PrecisionError, UsageError
 from hannerfaces.polys import (
     IntPoly,
     LogPoly,
@@ -156,7 +156,7 @@ class TestLogConvolve:
 
     def test_overflow_raises(self):
         f = LogPoly(np.array([1.5e308, 1.5e308]), 1)
-        with pytest.raises(OverflowError):
+        with pytest.raises(PrecisionError):
             log_convolve_truncated(f, f)
 
     def test_kmax_mismatch(self):

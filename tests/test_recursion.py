@@ -273,3 +273,8 @@ class TestGrowthBounds:
 class TestLog2FaceNumber:
     def test_value(self):
         assert abs(log2_face_number(HALF, 2, 2, Engine.PAPER_EXACT) - math.log2(34)) < 1e-12
+
+    @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.PAPER_LOG])
+    def test_negative_k_rejected(self, engine):
+        with pytest.raises(UsageError):
+            log2_face_number(HALF, 2, -1, engine)

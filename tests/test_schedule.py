@@ -11,6 +11,7 @@ from hannerfaces.schedule import (
     schedule_kinds,
     window_profile,
 )
+from hannerfaces.selftest import golden_like
 
 
 def product_set_oracle(a: Fraction, n_max: int) -> set[int]:
@@ -29,16 +30,6 @@ HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
 TWO_FIFTHS = DensityParam.rational(2, 5)
-
-
-def golden_like(bits: int = 128) -> DensityParam:
-    """(sqrt(5)-1)/2 approximated to comfortably more than ``bits`` bits."""
-    import math
-
-    digits = bits // 3 + 12
-    scale = 10**digits
-    num = math.isqrt(5 * scale * scale) - scale
-    return DensityParam.real(Fraction(num, 2 * scale), bits)
 
 
 class TestIsProductStep:

@@ -274,6 +274,10 @@ class TestUpperBoundReport:
         rep = upper_bound_report(HALF, 2, 2, 1)
         assert rep.denominator == pytest.approx(2.0 ** (2 * rep.p))
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(UsageError):
+            upper_bound_report(HALF, 2, 3, -1)
+
     def test_rho_envelope_across_m(self):
         rhos = [
             upper_bound_report(HALF, 2, m, max(1, int(math.isqrt(2 ** (2 * m))))).rho
