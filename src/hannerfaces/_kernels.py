@@ -154,12 +154,7 @@ def _mul_bigint(x: int, y: int) -> int:
 
 
 def _pack(coeffs: list[int], slot_bytes: int) -> int:
-    buf = bytearray(len(coeffs) * slot_bytes)
-    for i, c in enumerate(coeffs):
-        buf[i * slot_bytes : i * slot_bytes + (c.bit_length() + 7) // 8] = c.to_bytes(
-            (c.bit_length() + 7) // 8, "little"
-        )
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(b"".join(c.to_bytes(slot_bytes, "little") for c in coeffs), "little")
 
 
 def _unpack(packed: int, slot_bytes: int, count: int) -> list[int]:
@@ -176,8 +171,8 @@ def convolve_exact(f: list[int], g: list[int], out_len: int) -> list[int]:
     n, m = len(f), len(g)
     if n == 0 or m == 0:
         return [0] * out_len
-    bits_f = max((c.bit_length() for c in f), default=0)
-    bits_g = max((c.bit_length() for c in g), default=0)
+    bits_f = max(f).bit_length()  # coefficients are nonnegative
+    bits_g = max(g).bit_length()
     if bits_f == 0 or bits_g == 0:
         return [0] * out_len
     slot_bits = bits_f + bits_g + (min(n, m)).bit_length() + 1

@@ -161,13 +161,15 @@ class EnvelopeReport:
     ok: bool
 
 
-def bound_envelope(rows: list[ScanRow], golden: float = GOLDEN_ENVELOPE_RATIO) -> EnvelopeReport:
+def bound_envelope(rows: list[ScanRow]) -> EnvelopeReport:
     """Spread of the envelope ratio rho over a scan, against the recorded golden."""
     rhos = [r.rho for r in rows if r.log2_coeff > 0]
     if not rhos:
         raise UsageError("no rows with positive log2_coeff")
     ratio = max(rhos) / min(rhos)
-    return EnvelopeReport(rhos=rhos, ratio=ratio, golden=golden, ok=ratio <= golden)
+    return EnvelopeReport(
+        rhos=rhos, ratio=ratio, golden=GOLDEN_ENVELOPE_RATIO, ok=ratio <= GOLDEN_ENVELOPE_RATIO
+    )
 
 
 def theoretical_exponents(a_value: float, delta: float) -> dict:

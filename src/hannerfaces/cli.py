@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .asymptotics import bound_envelope, fit_exponent, flm_report, scan
+from .asymptotics import flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
 from .phimap import compose_window, tfree_and_top, window_phis, word_from_string
@@ -22,10 +22,9 @@ from .polys import eval_at_one
 from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector
 from .schedule import DensityParam, is_product_step, window_profile
 from .trees import (
-    atypical_count_and_leaf_bound,
+    DEFAULT_BUDGET,
     check_tree_sum,
-    leaf_count,
-    internal_count,
+    histogram_leaves,
     lower_bound_certificate,
     weighted_trees,
 )
@@ -161,18 +160,18 @@ def _cmd_trees(args) -> int:
     a = _parse_density(args)
     phis = window_phis(a, args.Q, args.m)
     # qcount is defined against one window map, so only for a constant stack
-    qcount_phi = phis[0] if len({phi.word for phi in phis}) == 1 else None
+    typical = 2 ** phis[0].p if len({phi.word for phi in phis}) == 1 else None
     rows = []
 
-    def recorded(pairs):
-        for tree, w in pairs:
-            qcount = "" if qcount_phi is None else atypical_count_and_leaf_bound(tree, qcount_phi).qcount
-            values = (len(rows), leaf_count(tree), internal_count(tree), eval_at_one(w), qcount)
+    def recorded(weighted):
+        for tree, hist, w in weighted:
+            qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
+            values = (len(rows), histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
             rows.append([str(v) for v in values])
-            yield tree, w
+            yield tree, hist, w
 
-    pairs = recorded(weighted_trees(phis, args.kmax, args.budget))
-    result = check_tree_sum(a, args.Q, args.m, args.kmax, pairs)
+    weighted = recorded(weighted_trees(phis, args.kmax, args.budget))
+    result = check_tree_sum(a, args.Q, args.m, args.kmax, weighted)
     verdict = f"exact-match over {result.n_trees} trees"
     header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     if args.format == "json":
@@ -322,7 +321,7 @@ def build_parser() -> _Parser:
     s.add_argument("--Q", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--kmax", type=int, required=True)
-    s.add_argument("--budget", type=int, default=10**6)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_trees)
 

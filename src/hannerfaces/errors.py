@@ -21,9 +21,9 @@ class VerificationError(AssertionError):
 
 
 class BudgetExceededError(UsageError):
-    """An enumeration exceeded its explicit budget."""
+    """An enumeration would exceed its explicit budget; ``count`` bounds its size from below."""
 
     def __init__(self, budget: int, count: int):
-        super().__init__(f"enumeration budget {budget} exceeded after {count} items")
+        super().__init__(f"enumeration refused: at least {count} items, more than budget {budget}")
         self.budget = budget
         self.count = count

@@ -5,19 +5,21 @@ enumerates the full face lattice from vertex-facet incidences (closed-set
 intersection, no linear programming, no floats), and computes exact
 circumradius / inradius data.  This is the oracle the coefficient engines
 are validated against.
+
+Every coordinate is an integer: the segment is [-1, 1] with facet normals
++-1, and both steps only concatenate and zero-pad coordinates, so every
+vertex and every facet normal lies in {-1, 0, 1}^d.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UsageError, VerificationError
 from .recursion import Engine, face_numbers, proper_f_vector
 from .schedule import DensityParam, StepKind, is_product_step
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 _MAX_DIM = 16
 _LATTICE_FACE_GUARD = 10**5
@@ -45,13 +47,12 @@ class VPolytope:
                     raise VerificationError("vertex outside a facet halfspace")
 
 
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
+def _dot(u: Vector, v: Vector) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _segment() -> VPolytope:
-    one = Fraction(1)
-    return VPolytope(1, ((one,), (-one,)), ((one,), (-one,)))
+    return VPolytope(1, ((1,), (-1,)), ((1,), (-1,)))
 
 
 def _pad_pairs(xs, ys):
@@ -59,7 +60,7 @@ def _pad_pairs(xs, ys):
 
 
 def _pad_union(xs, ys, dim):
-    zero = (Fraction(0),) * dim
+    zero = (0,) * dim
     return tuple(x + zero for x in xs) + tuple(zero + y for y in ys)
 
 
@@ -170,13 +171,7 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    scale = math.lcm(*(c.denominator for v in poly.vertices for c in v))
-    int_vertices = [tuple(int(c * scale) for c in v) for v in poly.vertices]
-    faces = []
-    for mask in seen:
-        pts = [int_vertices[i] for i in _bits(mask)]
-        faces.append((mask, _affine_rank(pts)))
-    faces.sort()
+    faces = sorted((mask, _affine_rank([poly.vertices[i] for i in _bits(mask)])) for mask in seen)
     lattice = FaceLattice(dim=poly.dim, faces=tuple(faces))
     if lattice.f_vector()[poly.dim] != 1:
         raise VerificationError("improper face missing or duplicated")
@@ -239,7 +234,7 @@ class RadiiState:
     r_inv_sq: int  # 1 / r^2
 
 
-def radii(poly: VPolytope) -> tuple[Fraction, Fraction]:
+def radii(poly: VPolytope) -> tuple[int, int]:
     """(R^2, 1/r^2): largest squared vertex norm and largest squared facet normal."""
     r_sq = max(_dot(v, v) for v in poly.vertices)
     r_inv_sq = max(_dot(u, u) for u in poly.normals)

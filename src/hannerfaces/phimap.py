@@ -84,24 +84,19 @@ def _square_xpoly(terms: dict[int, list[int]]) -> dict[int, list[int]]:
     return {k: _kernels._unpack(v, slot_bytes, out_t_len) for k, v in out.items()}
 
 
-def compose_window(word, t_truncation: int | None = None) -> PhiMap:
+def compose_window(word) -> PhiMap:
     """Exact expansion of the window composition for ``word``.
 
-    ``t_truncation`` defaults to 2**len(word), the smallest bound the
-    spec admits; every t-degree reachable by a word of that length stays
-    strictly below it, so nothing is ever actually cut off.
+    The t-polynomials are truncated at 2**len(word); every t-degree
+    reachable by a word of that length stays strictly below it, so nothing
+    is ever actually cut off.
     """
     word = tuple(word)
     if not word:
         raise UsageError("window word must be nonempty")
     if len(word) > _MAX_WORD_LEN:
         raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
-    if t_truncation is None:
-        t_truncation = 2 ** len(word)
-    if t_truncation < 2 ** len(word):
-        raise UsageError(
-            f"t_truncation must be at least 2**|word| = {2 ** len(word)}, got {t_truncation}"
-        )
+    t_truncation = 2 ** len(word)
     cur: dict[int, list[int]] = {1: [1]}  # phi = x
     for letter in word:
         sq = _square_xpoly(cur)
@@ -150,12 +145,9 @@ def tfree_and_top(phi: PhiMap) -> tuple[int, int, int, int]:
     return A, p, top[lam], lam
 
 
-def apply_phi(phi: PhiMap, f: IntPoly, kmax: int | None = None) -> IntPoly:
-    """sum_k C_k(t) * f(t)^k, truncated at ``kmax`` (default: f's bound)."""
-    if kmax is None:
-        kmax = f.kmax
-    if f.kmax != kmax:
-        f = f.truncate(kmax)
+def apply_phi(phi: PhiMap, f: IntPoly) -> IntPoly:
+    """sum_k C_k(t) * f(t)^k, truncated at f's bound."""
+    kmax = f.kmax
     out = IntPoly.zero(kmax)
     powers: dict[int, IntPoly] = {}
     for k in phi.support:

@@ -10,12 +10,17 @@ from the window map's support:
 where the weight factor of a vertex at height j comes from window m-1-j
 (all windows coincide in the aligned rational case, which is the setting
 of the bound constructions).  Trees are nested tuples; a leaf is ().
+
+W(T) and L(T) depend on T only through its (height, degree) histogram, so
+each tree is walked once and everything else reads the histogram.  A family
+over the enumeration budget is refused from its count, before any tree is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .asymptotics import rho_denominator
@@ -26,6 +31,8 @@ from .recursion import Engine, log2_face_number, run
 from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
+Histogram = dict[tuple[int, int], int]  # (height, degree) -> internal vertex count
+WeightedTree = tuple[Tree, Histogram, IntPoly]  # (T, histogram of T, W(T))
 
 DEFAULT_BUDGET = 10**6
 
@@ -39,72 +46,51 @@ def _normalize_supports(m: int, supports) -> list[list[int]]:
         per_level = [sorted(s) for s in supports]
     if len(per_level) != m:
         raise UsageError(f"need {m} per-level degree sets, got {len(per_level)}")
-    if any(d < 1 for level in per_level for d in level):
-        raise UsageError("internal degrees must be positive")
+    if not all(per_level) or any(d < 1 for level in per_level for d in level):
+        raise UsageError("every height needs a nonempty set of positive degrees")
     return per_level
+
+
+def _count(per_level: list[list[int]], budget: int | None = None) -> int:
+    """Tree count from the bottom level up, raising BudgetExceededError at the first
+    level over ``budget`` (every level has degrees, all >= 1, so none outnumbers the
+    one above it)."""
+    c = 1
+    for level in reversed(per_level):
+        c = sum(c**k for k in level)
+        if budget is not None and c > budget:
+            raise BudgetExceededError(budget, c)
+    return c
 
 
 def count_trees(m: int, supports) -> int:
     """|T_m^K| without enumeration."""
-    per_level = _normalize_supports(m, supports)
-    c = 1
-    for level in reversed(per_level):
-        c = sum(c**k for k in level)
-    return c
+    return _count(_normalize_supports(m, supports))
 
 
 def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[Tree]:
     """Duplicate-free stream of all uniform-height-m trees with internal
     degrees drawn from ``supports`` (one set, or one per height, root first).
 
-    Enumeration is exponential by design; the stream raises
-    BudgetExceededError as soon as it would exceed ``budget`` trees.
+    Enumeration is exponential by design; a family of more than ``budget``
+    trees raises BudgetExceededError here, before any tree is built.  Only
+    the root level is streamed; each degree k takes the k-fold product of
+    the level below, in lexicographic order.
     """
     if m < 0:
         raise UsageError("height must be >= 0")
     per_level = _normalize_supports(m, supports)
-
-    def gen(level: int) -> Iterator[Tree]:
-        if level == m:
-            yield ()
-            return
-        for k in per_level[level]:
-            yield from forest(level + 1, k)
-
-    def forest(level: int, count: int) -> Iterator[Tree]:
-        if count == 0:
-            yield ()
-            return
-        for first in gen(level):
-            for rest in forest(level, count - 1):
-                yield (first,) + rest
-
-    def guarded() -> Iterator[Tree]:
-        produced = 0
-        for t in gen(0):
-            produced += 1
-            if produced > budget:
-                raise BudgetExceededError(budget, budget)
-            yield t
-
-    return guarded()
+    _count(per_level, budget)
+    trees: Iterator[Tree] = iter([()])
+    for degrees in reversed(per_level):
+        subtrees = tuple(trees)  # the level below, listed once
+        trees = chain(*(product(subtrees, repeat=k) for k in degrees))
+    return trees
 
 
-def leaf_count(tree: Tree) -> int:
-    if not tree:
-        return 1
-    return sum(leaf_count(c) for c in tree)
-
-
-def internal_count(tree: Tree) -> int:
-    if not tree:
-        return 0
-    return 1 + sum(internal_count(c) for c in tree)
-
-
-def degree_histogram(tree: Tree) -> dict[tuple[int, int], int]:
-    """Count internal vertices keyed by (height, degree)."""
-    out: dict[tuple[int, int], int] = {}
+def degree_histogram(tree: Tree) -> Histogram:
+    """Count internal vertices keyed by (height, degree); the one walk over a tree."""
+    out: Histogram = {}
     stack = [(tree, 0)]
     while stack:
         node, h = stack.pop()
@@ -115,32 +101,23 @@ def degree_histogram(tree: Tree) -> dict[tuple[int, int], int]:
     return out
 
 
-def tree_height(tree: Tree) -> int:
-    h = 0
-    node = tree
-    while node:
-        h += 1
-        node = node[0]
-    return h
+def histogram_leaves(hist: Histogram) -> int:
+    """L(T): the root is one leaf, and each internal vertex of degree d adds d - 1."""
+    return 1 + sum((deg - 1) * count for (_, deg), count in hist.items())
 
 
-def tree_weight(tree: Tree, phis, t_trunc: int) -> IntPoly:
-    """W(T) = product of C_deg(v) over internal vertices, truncated.
-
-    ``phis`` is a single PhiMap (constant window map) or a sequence of
-    PhiMaps indexed by vertex height from the root.
-    """
-    hist = degree_histogram(tree)
-    if isinstance(phis, PhiMap):
-        phis = [phis] * (tree_height(tree) if tree else 0)
+def tree_weight(hist: Histogram, phis_by_height: Sequence[PhiMap], t_trunc: int) -> IntPoly:
+    """W(T) = product of C_deg(v) over internal vertices, truncated, from the
+    tree's degree histogram; a vertex at height h takes its factor from
+    ``phis_by_height[h]`` (the root is height 0)."""
     out = IntPoly.one(t_trunc)
     for (h, deg), count in sorted(hist.items()):
-        if h >= len(phis):
+        if h >= len(phis_by_height):
             raise UsageError(f"tree has internal vertex at height {h} beyond the window stack")
-        ck = phis[h].terms.get(deg)
+        ck = phis_by_height[h].terms.get(deg)
         if ck is None:
             raise UsageError(
-                f"degree {deg} at height {h} outside the window support {phis[h].support}"
+                f"degree {deg} at height {h} outside the window support {phis_by_height[h].support}"
             )
         out = convolve_truncated(out, power_truncated(ck.truncate(t_trunc), count))
     return out
@@ -155,7 +132,6 @@ class TreeSumResult:
     n_trees: int
     total: IntPoly
     engine_poly: IntPoly
-    formula_checked_upto: int
 
     @property
     def match(self) -> bool:
@@ -164,29 +140,38 @@ class TreeSumResult:
 
 def weighted_trees(
     phis: Sequence[PhiMap], kmax: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[Tree, IntPoly]]:
-    """(T, W(T)) for every tree over the window maps ``phis`` (window 0
-    first; the root takes the last window), weights truncated at ``kmax``."""
+) -> Iterator[WeightedTree]:
+    """(T, histogram of T, W(T)) for every tree over the window maps ``phis``
+    (window 0 first; the root takes the last window), weights truncated at
+    ``kmax``.  An over-budget family raises here, not on the first ``next``."""
     by_height = phis[::-1]
-    for tree in enumerate_trees(len(phis), [phi.support for phi in by_height], budget):
-        yield tree, tree_weight(tree, by_height, kmax)
+    trees = enumerate_trees(len(phis), [phi.support for phi in by_height], budget)
+
+    def weigh() -> Iterator[WeightedTree]:
+        for tree in trees:
+            hist = degree_histogram(tree)
+            yield tree, hist, tree_weight(hist, by_height, kmax)
+
+    return weigh()
 
 
 def check_tree_sum(
-    a: DensityParam, Q: int, m: int, kmax: int, pairs: Iterable[tuple[Tree, IntPoly]]
+    a: DensityParam, Q: int, m: int, kmax: int, weighted: Iterable[WeightedTree]
 ) -> TreeSumResult:
-    """Evaluate sum_T W(T)*(2+t)^L(T) over the (T, W(T)) ``pairs`` and compare
+    """Evaluate sum_T W(T)*(2+t)^L(T) over the ``weighted`` trees and compare
     it, exactly, with the stepwise recursion run over the same m windows; also
     cross-check the coefficient formula a_{Qm,k} = sum_{j<=k} sum_T [t^j]W(T)
-    * C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch raises."""
+    * C(L(T), k-j) * 2^(L(T)-(k-j)).  The recursion runs first, so an input
+    it refuses is refused before any tree is weighed.  Any mismatch raises."""
+    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
     seg = IntPoly.from_coeffs([2, 1], kmax)
     total = IntPoly.zero(kmax)
     powers: dict[int, IntPoly] = {}
     coeff_sums = [0] * (kmax + 1)
     n_trees = 0
-    for tree, w in pairs:
+    for _, hist, w in weighted:
         n_trees += 1
-        L = leaf_count(tree)
+        L = histogram_leaves(hist)
         if L not in powers:
             powers[L] = power_truncated(seg, L)
         total = total + convolve_truncated(w, powers[L])
@@ -199,7 +184,6 @@ def check_tree_sum(
                     if binom:
                         s += wj * binom * 2 ** (L - (k - j))
             coeff_sums[k] += s
-    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
     for k in range(kmax + 1):
         for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
             if got != engine_poly[k]:
@@ -207,9 +191,7 @@ def check_tree_sum(
                     f"{name} differs from recursion first at k={k}: "
                     f"{got} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
                 )
-    return TreeSumResult(
-        n_trees=n_trees, total=total, engine_poly=engine_poly, formula_checked_upto=kmax
-    )
+    return TreeSumResult(n_trees=n_trees, total=total, engine_poly=engine_poly)
 
 
 def tree_sum_check(
@@ -235,23 +217,23 @@ class TreeStats:
     leaf_bound_ok: bool
 
 
-def atypical_count_and_leaf_bound(tree: Tree, phi: PhiMap) -> TreeStats:
-    """Level statistics of a tree against a constant window map."""
-    m = tree_height(tree)
+def atypical_count_and_leaf_bound(hist: Histogram, phi: PhiMap) -> TreeStats:
+    """Level statistics, from its degree histogram, of a uniform-height tree
+    against a constant window map."""
+    m = 1 + max((h for h, _ in hist), default=-1)
     typical = 2**phi.p
     top = 2**phi.Q
     n_levels = [0] * (m + 1)
     q_levels = [0] * max(m, 1)
     n_levels[0] = 1
     qcount = 0
-    for node, h in iter_nodes(tree):
-        if node:
-            if len(node) > top:
-                raise UsageError(f"degree {len(node)} exceeds 2^Q = {top}")
-            if len(node) != typical:
-                qcount += 1
-                q_levels[h] += 1
-            n_levels[h + 1] += len(node)
+    for (h, deg), count in hist.items():
+        if deg > top:
+            raise UsageError(f"degree {deg} exceeds 2^Q = {top}")
+        if deg != typical:
+            qcount += count
+            q_levels[h] += count
+        n_levels[h + 1] += deg * count
     rec_ok = all(
         n_levels[j + 1] <= typical * n_levels[j] + top * q_levels[j] for j in range(m)
     )
@@ -406,12 +388,13 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
     tree, h, jstar = build_lower_bound_tree(Q, p, lam, m, k)
     n_top = (2 ** (Q * h) - 1) // (2**Q - 1) if h > 0 else 0
     jweight = lam * n_top
-    stats = atypical_count_and_leaf_bound(tree, phi)
+    hist = degree_histogram(tree)
+    stats = atypical_count_and_leaf_bound(hist, phi)
     if stats.qcount > k:
         raise VerificationError(f"Q(T_m) = {stats.qcount} > k = {k}")
     if 2 * jstar > k:
         raise VerificationError(f"jstar = {jstar} > k/2 = {k / 2}")
-    w = tree_weight(tree, phi, max(jweight, 1))
+    w = tree_weight(hist, [phi] * m, max(jweight, 1))
     weight_coeff = w[jweight]
     if weight_coeff < 1:
         raise VerificationError(f"[t^{jweight}] W(T_m) = {weight_coeff} < 1")
@@ -462,6 +445,8 @@ def upper_bound_report(a: DensityParam, Q: int, m: int, k: int) -> UpperBoundRep
     The growth bound hides an unpinned 2^O(Q) factor, so rho is recorded
     rather than asserted against a constant.
     """
+    if k < 1:
+        raise UsageError(f"k must be >= 1, since k^(1 - p/Q) vanishes at k = 0; got k={k}")
     p = window_profile(a, Q, 0).p
     log2_coeff = log2_face_number(a, Q * m, k, Engine.for_kmax(k))
     denom = rho_denominator(Q, m, p, k)

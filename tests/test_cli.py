@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -110,29 +111,64 @@ class TestTrees:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, kmax, fmt)]
 
-    def test_each_tree_weighed_once(self, run, monkeypatch):
-        calls = []
-        weigh = trees.tree_weight
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record each call to the per-tree functions as (args, result), under
+        every name the CLI could resolve them by."""
+        calls = {name: [] for name in _PER_TREE}
+        for name in _PER_TREE:
+            original = getattr(trees, name)
 
-        def counted(*args):
-            calls.append(args[0])
-            return weigh(*args)
+            def spy(*args, _name=name, _original=original):
+                result = _original(*args)
+                calls[_name].append((args, result))
+                return result
 
-        for mod in (trees, cli):  # every name the weight could be resolved by
-            monkeypatch.setattr(mod, "tree_weight", counted, raising=False)
+            for mod in (trees, cli):
+                monkeypatch.setattr(mod, name, spy, raising=False)
+        return calls
+
+    def test_each_tree_weighed_once(self, run, spies):
         code, out, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
         assert code == 0
         n_trees = int(out.splitlines()[0].split()[-2])
         assert n_trees == 20
-        assert len(calls) == n_trees
-        assert len(set(calls)) == n_trees
+        # one walk per tree, each on a different tree, and one weight per walk,
+        # on the very histogram the walk returned
+        walks = spies["degree_histogram"]
+        assert len(walks) == n_trees
+        assert len({args[0] for args, _ in walks}) == n_trees
+        weights = spies["tree_weight"]
+        assert [id(args[0]) for args, _ in weights] == [id(hist) for _, hist in walks]
+        assert spies["atypical_count_and_leaf_bound"] == []
+        for gone in ("guarded", "forest", "tree_height", "leaf_count", "internal_count"):
+            assert not hasattr(trees, gone)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--Q", "3", "--m", "3", "--kmax", "4", "--budget", "100000"),  # about 2^107 trees
+            ("--Q", "3", "--m", "12", "--kmax", "4"),
+            ("--Q", "2", "--m", "2", "--kmax", "0"),  # refused by the recursion
+        ],
+    )
+    def test_refused_before_any_tree_is_weighed(self, run, spies, argv):
+        start = time.monotonic()
+        code, out, _ = run("trees", "--a", "1/2", *argv)
+        assert time.monotonic() - start < 2.0
+        assert code == 3
+        assert out == ""
+        assert spies["tree_weight"] == []
 
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run(
             "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", "3"
         )
         assert code == 3
-        assert "budget" in err
+        assert "more than budget 3" in err
+
+
+_PER_TREE = ("degree_histogram", "tree_weight", "atypical_count_and_leaf_bound")
 
 
 class TestLowerBound:

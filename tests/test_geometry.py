@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from hannerfaces.errors import UsageError
@@ -24,21 +22,21 @@ ALL_A = [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS]
 class TestBuildPolytope:
     def test_segment(self):
         seg = build_polytope(HALF, 0)
-        assert seg.vertices == ((Fraction(1),), (Fraction(-1),))
-        assert seg.normals == ((Fraction(1),), (Fraction(-1),))
+        assert seg.vertices == ((1,), (-1,))
+        assert seg.normals == ((1,), (-1,))
 
     def test_square(self):
         sq = build_polytope(HALF, 1)
         assert len(sq.vertices) == 4
-        assert set(sq.vertices) == {
-            (Fraction(s1), Fraction(s2)) for s1 in (-1, 1) for s2 in (-1, 1)
-        }
-        assert set(sq.normals) == {
-            (Fraction(1), Fraction(0)),
-            (Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(-1)),
-        }
+        assert set(sq.vertices) == {(s1, s2) for s1 in (-1, 1) for s2 in (-1, 1)}
+        assert set(sq.normals) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+    @pytest.mark.parametrize("a", ALL_A)
+    def test_integer_coordinates(self, a):
+        for n in range(5):
+            poly = build_polytope(a, n)
+            for v in poly.vertices + poly.normals:
+                assert all(type(c) is int and c in (-1, 0, 1) for c in v)
 
     def test_free_sum_doubles_vertices(self):
         # step 0 is always a Product, so the first hull appears at n=2:

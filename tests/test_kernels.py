@@ -172,6 +172,15 @@ class TestExactPacking:
         packed = _kernels._pack(coeffs, 16)
         assert _kernels._unpack(packed, 16, 4) == coeffs
 
+    def test_pack_is_the_slotted_sum(self):
+        coeffs = [0, 1, 2**64 - 1, 12345678901234567890, 0]
+        want = sum(c << (128 * i) for i, c in enumerate(coeffs))
+        assert _kernels._pack(coeffs, 16) == want
+
+    def test_pack_rejects_a_coefficient_wider_than_its_slot(self):
+        with pytest.raises(OverflowError):
+            _kernels._pack([1, 2**64], 8)
+
     def test_empty_and_zero_polys(self):
         assert _kernels.convolve_exact([], [1, 2], 3) == [0, 0, 0]
         assert _kernels.convolve_exact([0, 0], [1, 2], 3) == [0, 0, 0]

@@ -55,10 +55,6 @@ class TestComposeWindow:
         with pytest.raises(UsageError):
             compose_window(())
 
-    def test_t_truncation_floor(self):
-        with pytest.raises(UsageError):
-            compose_window((S, R), t_truncation=3)
-
 
 class TestTfreeAndTop:
     def test_sr(self):

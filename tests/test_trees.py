@@ -1,9 +1,10 @@
 import math
+from typing import Iterator
 
 import pytest
 
 from hannerfaces.errors import BudgetExceededError, UsageError
-from hannerfaces.phimap import compose_window
+from hannerfaces.phimap import compose_window, window_phis
 from hannerfaces.polys import IntPoly, eval_at_one, log2_int
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind
@@ -11,9 +12,9 @@ from hannerfaces.trees import (
     atypical_count_and_leaf_bound,
     build_lower_bound_tree,
     count_trees,
+    degree_histogram,
     enumerate_trees,
-    internal_count,
-    leaf_count,
+    histogram_leaves,
     lower_bound_certificate,
     lower_bound_value,
     preorder_decode,
@@ -21,6 +22,7 @@ from hannerfaces.trees import (
     tree_sum_check,
     tree_weight,
     upper_bound_report,
+    weighted_trees,
 )
 
 S, R = StepKind.PRODUCT, StepKind.HULL
@@ -30,6 +32,35 @@ THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
 
 PHI_SR = compose_window((S, R))  # t x^4 + 2 x^2
+
+
+def leaf_count(tree: tuple) -> int:
+    """Reference L(T), by recursion over the tree."""
+    return 1 if not tree else sum(leaf_count(c) for c in tree)
+
+
+def internal_count(tree: tuple) -> int:
+    """Reference count of internal vertices, by recursion over the tree."""
+    return 0 if not tree else 1 + sum(internal_count(c) for c in tree)
+
+
+def recursive_trees(m: int, per_level: list[list[int]], level: int = 0) -> Iterator[tuple]:
+    """Reference enumeration: root degree first, then the children one by
+    one, each re-enumerated from scratch (the first child varies slowest)."""
+
+    def forest(count: int) -> Iterator[tuple]:
+        if count == 0:
+            yield ()
+            return
+        for first in recursive_trees(m, per_level, level + 1):
+            for rest in forest(count - 1):
+                yield (first,) + rest
+
+    if level == m:
+        yield ()
+        return
+    for k in sorted(per_level[level]):
+        yield from forest(k)
 
 
 class TestEnumeration:
@@ -49,9 +80,45 @@ class TestEnumeration:
         assert len(set(trees)) == 20
 
     def test_budget_error(self):
+        # refused when called, from the count of the first level above the
+        # budget (here the root level: 2^2 + 2^4 = 20 trees)
         with pytest.raises(BudgetExceededError) as ei:
-            list(enumerate_trees(2, {2, 4}, budget=7))
-        assert ei.value.count == 7
+            enumerate_trees(2, {2, 4}, budget=7)
+        assert ei.value.count == 20
+        assert "more than budget 7" in str(ei.value)
+
+    def test_budget_refusal_stops_at_first_level_over(self):
+        # heights from the bottom: 7 trees, then sum 7^k (k = 2..8) = 6725600,
+        # which already exceeds 100; the root level is never counted
+        with pytest.raises(BudgetExceededError) as ei:
+            enumerate_trees(3, set(range(2, 9)), budget=100)
+        assert ei.value.count == sum(7**k for k in range(2, 9))
+
+    def test_budget_equal_to_count_is_allowed(self):
+        assert len(list(enumerate_trees(2, {2, 4}, budget=20))) == 20
+
+    def test_weighted_trees_refuses_when_called(self):
+        # windows of a=1/2, Q=3 have supports {4,6,8}, {2..8}, {4,6,8}
+        with pytest.raises(BudgetExceededError):
+            weighted_trees(window_phis(HALF, 3, 3), 4, budget=100_000)
+
+    def test_empty_level_rejected(self):
+        with pytest.raises(UsageError):
+            count_trees(2, [{2}, set()])
+
+    @pytest.mark.parametrize(
+        ("m", "per_level"),
+        [
+            (0, []),
+            (1, [[2, 4]]),
+            (2, [[2, 4], [2, 4]]),
+            (2, [[2, 3, 4], [2, 4]]),
+            (3, [[1, 2], [1, 3], [2]]),
+            (2, [[4, 6, 8], [2, 3, 5]]),
+        ],
+    )
+    def test_same_sequence_as_recursive_reference(self, m, per_level):
+        assert list(enumerate_trees(m, per_level)) == list(recursive_trees(m, per_level))
 
     def test_all_leaves_at_uniform_height(self):
         def depths(t, d=0):
@@ -71,19 +138,23 @@ class TestEnumeration:
 
 class TestTreeWeight:
     def test_single_leaf(self):
-        assert tree_weight((), PHI_SR, 4) == IntPoly.one(4)
+        assert tree_weight(degree_histogram(()), [], 4) == IntPoly.one(4)
 
     def test_root_degree_four(self):
         t = ((), (), (), ())
-        assert tree_weight(t, PHI_SR, 4).coeffs == (0, 1, 0, 0, 0)
+        assert tree_weight(degree_histogram(t), [PHI_SR], 4).coeffs == (0, 1, 0, 0, 0)
 
     def test_root_degree_two(self):
         t = ((), ())
-        assert tree_weight(t, PHI_SR, 4).coeffs == (2, 0, 0, 0, 0)
+        assert tree_weight(degree_histogram(t), [PHI_SR], 4).coeffs == (2, 0, 0, 0, 0)
 
     def test_degree_outside_support(self):
         with pytest.raises(UsageError):
-            tree_weight(((), (), ()), PHI_SR, 4)
+            tree_weight(degree_histogram(((), (), ())), [PHI_SR], 4)
+
+    def test_height_beyond_window_stack(self):
+        with pytest.raises(UsageError):
+            tree_weight({(1, 2): 1}, [PHI_SR], 4)
 
 
 class TestTreeSumCheck:
@@ -119,14 +190,14 @@ class TestTreeSumCheck:
 class TestAtypicalStats:
     def test_full_typical_tree(self):
         t, _, _ = build_lower_bound_tree(2, 1, 1, 3, 2)  # h=0: full binary
-        stats = atypical_count_and_leaf_bound(t, PHI_SR)
+        stats = atypical_count_and_leaf_bound(degree_histogram(t), PHI_SR)
         assert stats.qcount == 0
         assert stats.level_sizes == [1, 2, 4, 8]
         assert stats.level_recurrence_ok and stats.leaf_bound_ok
 
     def test_full_top_degree_tree(self):
         t = tuple(((), (), (), ()) for _ in range(4))  # full 4-ary, height 2
-        stats = atypical_count_and_leaf_bound(t, PHI_SR)
+        stats = atypical_count_and_leaf_bound(degree_histogram(t), PHI_SR)
         assert stats.qcount == (4**2 - 1) // (4 - 1)
         assert stats.leaves == 16
         assert stats.level_recurrence_ok and stats.leaf_bound_ok
@@ -137,10 +208,13 @@ class TestAtypicalStats:
         for t in enumerate_trees(2, {2, 4}):
             hist_sum = sum(len(node) - 1 for node, _ in iter_nodes(t) if node)
             assert leaf_count(t) == 1 + hist_sum
+            hist = degree_histogram(t)
+            assert histogram_leaves(hist) == leaf_count(t)
+            assert sum(hist.values()) == internal_count(t)
 
     def test_level_identities(self):
         for t in enumerate_trees(2, {2, 3, 4}):
-            stats = atypical_count_and_leaf_bound(t, compose_window((S, S, R)))
+            stats = atypical_count_and_leaf_bound(degree_histogram(t), compose_window((S, S, R)))
             assert stats.level_sizes[0] == 1
             assert stats.level_sizes[-1] == stats.leaves
             assert sum(stats.level_atypical) == stats.qcount
@@ -240,10 +314,11 @@ class TestAtypicalFilter:
         full = IntPoly.zero(kmax)
         filtered = IntPoly.zero(kmax)
         for t in enumerate_trees(2, set(phi.support)):
-            w = tree_weight(t, phi, kmax)
+            hist = degree_histogram(t)
+            w = tree_weight(hist, [phi, phi], kmax)
             term = convolve_truncated(w, power_truncated(seg, leaf_count(t)))
             full = full + term
-            if atypical_count_and_leaf_bound(t, phi).qcount <= k:
+            if atypical_count_and_leaf_bound(hist, phi).qcount <= k:
                 filtered = filtered + term
         assert full.coeffs[: k + 1] == filtered.coeffs[: k + 1]
 
@@ -255,7 +330,7 @@ class TestWeightMassBound:
             phi = compose_window(word)
             cap = 2**phi.Q
             for t in enumerate_trees(2, set(phi.support), budget=10**5):
-                w1 = eval_at_one(tree_weight(t, phi, 2 ** (phi.Q + 1)))
+                w1 = eval_at_one(tree_weight(degree_histogram(t), [phi, phi], 2 ** (phi.Q + 1)))
                 assert log2_int(w1) <= cap * internal_count(t) + 1e-9
 
     def test_internal_at_most_leaves_minus_one(self):
@@ -277,6 +352,11 @@ class TestUpperBoundReport:
     def test_negative_k_rejected(self):
         with pytest.raises(UsageError):
             upper_bound_report(HALF, 2, 3, -1)
+
+    def test_zero_k_rejected(self):
+        # the denominator k^(1 - p/Q) is 0 at k = 0
+        with pytest.raises(UsageError):
+            upper_bound_report(HALF, 2, 3, 0)
 
     def test_rho_envelope_across_m(self):
         rhos = [
