@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polys import int_nth_root
-from .recursion import EXACT_KMAX_CAP, LOG_KMAX_CAP, Engine, trajectory
+from .recursion import LOG_KMAX_CAP, Engine, trajectory
 from .schedule import DensityParam, choose_window, window_profile
 
 # Recorded after the first full runs; the growth bounds hide an unpinned
@@ -58,25 +58,22 @@ def scan(
 ) -> list[ScanRow]:
     """One row per n: log2 a_{n,k} at k = floor(d^delta).
 
-    Every n is checked against the engine cap first; then one trajectory at
-    the largest k serves all rows, which agree with per-n runs at their own
-    k because coefficient k depends only on lower coefficients.
+    A log scan reads k up to LOG_KMAX_CAP, and ``trajectory`` admits the state.
+    One trajectory at the largest k serves all rows, which agree with per-n runs
+    at their own k because coefficient k depends only on lower coefficients.
     """
     ns = sorted(n_range)
-    cap = LOG_KMAX_CAP if engine.is_log else EXACT_KMAX_CAP
-    ks = []
-    for n in ns:
-        if n < 0:
-            raise UsageError("scan indices must be nonnegative")
-        k = floor_d_delta(n, delta)
-        if k > cap:
-            raise UsageError(
-                f"k = floor(d^delta) = {k} exceeds the {engine.value} engine cap {cap} "
-                f"(exact caps at n=20, log at n=26, for delta=1/2)"
-            )
-        ks.append(k)
     if not ns:
         return []
+    if ns[0] < 0:
+        raise UsageError("scan indices must be nonnegative")
+    ks = [floor_d_delta(n, delta) for n in ns]
+    if engine.is_log and ks[-1] > LOG_KMAX_CAP:
+        first = next(n for n in range(ns[-1] + 1) if floor_d_delta(n, delta) > LOG_KMAX_CAP)
+        raise UsageError(
+            f"k = floor(d^delta) = {ks[-1]} exceeds the log engine cap {LOG_KMAX_CAP}, "
+            f"which delta={delta} first passes at n={first}"
+        )
     states = trajectory(a, ns[-1], max(ks), engine)
     state = next(states)
     rows = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -107,7 +108,11 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+# Output limits, not state limits (2-CPU Xeon VM): `fvector --engine log --format
+# json` peaked at 1.0 GiB RSS at K=10^6 and 2.1 GiB at K=2,097,151, and str() took
+# 1.8 s on a 1 Mbit integer and 79 s on a 6.6 Mbit one (under load).
 _FVECTOR_KMAX_CAP = 65536
+_INT_STR_DIGITS = 2_000_000
 
 
 def _cmd_fvector(args) -> int:
@@ -117,11 +122,12 @@ def _cmd_fvector(args) -> int:
         raise UsageError(
             f"--kmax {args.kmax} exceeds the desk-scale cap {_FVECTOR_KMAX_CAP}"
         )
-    vec = face_numbers(a, args.n, args.kmax, engine)
-    if engine.is_log:
-        rows = [[str(k), _fmt_float(v)] for k, v in enumerate(vec)]
-    else:
-        rows = [[str(k), str(v)] for k, v in enumerate(vec)]
+    if not engine.is_log:  # the printed recursion bounds both exact engines
+        digits = int(max(face_numbers(a, args.n, args.kmax, Engine.PAPER_LOG)) * math.log10(2)) + 1
+        if digits > _INT_STR_DIGITS:
+            raise UsageError(f"a coefficient is predicted to print {digits} digits, over {_INT_STR_DIGITS}")
+    fmt = _fmt_float if engine.is_log else str
+    rows = [[str(k), fmt(v)] for k, v in enumerate(face_numbers(a, args.n, args.kmax, engine))]
     _emit_rows(args, ["k", "coefficient"], rows)
     return EXIT_OK
 
@@ -184,8 +190,8 @@ def _cmd_trees(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     a = _parse_density(args)
-    cert = lower_bound_certificate(a, args.Q, args.m, args.k)
     engine_log2 = log2_face_number(a, args.Q * args.m, args.k, Engine.for_kmax(args.k))
+    cert = lower_bound_certificate(a, args.Q, args.m, args.k)
     ok = cert.bound_log2 <= engine_log2
     _emit_object(
         args,
@@ -385,7 +391,7 @@ def _load_config(path: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(_INT_STR_DIGITS)
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

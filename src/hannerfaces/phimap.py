@@ -23,7 +23,9 @@ from .errors import UsageError, VerificationError
 from .polys import IntPoly, convolve_truncated, power_truncated
 from .schedule import DensityParam, StepKind, window_profile
 
-_MAX_WORD_LEN = 12  # composition cost grows as 4^Q; past this it is not a desk job
+# Composition cost grows as 4^Q.  Words of a = 1/2 took 0.4 s at Q=9, 8.7 s at
+# Q=10 and 272 s at Q=11 (2-CPU Xeon VM, under load).
+_MAX_WORD_LEN = 11
 
 
 def word_from_string(s: str) -> tuple[StepKind, ...]:

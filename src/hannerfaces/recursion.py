@@ -33,11 +33,14 @@ from .polys import (
 )
 from .schedule import DensityParam, StepKind, is_product_step
 
-# Largest truncation bound per engine.  Measured at a = 1/2 on a 2-CPU Xeon
-# VM: an exact run takes 27 s to n=18/K=512 and 404 s to n=20/K=1024 (99% in
-# the big-integer multiply); a log scan to n=26/K=8192 takes 0.6 s.
+# Engine.for_kmax runs exact up to EXACT_KMAX_CAP, and a log scan reads k up to
+# its precision limit LOG_KMAX_CAP.  A run's state may hold STATE_BITS_CAP bits:
+# K+1 slots of its widest coefficient, 64 bits each in the log engine.  At a = 1/2
+# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit and takes 404 s
+# (n=21/K=1448 would hold 257.5 Mbit); a log scan to n=26/K=8192 takes 0.6 s.
 EXACT_KMAX_CAP = 1024
 LOG_KMAX_CAP = 8192
+STATE_BITS_CAP = 2**27
 
 
 class Engine(enum.Enum):
@@ -143,9 +146,22 @@ def trajectory(
     Coefficient k of every state depends only on coefficients <= k of the
     one before, so the state after n steps agrees up to any k <= ``kmax``
     with a run to n at truncation bound k.
+
+    A run predicted to pass STATE_BITS_CAP is refused before the first step;
+    exact widths come from a log pass, which bounds both exact engines.
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")
+    widths = [(n_max, 64)] if engine.is_log else (
+        (s.n, int(s.poly.log2_coeffs.max()) + 1)
+        for s in trajectory(a, n_max, kmax, Engine.PAPER_LOG)
+    )
+    for n, width in widths:
+        if (bits := (kmax + 1) * width) > STATE_BITS_CAP:
+            raise UsageError(
+                f"the {engine.value} engine state at n={n}, K={kmax} is predicted to hold "
+                f"{bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed"
+            )
     state = initial_state(kmax, engine)
     yield state
     for j in range(n_max):
@@ -207,10 +223,6 @@ class GrowthReport:
     r: int
     kmax: int
     checks: list[GrowthCheck]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.monotone_ok and c.upper_ok and c.sandwich_ok for c in self.checks)
 
 
 def verify_growth_bounds(a: DensityParam, n: int, r: int, kmax: int) -> GrowthReport:

@@ -341,6 +341,14 @@ def build_lower_bound_tree(Q: int, p: int, lam: int, m: int, k: int) -> tuple[Tr
     return tree, h, jstar
 
 
+def lower_bound_histogram(Q: int, p: int, h: int, m: int) -> Histogram:
+    """degree_histogram of the lower-bound tree, in closed form: 2^(Qj) vertices
+    of degree 2^Q at each height j < h, then 2^(Qh + p(j-h)) of degree 2^p."""
+    hist = {(j, 2**Q): 2 ** (Q * j) for j in range(h)}
+    hist.update({(j, 2**p): 2 ** (Q * h + p * (j - h)) for j in range(h, m)})
+    return hist
+
+
 @dataclass(frozen=True)
 class LowerBoundCertificate:
     Q: int
@@ -385,10 +393,9 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         )
     phi = compose_window(next(iter(words)))
     A, p, B, lam = tfree_and_top(phi)
-    tree, h, jstar = build_lower_bound_tree(Q, p, lam, m, k)
-    n_top = (2 ** (Q * h) - 1) // (2**Q - 1) if h > 0 else 0
-    jweight = lam * n_top
-    hist = degree_histogram(tree)
+    _, h, jstar = build_lower_bound_tree(Q, p, lam, m, k)  # T_m itself is never walked
+    hist = lower_bound_histogram(Q, p, h, m)
+    jweight = lam * sum(c for (j, _), c in hist.items() if j < h)
     stats = atypical_count_and_leaf_bound(hist, phi)
     if stats.qcount > k:
         raise VerificationError(f"Q(T_m) = {stats.qcount} > k = {k}")

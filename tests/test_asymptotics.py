@@ -13,7 +13,7 @@ from hannerfaces.asymptotics import (
     theoretical_exponents,
 )
 from hannerfaces.errors import UsageError
-from hannerfaces.recursion import Engine
+from hannerfaces.recursion import LOG_KMAX_CAP, Engine
 from hannerfaces.schedule import DensityParam
 from hannerfaces.selftest import golden_like
 
@@ -66,6 +66,17 @@ class TestScan:
             scan(HALF, DELTA_HALF, [22], Engine.PAPER_EXACT)
         with pytest.raises(UsageError):
             scan(HALF, DELTA_HALF, [28], Engine.PAPER_LOG)
+
+    @pytest.mark.parametrize(("delta", "first"), [(DELTA_HALF, 27), (Fraction(1, 4), 53)])
+    def test_log_cap_names_the_first_n_past_it(self, delta, first):
+        assert floor_d_delta(first - 1, delta) <= LOG_KMAX_CAP < floor_d_delta(first, delta)
+        with pytest.raises(UsageError, match=f"which delta={delta} first passes at n={first}$"):
+            scan(HALF, delta, range(first + 4), Engine.PAPER_LOG)
+
+    def test_exact_scan_is_admitted_by_its_state(self):
+        # k = 1448 at n = 21 is refused for its predicted state, not for k
+        with pytest.raises(UsageError, match="Mbit"):
+            scan(HALF, DELTA_HALF, [21], Engine.PAPER_EXACT)
 
     def test_window_metadata(self):
         (row,) = scan(THIRD, DELTA_HALF, [7], Engine.PAPER_EXACT)

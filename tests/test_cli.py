@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -184,6 +185,14 @@ class TestLowerBound:
         code, _, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "2", "--k", "32")
         assert code == 3
 
+    def test_oversize_engine_run_refused_before_the_certificate(self, run, monkeypatch):
+        # the certificate's weight holds a 2^(m+1)-bit integer, so it must not come first
+        monkeypatch.setattr(cli, "lower_bound_certificate", lambda *args: pytest.fail("certificate built"))
+        code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "24", "--k", "8")
+        assert code == 3
+        assert out == ""
+        assert "Mbit" in err
+
 
 class TestEnginePolicy:
     """lower-bound and upper_bound_report read a_{n,k} from the exact engine
@@ -207,6 +216,58 @@ class TestEnginePolicy:
         want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly.coeffs[k])
         assert report.log2_coeff == want
         assert json.loads(out)["engine_log2"] == format(want, ".17g")
+
+
+class TestRefusedUpFront:
+    """Inputs whose state or output would take minutes are refused before any
+    exact-engine step: exit 3, nothing on stdout, well under 2 s."""
+
+    @pytest.mark.parametrize(
+        ("argv", "reason"),
+        [
+            (("asymptotics", "--a", "1/2", "--delta", "1/4", "--nmax", "40", "--engine", "paper"), "Mbit"),
+            (("fvector", "--a", "1/2", "--n", "60", "--kmax", "4", "--engine", "paper"), "digits"),
+            (("lower-bound", "--a", "1/2", "--Q", "2", "--m", "24", "--k", "8"), "Mbit"),
+            (("fvector", "--a", "1/2", "--n", "42", "--kmax", "1", "--engine", "paper"), "digits"),
+            (("phi", "--a", "1/2", "--Q", "12", "--m", "0"), "feasibility cap 11"),
+            (("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "21", "--engine", "paper"), "Mbit"),
+        ],
+    )
+    def test_exits_3_without_an_exact_step(self, run, monkeypatch, argv, reason):
+        engines = []
+        real_step = recursion.step
+
+        def spy(state, kind):
+            engines.append(state.engine)
+            return real_step(state, kind)
+
+        monkeypatch.setattr(recursion, "step", spy)
+        start = time.monotonic()
+        code, out, err = run(*argv)
+        assert time.monotonic() - start < 2.0
+        assert code == 3
+        assert out == ""
+        assert reason in err
+        assert set(engines) <= {Engine.PAPER_LOG}
+        assert bool(engines) == (reason != "feasibility cap 11")  # the log pass ran, seen by the spy
+
+    @pytest.fixture
+    def restore_int_digits(self):
+        yield
+        sys.set_int_max_str_digits(cli._INT_STR_DIGITS)
+
+    def test_fvector_digit_limit_is_exact(self, run, monkeypatch, restore_int_digits):
+        # a_{17,k} for k <= 4 at a = 1/2: the widest has 768 decimal digits
+        argv = ("fvector", "--a", "1/2", "--n", "17", "--kmax", "4")
+        monkeypatch.setattr(cli, "_INT_STR_DIGITS", 768)
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert max(len(line.split(",")[1]) for line in out.splitlines()[1:]) == 768
+        monkeypatch.setattr(cli, "_INT_STR_DIGITS", 767)
+        code, out, err = run(*argv)
+        assert code == 3
+        assert out == ""
+        assert "768 digits" in err
 
 
 class TestAsymptotics:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hannerfaces import recursion
 from hannerfaces.errors import UsageError
 from hannerfaces.polys import eval_at_one, log2_int
 from hannerfaces.recursion import (
@@ -131,6 +132,52 @@ class TestEnginePolicy:
         assert Engine.for_kmax(1) is Engine.PAPER_EXACT
         assert Engine.for_kmax(EXACT_KMAX_CAP) is Engine.PAPER_EXACT
         assert Engine.for_kmax(EXACT_KMAX_CAP + 1) is Engine.PAPER_LOG
+
+
+class TestStateAdmission:
+    """trajectory admits a run by its predicted state, K+1 slots of the widest
+    coefficient, before the first step."""
+
+    @pytest.fixture
+    def exact_steps(self, monkeypatch):
+        seen = []
+        real_step = recursion.step
+
+        def spy(state, kind):
+            if not state.engine.is_log:
+                seen.append(state.n)
+            return real_step(state, kind)
+
+        monkeypatch.setattr(recursion, "step", spy)
+        return seen
+
+    def test_admits_n20_k1024(self, exact_steps):
+        # delta = 1/2 at n = 20: 109.8 Mbit, the 404 s run
+        assert next(trajectory(HALF, 20, 1024, Engine.PAPER_EXACT)).n == 0
+        assert exact_steps == []
+
+    @pytest.mark.parametrize(("n", "kmax"), [(21, 1448), (22, 2048)])  # 257.5 and 619.6 Mbit
+    @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
+    def test_refuses_past_the_ceiling(self, exact_steps, n, kmax, engine):
+        with pytest.raises(UsageError, match=r"predicted to hold [\d.]+ Mbit, over the 134.2 Mbit allowed"):
+            next(trajectory(HALF, n, kmax, engine))
+        assert exact_steps == []
+
+    @pytest.mark.parametrize(("a", "n", "kmax"), [(HALF, 12, 64), (THIRD, 13, 100), (TWO_THIRDS, 10, 32)])
+    def test_prediction_is_the_exact_state(self, monkeypatch, a, n, kmax):
+        coeffs = run(a, n, kmax, Engine.PAPER_EXACT).poly.coeffs
+        bits = (kmax + 1) * max(c.bit_length() for c in coeffs)
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits)
+        assert run(a, n, kmax, Engine.PAPER_EXACT).poly.coeffs == coeffs
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits - 1)
+        with pytest.raises(UsageError, match=f"n={n}, K={kmax}"):
+            run(a, n, kmax, Engine.PAPER_EXACT)
+
+    def test_log_state_is_64_bits_a_slot(self, monkeypatch):
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
+        assert run(HALF, 6, 8, Engine.PAPER_LOG).n == 6
+        with pytest.raises(UsageError, match="log engine state at n=6, K=9"):
+            run(HALF, 6, 9, Engine.PAPER_LOG)
 
 
 class TestLiteralRecursionOracle:

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 from typing import Iterator
 
 import pytest
 
+from hannerfaces import trees
+from hannerfaces.asymptotics import floor_d_delta
 from hannerfaces.errors import BudgetExceededError, UsageError
-from hannerfaces.phimap import compose_window, window_phis
+from hannerfaces.phimap import compose_window, tfree_and_top, window_phis
 from hannerfaces.polys import IntPoly, eval_at_one, log2_int
 from hannerfaces.recursion import Engine, face_numbers, run
-from hannerfaces.schedule import DensityParam, StepKind
+from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
     atypical_count_and_leaf_bound,
     build_lower_bound_tree,
@@ -16,6 +19,7 @@ from hannerfaces.trees import (
     enumerate_trees,
     histogram_leaves,
     lower_bound_certificate,
+    lower_bound_histogram,
     lower_bound_value,
     preorder_decode,
     preorder_encode,
@@ -261,6 +265,26 @@ class TestLowerBoundTree:
             build_lower_bound_tree(2, 1, 3, 3, 5)
 
 
+class TestLowerBoundHistogram:
+    # the criterion-6 grid: k = floor(d^(1/2)) at n = Q*m
+    GRID = [(HALF, 2, m) for m in range(3, 9)] + [(THIRD, 3, m) for m in range(2, 6)]
+
+    @pytest.mark.parametrize(("a", "Q", "m"), GRID)
+    def test_closed_form_equals_the_walk(self, a, Q, m):
+        k = floor_d_delta(Q * m, Fraction(1, 2))
+        _, p, _, lam = tfree_and_top(compose_window(window_profile(a, Q, 0).word))
+        tree, h, _ = build_lower_bound_tree(Q, p, lam, m, k)
+        assert lower_bound_histogram(Q, p, h, m) == degree_histogram(tree)
+
+    def test_certificate_walks_no_tree(self, monkeypatch):
+        def no_walk(tree):
+            raise AssertionError("the lower-bound tree was walked")
+
+        monkeypatch.setattr(trees, "degree_histogram", no_walk)
+        cert = lower_bound_certificate(HALF, 2, 20, 8)  # T_20 has about 2^21 vertices
+        assert cert.leaves == 2**21 and cert.certified
+
+
 class TestLowerBoundCertificate:
     def test_half_m3_k8(self):
         cert = lower_bound_certificate(HALF, 2, 3, 8)
@@ -326,12 +350,20 @@ class TestAtypicalFilter:
 class TestWeightMassBound:
     def test_log_weight_at_one_bounded_by_internal_count(self):
         # W(T)(1) <= (2^(2^Q))^(Int(T)) since every C_k(1) <= 2^(2^Q).
+        # W depends on T only through its histogram, so each (word, histogram)
+        # is weighed once; the bound is still checked tree by tree.
+        log2_w1 = {}
         for word in ((S, R), (R, R), (S, R, R)):
             phi = compose_window(word)
             cap = 2**phi.Q
             for t in enumerate_trees(2, set(phi.support), budget=10**5):
-                w1 = eval_at_one(tree_weight(degree_histogram(t), [phi, phi], 2 ** (phi.Q + 1)))
-                assert log2_int(w1) <= cap * internal_count(t) + 1e-9
+                hist = degree_histogram(t)
+                key = (word, tuple(sorted(hist.items())))
+                if key not in log2_w1:
+                    w1 = eval_at_one(tree_weight(hist, [phi, phi], 2 ** (phi.Q + 1)))
+                    log2_w1[key] = log2_int(w1)
+                assert log2_w1[key] <= cap * internal_count(t) + 1e-9
+        assert len(log2_w1) == 371
 
     def test_internal_at_most_leaves_minus_one(self):
         for t in enumerate_trees(2, {2, 4}):
