@@ -15,12 +15,13 @@ import math
 import sys
 from fractions import Fraction
 
+from ._kernels import decimal_strs
 from .asymptotics import flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
 from .phimap import compose_window, tfree_and_top, window_phis, word_from_string
 from .polys import eval_at_one
-from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector
+from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector, widest_log2_by_step
 from .schedule import DensityParam, is_product_step, window_profile
 from .trees import (
     DEFAULT_BUDGET,
@@ -122,12 +123,17 @@ def _cmd_fvector(args) -> int:
         raise UsageError(
             f"--kmax {args.kmax} exceeds the desk-scale cap {_FVECTOR_KMAX_CAP}"
         )
-    if not engine.is_log:  # the printed recursion bounds both exact engines
-        digits = int(max(face_numbers(a, args.n, args.kmax, Engine.PAPER_LOG)) * math.log10(2)) + 1
+    if not engine.is_log:
+        widest = widest_log2_by_step(a, args.n, args.kmax)
+        digits = int(widest[-1] * math.log10(2)) + 1
         if digits > _INT_STR_DIGITS:
-            raise UsageError(f"a coefficient is predicted to print {digits} digits, over {_INT_STR_DIGITS}")
-    fmt = _fmt_float if engine.is_log else str
-    rows = [[str(k), fmt(v)] for k, v in enumerate(face_numbers(a, args.n, args.kmax, engine))]
+            raise UsageError(
+                f"a coefficient at n={len(widest) - 1} is predicted to print {digits} digits, "
+                f"over {_INT_STR_DIGITS}"
+            )
+    values = face_numbers(a, args.n, args.kmax, engine)
+    texts = [_fmt_float(v) for v in values] if engine.is_log else decimal_strs(values)
+    rows = [[str(k), text] for k, text in enumerate(texts)]
     _emit_rows(args, ["k", "coefficient"], rows)
     return EXIT_OK
 

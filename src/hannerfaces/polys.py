@@ -113,7 +113,8 @@ def convolve_truncated(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact truncated product; coefficient k of the result is
     sum_{j<=k} f_j * g_{k-j}, terms above kmax discarded."""
     f._check_compatible(g)
-    out = _kernels.convolve_exact(list(f.coeffs), list(g.coeffs), f.kmax + 1)
+    cf = list(f.coeffs)
+    out = _kernels.convolve_exact(cf, cf if g is f else list(g.coeffs), f.kmax + 1)
     return IntPoly(tuple(out), f.kmax)
 
 

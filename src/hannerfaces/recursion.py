@@ -19,6 +19,7 @@ exact engines are exact big integers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from typing import Iterator, Union
@@ -36,8 +37,9 @@ from .schedule import DensityParam, StepKind, is_product_step
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP, and a log scan reads k up to
 # its precision limit LOG_KMAX_CAP.  A run's state may hold STATE_BITS_CAP bits:
 # K+1 slots of its widest coefficient, 64 bits each in the log engine.  At a = 1/2
-# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit and takes 404 s
-# (n=21/K=1448 would hold 257.5 Mbit); a log scan to n=26/K=8192 takes 0.6 s.
+# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit; with its squares
+# in decimal it takes 25.5 s at a peak RSS of 173 MiB (404 s with CPython-int squares).
+# n=21/K=1448 would hold 257.5 Mbit; a log scan to n=26/K=8192 takes 0.6 s.
 EXACT_KMAX_CAP = 1024
 LOG_KMAX_CAP = 8192
 STATE_BITS_CAP = 2**27
@@ -138,6 +140,54 @@ def _geometric_hull(f: IntPoly, n: int) -> IntPoly:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _widest_log2(a: DensityParam, n_max: int, kmax: int, cap_bits: int) -> tuple[float, ...]:
+    """log2 of the widest coefficient of the printed recursion's states after
+    0, 1, ... steps, from one log pass at (a, n_max, kmax).  The pass stops
+    after the first state of more than ``cap_bits`` over K+1 slots.  The last
+    pass is kept, so a caller's own check and the driver's admission share it."""
+    state, out = initial_state(kmax, Engine.PAPER_LOG), []
+    while True:
+        out.append(float(state.poly.log2_coeffs.max()))
+        if state.n == n_max or (kmax + 1) * (int(out[-1]) + 1) > cap_bits:
+            return tuple(out)
+        state = step(state, is_product_step(state.n, a))
+
+
+def widest_log2_by_step(a: DensityParam, n: int, kmax: int) -> tuple[float, ...]:
+    """log2 of the widest coefficient of the printed recursion at (a, kmax)
+    after 0, 1, ..., n steps, from the admission's log pass; it bounds both
+    exact engines coefficientwise.  The tuple ends early at the first state
+    over STATE_BITS_CAP, whose run ``trajectory`` refuses."""
+    return _widest_log2(a, n, kmax, STATE_BITS_CAP)
+
+
+def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
+    """Raise UsageError if a state of the run is predicted to pass STATE_BITS_CAP."""
+
+    def over(bits: int) -> str:
+        return (
+            f"{bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed "
+            f"({bits:,} > {STATE_BITS_CAP:,} bits)"
+        )
+
+    if engine.is_log:
+        widths = [(n_max, 64)]
+    elif (bits := (kmax + 1) * 64) > STATE_BITS_CAP:
+        raise UsageError(
+            f"the {engine.value} engine run to n={n_max}, K={kmax} cannot be sized: "
+            f"its log pass would hold {over(bits)}"
+        )
+    else:
+        widths = enumerate(int(x) + 1 for x in widest_log2_by_step(a, n_max, kmax))
+    for n, width in widths:
+        if (bits := (kmax + 1) * width) > STATE_BITS_CAP:
+            raise UsageError(
+                f"the {engine.value} engine state at n={n}, K={kmax} "
+                f"is predicted to hold {over(bits)}"
+            )
+
+
 def trajectory(
     a: DensityParam, n_max: int, kmax: int, engine: Engine
 ) -> Iterator[RecursionState]:
@@ -152,16 +202,7 @@ def trajectory(
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")
-    widths = [(n_max, 64)] if engine.is_log else (
-        (s.n, int(s.poly.log2_coeffs.max()) + 1)
-        for s in trajectory(a, n_max, kmax, Engine.PAPER_LOG)
-    )
-    for n, width in widths:
-        if (bits := (kmax + 1) * width) > STATE_BITS_CAP:
-            raise UsageError(
-                f"the {engine.value} engine state at n={n}, K={kmax} is predicted to hold "
-                f"{bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed"
-            )
+    _admit(a, n_max, kmax, engine)
     state = initial_state(kmax, engine)
     yield state
     for j in range(n_max):

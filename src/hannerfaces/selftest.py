@@ -248,7 +248,13 @@ def _check_poly_engine():
         fast = convolve_truncated(f, g)
         slow = _kernels.convolve_schoolbook(list(f.coeffs), list(g.coeffs), kmax + 1)
         check(list(fast.coeffs) == slow, "fast convolution disagrees with schoolbook")
-    return "10 random 40-bit products, K < 48"
+    # One square past the decimal crossover: 64 coefficients of 4096 bits.
+    f = IntPoly.from_coeffs([rng.getrandbits(4096) for _ in range(64)], 63)
+    slow = _kernels.convolve_schoolbook(list(f.coeffs), list(f.coeffs), 64)
+    decimal_square = _kernels._square_decimal(list(f.coeffs), 64)
+    check(decimal_square == slow, "decimal square disagrees with schoolbook")
+    check(list(convolve_truncated(f, f).coeffs) == slow, "square disagrees with schoolbook")
+    return "10 random 40-bit products, K < 48, and a 64 x 4096-bit square through decimal"
 
 
 def _check_log_vs_exact():

@@ -242,6 +242,7 @@ class TestRefusedUpFront:
             return real_step(state, kind)
 
         monkeypatch.setattr(recursion, "step", spy)
+        recursion._widest_log2.cache_clear()  # so the log pass runs here
         start = time.monotonic()
         code, out, err = run(*argv)
         assert time.monotonic() - start < 2.0
@@ -250,6 +251,29 @@ class TestRefusedUpFront:
         assert reason in err
         assert set(engines) <= {Engine.PAPER_LOG}
         assert bool(engines) == (reason != "feasibility cap 11")  # the log pass ran, seen by the spy
+
+    def test_refusal_names_the_requested_engine(self, run):
+        # K = 2^21: the log pass that sizes the exact run would itself pass the ceiling
+        argv = ("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "42", "--engine", "paper")
+        code, out, err = run(*argv)
+        assert (code, out) == (3, "")
+        assert "the paper engine run to n=42, K=2097152" in err
+        assert "(134,217,792 > 134,217,728 bits)" in err
+
+    def test_fvector_sizes_its_run_with_one_log_pass(self, run, monkeypatch):
+        log_steps = []
+        real_step = recursion.step
+
+        def spy(state, kind):
+            if state.engine.is_log:
+                log_steps.append(state.n)
+            return real_step(state, kind)
+
+        monkeypatch.setattr(recursion, "step", spy)
+        recursion._widest_log2.cache_clear()
+        code, _, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "64", "--engine", "paper")
+        assert code == 0
+        assert log_steps == list(range(12))  # the digit check and the admission share it
 
     @pytest.fixture
     def restore_int_digits(self):

@@ -1,8 +1,10 @@
+import decimal
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hannerfaces import _kernels, selftest
@@ -187,3 +189,122 @@ class TestExactPacking:
 
     def test_out_len_longer_than_product(self):
         assert _kernels.convolve_exact([1], [1], 4) == [1, 0, 0, 0]
+
+
+@pytest.fixture
+def default_int_digits():
+    """The interpreter's default int_max_str_digits, which the CLI raises."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+# Coefficients of mixed widths: zero slots, word-sized ones, and ones past both
+# conversion leaves (4096 bits; a square past 2000 digits) and past 4300 digits.
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(0, 2**64),
+    st.integers(2**3000, 2**20000),
+    st.just(10**4400 - 1),
+)
+
+
+class TestExactSquare:
+    """The decimal square, the int square and the int product all equal
+    schoolbook, under the default int_max_str_digits."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(coefficients, max_size=40), st.integers(-3, 3))
+    def test_all_paths_match_schoolbook(self, default_int_digits, f, extra):
+        assert sys.get_int_max_str_digits() == 4300
+        out_len = max(len(f) + extra * max(len(f) // 2, 1), 0)
+        want = _kernels.convolve_schoolbook(f, f, out_len)
+        assert _kernels.convolve_exact(f, f, out_len) == want
+        assert _kernels.convolve_exact(f, list(f), out_len) == want
+        if f:
+            assert _kernels._square_decimal(f, out_len) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_DEC_MIN_COEFFS", 10**9)  # every square on the int path
+            assert _kernels.convolve_exact(f, f, out_len) == want
+
+    @pytest.mark.parametrize(
+        "f",
+        [[0], [0] * 20, [7], [2**5000 + 1], [0, 0, 3], [5] + [0] * 30 + [2**9000], [10**50 - 1] * 40],
+    )
+    @pytest.mark.parametrize("out_len", [0, 1, 3, 70])
+    def test_edge_cases(self, f, out_len, default_int_digits):
+        want = _kernels.convolve_schoolbook(f, f, out_len)
+        assert _kernels._square_decimal(f, out_len) == want
+        assert _kernels.convolve_exact(f, f, out_len) == want
+
+    def test_independent_of_the_callers_decimal_context(self):
+        f = [3**k for k in range(4000, 4040)]  # 6340 bits and up: past the 4096-bit leaf
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+            square = _kernels._square_decimal(f, 40)
+            texts = _kernels.decimal_strs(f)
+        assert square == _kernels.convolve_schoolbook(f, f, 40)
+        assert texts == [str(decimal.Decimal(v)) for v in f]
+
+    def test_rounding_traps(self):
+        # The square context never rounds (prec=MAX_PREC); if it would, it raises.
+        ctx = _kernels._EXACT.copy()
+        ctx.prec = 5
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            ctx.multiply(decimal.Decimal(123456), decimal.Decimal(1))
+
+
+def _conversion_points():
+    dec, dig = _kernels._DEC_LEAF_BITS, _kernels._INT_LEAF_DIGITS
+    points = {0, 1, 2, 9, 10, 11}
+    for k in (1, 63, 64, dec - 1, dec, dec + 1, 2 * dec, 2 * dec + 1, 4 * dec + 7, 20000):
+        points |= {2**k - 1, 2**k, 2**k + 1}
+    for k in (1, 19, dig - 1, dig, dig + 1, 2 * dig, 2 * dig + 1, 4300, 4301, 9000):
+        points |= {10**k - 1, 10**k, 10**k + 1}
+    return sorted(points)
+
+
+class TestConversions:
+    @pytest.mark.parametrize("x", _conversion_points(), ids=lambda x: f"{x.bit_length()}bit")
+    def test_round_trip(self, x, default_int_digits):
+        (text,) = _kernels.decimal_strs([x])
+        assert text == str(decimal.Decimal(x))  # the quadratic reference
+        assert _kernels._digits_to_int(text, {}) == x
+        assert _kernels._digits_to_int(text.zfill(len(text) + 2500), {}) == x
+
+    def test_one_power_cache_serves_many_values(self):
+        values = [3**k for k in range(0, 30000, 997)]
+        pow2 = {}
+        texts = [str(_kernels._to_decimal(v, pow2)) for v in values]
+        assert texts == _kernels.decimal_strs(values)
+        assert all(k % _kernels._DEC_LEAF_BITS == 0 for k in pow2)
+
+
+class TestExactScanSquaresTakeDecimal:
+    """The seed-0 exact_scan instances (asymptotics a=1/3 and fvector a=1/2,
+    both n=16, K=256): every square of at least _DEC_MIN_BITS packed bits goes
+    through decimal, or the fast path silently falls back to CPython ints."""
+
+    @pytest.mark.parametrize("a", [THIRD, DensityParam.rational(1, 2)])
+    def test_big_squares_take_the_decimal_path(self, a, monkeypatch):
+        real_mul, real_square = _kernels._mul_bigint, _kernels._square_decimal
+        decimal_squares = []
+
+        def int_mul(x, y):
+            if x.bit_length() + y.bit_length() >= 2 * _kernels._DEC_MIN_BITS:
+                raise AssertionError("a big square took the int path")
+            return real_mul(x, y)
+
+        def square(f, out_len):
+            decimal_squares.append(len(f))
+            return real_square(f, out_len)
+
+        monkeypatch.setattr(_kernels, "_mul_bigint", int_mul)
+        monkeypatch.setattr(_kernels, "_square_decimal", square)
+        for state in trajectory(a, 16, 256, Engine.PAPER_EXACT):
+            pass
+        assert decimal_squares == [257] * 7

@@ -173,6 +173,17 @@ class TestStateAdmission:
         with pytest.raises(UsageError, match=f"n={n}, K={kmax}"):
             run(a, n, kmax, Engine.PAPER_EXACT)
 
+    @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
+    def test_refusal_names_the_engine_and_exact_sizes(self, exact_steps, engine):
+        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=20, K=1448 .*"
+                           r"\(\d{3},\d{3},\d{3} > 134,217,728 bits\)"):
+            next(trajectory(HALF, 21, 1448, engine))
+        # K = 2^21: the sizing log pass holds (K+1) * 64 bits, 64 over the ceiling
+        with pytest.raises(UsageError, match=rf"the {engine.value} engine run to n=42, K=2097152 "
+                           r"cannot be sized: .*\(134,217,792 > 134,217,728 bits\)"):
+            next(trajectory(HALF, 42, 2**21, engine))
+        assert exact_steps == []
+
     def test_log_state_is_64_bits_a_slot(self, monkeypatch):
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
         assert run(HALF, 6, 8, Engine.PAPER_LOG).n == 6
