@@ -19,17 +19,11 @@ from ._kernels import decimal_strs
 from .asymptotics import flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
-from .phimap import compose_window, tfree_and_top, window_phis, word_from_string
+from .phimap import compose_window, tfree_and_top, word_from_string
 from .polys import eval_at_one
 from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector, widest_log2_by_step
 from .schedule import DensityParam, is_product_step, window_profile
-from .trees import (
-    DEFAULT_BUDGET,
-    check_tree_sum,
-    histogram_leaves,
-    lower_bound_certificate,
-    weighted_trees,
-)
+from .trees import DEFAULT_BUDGET, histogram_leaves, lower_bound_certificate, tree_sum_check
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -170,20 +164,15 @@ def _cmd_phi(args) -> int:
 
 def _cmd_trees(args) -> int:
     a = _parse_density(args)
-    phis = window_phis(a, args.Q, args.m)
+    result = tree_sum_check(a, args.Q, args.m, args.kmax, args.budget)
+    windows = [window_profile(a, args.Q, j) for j in range(args.m)]
     # qcount is defined against one window map, so only for a constant stack
-    typical = 2 ** phis[0].p if len({phi.word for phi in phis}) == 1 else None
+    typical = 2 ** windows[0].p if len({win.word for win in windows}) == 1 else None
     rows = []
-
-    def recorded(weighted):
-        for tree, hist, w in weighted:
-            qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
-            values = (len(rows), histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
-            rows.append([str(v) for v in values])
-            yield tree, hist, w
-
-    weighted = recorded(weighted_trees(phis, args.kmax, args.budget))
-    result = check_tree_sum(a, args.Q, args.m, args.kmax, weighted)
+    for i, (hist, w) in enumerate(result.tree_classes):
+        qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
+        values = (i, histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
+        rows.append([str(v) for v in values])
     verdict = f"exact-match over {result.n_trees} trees"
     header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     if args.format == "json":
@@ -357,7 +346,12 @@ def build_parser() -> _Parser:
     s = subs.add_parser("oracle", help="exact small-dimension geometry oracle")
     _add_density_flags(s)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--full-lattice", action="store_true")
+    s.add_argument(
+        "--full-lattice",
+        action="store_true",
+        help="build the face lattice at any n; it is always built at n <= 3, and at n >= 4 "
+        "its 3^(2^n) faces exceed the 10^5-face guard, so the run exits 3",
+    )
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.set_defaults(func=_cmd_oracle)
 

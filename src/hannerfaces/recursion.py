@@ -104,14 +104,12 @@ def step(state: RecursionState, kind: StepKind) -> RecursionState:
             new = sq
         else:
             new = sq.shift(1).addexp(f, 1.0)  # t*F^2 + 2F
+    elif kind is StepKind.PRODUCT:
+        new = convolve_truncated(f, f)
+    elif state.engine is Engine.PAPER_EXACT:
+        new = convolve_truncated(f, f).shift(1) + f.scale(2)
     else:
-        sq = convolve_truncated(f, f)
-        if kind is StepKind.PRODUCT:
-            new = sq
-        elif state.engine is Engine.PAPER_EXACT:
-            new = sq.shift(1) + f.scale(2)
-        else:
-            new = _geometric_hull(f, state.n)
+        new = _geometric_hull(f, state.n)  # does its one square itself
     return RecursionState(poly=new, n=state.n + 1, engine=state.engine)
 
 
@@ -159,6 +157,8 @@ def widest_log2_by_step(a: DensityParam, n: int, kmax: int) -> tuple[float, ...]
     after 0, 1, ..., n steps, from the admission's log pass; it bounds both
     exact engines coefficientwise.  The tuple ends early at the first state
     over STATE_BITS_CAP, whose run ``trajectory`` refuses."""
+    if n < 0:
+        raise UsageError(f"step count must be >= 0, got {n}")
     return _widest_log2(a, n, kmax, STATE_BITS_CAP)
 
 

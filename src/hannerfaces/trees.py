@@ -12,16 +12,18 @@ where the weight factor of a vertex at height j comes from window m-1-j
 of the bound constructions).  Trees are nested tuples; a leaf is ().
 
 W(T) and L(T) depend on T only through its (height, degree) histogram, so
-each tree is walked once and everything else reads the histogram.  A family
-over the enumeration budget is refused from its count, before any tree is built.
+each tree is walked once, everything else reads the histogram, and each
+distinct histogram is weighed once.  A family over the enumeration budget is
+refused from its count, before any tree is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .asymptotics import rho_denominator
 from .errors import BudgetExceededError, UsageError, VerificationError
@@ -32,7 +34,6 @@ from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
 Histogram = dict[tuple[int, int], int]  # (height, degree) -> internal vertex count
-WeightedTree = tuple[Tree, Histogram, IntPoly]  # (T, histogram of T, W(T))
 
 DEFAULT_BUDGET = 10**6
 
@@ -129,52 +130,55 @@ def tree_weight(hist: Histogram, phis_by_height: Sequence[PhiMap], t_trunc: int)
 
 @dataclass(frozen=True)
 class TreeSumResult:
-    n_trees: int
     total: IntPoly
     engine_poly: IntPoly
+    # per tree, in enumeration order: the (histogram, W) record its class shares
+    tree_classes: list[tuple[Histogram, IntPoly]]
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.tree_classes)
 
     @property
     def match(self) -> bool:
         return self.total == self.engine_poly
 
 
-def weighted_trees(
-    phis: Sequence[PhiMap], kmax: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[WeightedTree]:
-    """(T, histogram of T, W(T)) for every tree over the window maps ``phis``
-    (window 0 first; the root takes the last window), weights truncated at
-    ``kmax``.  An over-budget family raises here, not on the first ``next``."""
-    by_height = phis[::-1]
-    trees = enumerate_trees(len(phis), [phi.support for phi in by_height], budget)
-
-    def weigh() -> Iterator[WeightedTree]:
-        for tree in trees:
-            hist = degree_histogram(tree)
-            yield tree, hist, tree_weight(hist, by_height, kmax)
-
-    return weigh()
-
-
-def check_tree_sum(
-    a: DensityParam, Q: int, m: int, kmax: int, weighted: Iterable[WeightedTree]
+def tree_sum_check(
+    a: DensityParam, Q: int, m: int, kmax: int, budget: int = DEFAULT_BUDGET
 ) -> TreeSumResult:
-    """Evaluate sum_T W(T)*(2+t)^L(T) over the ``weighted`` trees and compare
-    it, exactly, with the stepwise recursion run over the same m windows; also
-    cross-check the coefficient formula a_{Qm,k} = sum_{j<=k} sum_T [t^j]W(T)
-    * C(L(T), k-j) * 2^(L(T)-(k-j)).  The recursion runs first, so an input
-    it refuses is refused before any tree is weighed.  Any mismatch raises."""
+    """Evaluate sum_T W(T)*(2+t)^L(T) over every tree of the m aligned windows
+    of length Q and compare it, exactly, with the stepwise recursion run over
+    the same windows; also cross-check the coefficient formula a_{Qm,k} =
+    sum_{j<=k} sum_T [t^j]W(T) * C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch
+    raises.
+
+    An over-budget family is refused from its count, then the recursion runs,
+    so an input either refuses is refused before any tree is weighed.  Each
+    tree is walked once; W(T) and L(T) depend only on its (height, degree)
+    histogram, so each distinct histogram is weighed once and its terms are
+    counted once per tree in its class.
+    """
+    by_height = window_phis(a, Q, m)[::-1]  # the root takes the last window
+    trees = enumerate_trees(m, [phi.support for phi in by_height], budget)
     engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
+    classes: dict[tuple, tuple[Histogram, IntPoly]] = {}
+    multiplicity: Counter[tuple] = Counter()
+    tree_classes = []
+    for tree in trees:
+        hist = degree_histogram(tree)
+        key = tuple(sorted(hist.items()))
+        if key not in classes:
+            classes[key] = (hist, tree_weight(hist, by_height, kmax))
+        multiplicity[key] += 1
+        tree_classes.append(classes[key])
     seg = IntPoly.from_coeffs([2, 1], kmax)
     total = IntPoly.zero(kmax)
-    powers: dict[int, IntPoly] = {}
     coeff_sums = [0] * (kmax + 1)
-    n_trees = 0
-    for _, hist, w in weighted:
-        n_trees += 1
+    for key, (hist, w) in classes.items():
+        count = multiplicity[key]
         L = histogram_leaves(hist)
-        if L not in powers:
-            powers[L] = power_truncated(seg, L)
-        total = total + convolve_truncated(w, powers[L])
+        total = total + convolve_truncated(w, power_truncated(seg, L)).scale(count)
         for k in range(kmax + 1):
             s = 0
             for j in range(k + 1):
@@ -183,7 +187,7 @@ def check_tree_sum(
                     binom = math.comb(L, k - j)
                     if binom:
                         s += wj * binom * 2 ** (L - (k - j))
-            coeff_sums[k] += s
+            coeff_sums[k] += count * s
     for k in range(kmax + 1):
         for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
             if got != engine_poly[k]:
@@ -191,14 +195,7 @@ def check_tree_sum(
                     f"{name} differs from recursion first at k={k}: "
                     f"{got} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
                 )
-    return TreeSumResult(n_trees=n_trees, total=total, engine_poly=engine_poly)
-
-
-def tree_sum_check(
-    a: DensityParam, Q: int, m: int, kmax: int, budget: int = DEFAULT_BUDGET
-) -> TreeSumResult:
-    """check_tree_sum over every tree of the m aligned windows of length Q."""
-    return check_tree_sum(a, Q, m, kmax, weighted_trees(window_phis(a, Q, m), kmax, budget))
+    return TreeSumResult(total=total, engine_poly=engine_poly, tree_classes=tree_classes)
 
 
 # ---------------------------------------------------------------------------

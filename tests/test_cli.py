@@ -129,21 +129,47 @@ class TestTrees:
                 monkeypatch.setattr(mod, name, spy, raising=False)
         return calls
 
-    def test_each_tree_weighed_once(self, run, spies):
+    def test_one_walk_per_tree_and_one_weight_per_histogram(self, run, spies):
         code, out, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
         assert code == 0
         n_trees = int(out.splitlines()[0].split()[-2])
         assert n_trees == 20
-        # one walk per tree, each on a different tree, and one weight per walk,
-        # on the very histogram the walk returned
+        # one walk per tree, each on a different tree; one weight per distinct
+        # histogram, on a histogram a walk returned
         walks = spies["degree_histogram"]
         assert len(walks) == n_trees
         assert len({args[0] for args, _ in walks}) == n_trees
-        weights = spies["tree_weight"]
-        assert [id(args[0]) for args, _ in weights] == [id(hist) for _, hist in walks]
+        walked = {id(hist) for _, hist in walks}
+        weighed = [args[0] for args, _ in spies["tree_weight"]]
+        assert all(id(hist) in walked for hist in weighed)
+        keys = [tuple(sorted(hist.items())) for hist in weighed]
+        assert len(keys) == len(set(keys)) == 8
+        assert set(keys) == {tuple(sorted(hist.items())) for _, hist in walks}
         assert spies["atypical_count_and_leaf_bound"] == []
-        for gone in ("guarded", "forest", "tree_height", "leaf_count", "internal_count"):
+        for gone in (
+            "guarded",
+            "forest",
+            "tree_height",
+            "leaf_count",
+            "internal_count",
+            "weighted_trees",
+            "check_tree_sum",
+            "WeightedTree",
+        ):
             assert not hasattr(trees, gone)
+
+    def test_one_tree_sum_check_per_call(self, run, monkeypatch):
+        calls = []
+        real = cli.tree_sum_check
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "tree_sum_check", spy)
+        code, _, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -274,6 +300,15 @@ class TestRefusedUpFront:
         code, _, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "64", "--engine", "paper")
         assert code == 0
         assert log_steps == list(range(12))  # the digit check and the admission share it
+
+    def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
+        steps = []
+        monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
+        recursion._widest_log2.cache_clear()
+        code, out, err = run("fvector", "--a", "1/2", "--n", "-1", "--kmax", "4")
+        assert (code, out) == (3, "")
+        assert "step count must be >= 0" in err
+        assert steps == []
 
     @pytest.fixture
     def restore_int_digits(self):

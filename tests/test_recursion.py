@@ -16,6 +16,7 @@ from hannerfaces.recursion import (
     step,
     trajectory,
     verify_growth_bounds,
+    widest_log2_by_step,
 )
 from hannerfaces.schedule import DensityParam, StepKind, is_product_step, schedule_kinds
 
@@ -89,6 +90,21 @@ class TestStep:
         out = step(s, StepKind.HULL)
         assert out.poly.coeffs[:4] == (4, 4, 1, 0)
 
+    @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
+    def test_one_square_per_step(self, monkeypatch, engine):
+        # at K=64 the free-sum Hull step both removes the improper face (d <= 64)
+        # and takes the printed formula (d > 64) within ten steps
+        squares = []
+        real = recursion.convolve_truncated
+
+        def spy(f, g):
+            squares.append(f)
+            return real(f, g)
+
+        monkeypatch.setattr(recursion, "convolve_truncated", spy)
+        run(HALF, 10, 64, engine)
+        assert len(squares) == 10
+
     def test_product_of_segment_either_engine(self):
         for engine in (Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT):
             out = step(initial_state(8, engine), StepKind.PRODUCT)
@@ -122,6 +138,8 @@ class TestFaceNumbers:
             run(HALF, n, 8, Engine.PAPER_EXACT)
         with pytest.raises(UsageError):
             list(trajectory(HALF, n, 8, Engine.PAPER_LOG))
+        with pytest.raises(UsageError, match="step count must be >= 0"):
+            widest_log2_by_step(HALF, n, 8)
         for r in (0, 2, 5):
             with pytest.raises(UsageError):
                 verify_growth_bounds(HALF, n, r, 8)

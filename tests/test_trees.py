@@ -26,7 +26,6 @@ from hannerfaces.trees import (
     tree_sum_check,
     tree_weight,
     upper_bound_report,
-    weighted_trees,
 )
 
 S, R = StepKind.PRODUCT, StepKind.HULL
@@ -101,10 +100,11 @@ class TestEnumeration:
     def test_budget_equal_to_count_is_allowed(self):
         assert len(list(enumerate_trees(2, {2, 4}, budget=20))) == 20
 
-    def test_weighted_trees_refuses_when_called(self):
+    def test_tree_sum_check_refuses_before_the_recursion_runs(self, monkeypatch):
         # windows of a=1/2, Q=3 have supports {4,6,8}, {2..8}, {4,6,8}
+        monkeypatch.setattr(trees, "run", lambda *args: pytest.fail("recursion ran"))
         with pytest.raises(BudgetExceededError):
-            weighted_trees(window_phis(HALF, 3, 3), 4, budget=100_000)
+            tree_sum_check(HALF, 3, 3, 4, budget=100_000)
 
     def test_empty_level_rejected(self):
         with pytest.raises(UsageError):
@@ -183,6 +183,17 @@ class TestTreeSumCheck:
         Q, m = Qm
         res = tree_sum_check(a, Q, m, 16)
         assert res.match
+
+    def test_one_shared_record_per_histogram_in_enumeration_order(self):
+        res = tree_sum_check(HALF, 2, 2, 8)
+        phis = window_phis(HALF, 2, 2)[::-1]
+        tree_list = list(enumerate_trees(2, [phi.support for phi in phis]))
+        assert [hist for hist, _ in res.tree_classes] == [degree_histogram(t) for t in tree_list]
+        records = {id(record): record for record in res.tree_classes}.values()
+        keys = [tuple(sorted(hist.items())) for hist, _ in records]
+        assert len(keys) == len(set(keys)) == 8
+        for hist, w in records:
+            assert w == tree_weight(hist, phis, 8)
 
     def test_varying_window_words(self):
         # a=1/3 with Q=2 has distinct consecutive window words; the
