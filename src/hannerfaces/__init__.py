@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .phimap import PhiMap, apply_phi, compose_window, tfree_and_top, window_phis, word_from_string
 from .polys import (
+    DecimalPoly,
     IntPoly,
     LogPoly,
     convolve_truncated,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
+    "DecimalPoly",
     "DensityParam",
     "Engine",
     "EnvelopeReport",

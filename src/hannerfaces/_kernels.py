@@ -13,17 +13,19 @@ zeros) goes through the full quadratic log-sum-exp ``_log_convolve_full``,
 which is also the oracle the band is tested against.  Both paths are
 deterministic run to run.
 
-Exact convolution packs nonnegative big-integer coefficients into one huge
-number (Kronecker substitution) and multiplies once.  A product of two
-different operands, and a square below the measured crossover, is packed into
-binary slots of one CPython int; a square packs once and computes x*x.  A
-square of at least 16 coefficients and 2**18 packed bits is packed into
-base-10 slots of one Decimal and squared by libmpdec, the number-theoretic
-transform behind the ``decimal`` module, in a context that traps any rounding;
-the slots are read back out of the product's digit string.  Both base
-conversions split recursively, so they stay subquadratic and never depend on
-``sys.set_int_max_str_digits``.  Callers pass and get ints either way.  The
-schoolbook convolution is kept as the independent oracle.
+Exact convolution packs nonnegative big coefficients into one huge number
+(Kronecker substitution) and multiplies once.  Int coefficients, the small
+products of trees, window maps and powers, go into binary slots of one CPython
+int; a square packs once and computes x*x.  The exact engines keep their
+state as integral Decimals from step to step, and their squares go into
+base-10 slots of one Decimal, squared by libmpdec (the number-theoretic
+transform behind the ``decimal`` module) in a context that traps any
+rounding.  Packing and reading the slots back are shifts, adds and
+truncations by powers of ten, so no step converts between bases.  A
+coefficient becomes an int only where it is read, through ``_digits_to_int``,
+which splits recursively, stays subquadratic and never depends on
+``sys.set_int_max_str_digits``.  The schoolbook convolution is kept as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -160,28 +162,16 @@ def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Exact decimal arithmetic: a result that would need rounding raises instead.
+# Every Decimal operation on coefficients names this context; the caller's
+# context (28 digits by default, no rounding traps) is never used.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
 )
-# Leaves of the two base conversions: Decimal(int) up to _DEC_LEAF_BITS bits,
-# int(str) up to _INT_LEAF_DIGITS digits (below the default int_max_str_digits).
-_DEC_LEAF_BITS = 4096
+# Leaf of the digit-string to int conversion, below the default int_max_str_digits.
 _INT_LEAF_DIGITS = 2000
-# A square of at least _DEC_MIN_COEFFS coefficients and _DEC_MIN_BITS packed bits
-# goes through decimal, where its conversions cost less than the multiply saves.
-# Best-of-5 square times in ms, int path / decimal path, 2-CPU Xeon VM, Python 3.11.7:
-#   coefficients   128 kbit     256 kbit     1 Mbit        4 Mbit packed
-#   2              1.6/6.8      4.2/17.8     40.6/139.8    413/1260
-#   8              3.6/5.3      10.1/15.4    95.5/107.4    850/838
-#   16             4.3/4.4      12.2/11.7    106/80.0      938/608
-#   64             4.8/5.5      14.2/10.9    87.1/44.0     874/370
-#   256            5.5/5.3      13.0/9.5     101/38.2      964/262
-#   1024           6.1/6.2      12.9/11.0    126/44.8      1168/201
-_DEC_MIN_COEFFS = 16
-_DEC_MIN_BITS = 2**18
 
 
 def _mul_bigint(x: int, y: int) -> int:
@@ -207,57 +197,25 @@ def _unpack(packed: int, slot_bytes: int, count: int) -> list[int]:
     ]
 
 
-def _split(size: int, leaf: int) -> int:
-    """For ``size`` > ``leaf``, the largest leaf * 2**j below it.  Splitting
-    there keeps both parts at most that size and draws every split, and so
-    every cached power, from one short list."""
-    return leaf << ((size - 1) // leaf).bit_length() - 1
-
-
-def _pow2(k: int, pow2: dict[int, Decimal]) -> Decimal:
-    """2**k as a Decimal, for k = _DEC_LEAF_BITS * 2**j, cached in ``pow2``."""
-    if k not in pow2:
-        if k == _DEC_LEAF_BITS:
-            pow2[k] = Decimal(1 << k)
-        else:
-            half = _pow2(k // 2, pow2)
-            pow2[k] = _EXACT.multiply(half, half)
-    return pow2[k]
-
-
-def _to_decimal(x: int, pow2: dict[int, Decimal]) -> Decimal:
-    """Nonnegative ``x`` as a Decimal in subquadratic time: split on bits and
-    recombine with the powers of two cached in ``pow2`` (one dict per call)."""
-    bits = x.bit_length()
-    if bits <= _DEC_LEAF_BITS:
-        return Decimal(x)
-    k = _split(bits, _DEC_LEAF_BITS)
-    high, low = _to_decimal(x >> k, pow2), _to_decimal(x & ((1 << k) - 1), pow2)
-    return _EXACT.fma(high, _pow2(k, pow2), low)
-
-
-def decimal_strs(values: list[int]) -> list[str]:
-    """``[str(v) for v in values]`` for nonnegative ints, in subquadratic time
-    and without int_max_str_digits: a Decimal's str() is linear."""
-    pow2: dict[int, Decimal] = {}
-    return [str(_to_decimal(v, pow2)) for v in values]
-
-
 def _digits_to_int(digits: str, pow10: dict[int, int]) -> int:
-    """A decimal digit string as an int in subquadratic time: split on digits
-    and recombine with the powers of ten cached in ``pow10`` (one dict per call)."""
+    """A decimal digit string as an int in subquadratic time, without
+    int_max_str_digits: split on digits and recombine with the powers of ten
+    cached in ``pow10`` (one dict per conversion of a whole state).
+
+    For ``size`` digits over the leaf, the split is the largest leaf * 2**j
+    below ``size``: both parts stay at most that long, and every split, and so
+    every cached power, comes from one short list."""
     size = len(digits)
     if size <= _INT_LEAF_DIGITS:
         return int(digits)
-    k = _split(size, _INT_LEAF_DIGITS)
+    k = _INT_LEAF_DIGITS << ((size - 1) // _INT_LEAF_DIGITS).bit_length() - 1
     if k not in pow10:
         pow10[k] = 10**k
     return _digits_to_int(digits[:-k], pow10) * pow10[k] + _digits_to_int(digits[-k:], pow10)
 
 
-def _pack_decimal(f: list[int], out_len: int) -> tuple[Decimal, int]:
-    """f in base-10 slots of one Decimal, coefficient i at digit i * width, and
-    the slot width.
+def _slot_width(f: list[Decimal], out_len: int) -> int:
+    """Base-10 slot width for squaring f, truncated to out_len coefficients.
 
     Coefficient k < out_len of f**2 sums at most count = min(len(f), out_len)
     products f_i f_j with i + j = k, so it has fewer than max(d_i + d_j) +
@@ -266,55 +224,80 @@ def _pack_decimal(f: list[int], out_len: int) -> tuple[Decimal, int]:
     or above out_len may overflow; carries only move up, so the slots below
     stay exact.  On engine states, whose coefficients grow with i, this is
     about 0.7 of twice the widest d_i."""
-    pow2: dict[int, Decimal] = {}
-    coeffs = [_to_decimal(c, pow2) for c in f]
-    digits = [c.adjusted() + 1 for c in coeffs]
+    digits = [c.adjusted() + 1 for c in f]  # 1 for a zero coefficient too
     reach = list(itertools.accumulate(digits, max))  # reach[j]: widest of f_0 .. f_j
     count = min(len(f), out_len)
     widest_term = max(
         (digits[i] + reach[min(out_len - 1 - i, len(f) - 1)] for i in range(count)), default=0
     )
-    width = max(reach[-1], widest_term + len(str(count)) + 1)
-    return Decimal("".join(str(c).zfill(width) for c in reversed(coeffs))), width
+    return max(reach[-1], widest_term + len(str(count)) + 1)
 
 
-def _square_decimal(f: list[int], out_len: int) -> list[int]:
+def _pack_decimal(f: list[Decimal], width: int) -> Decimal:
+    """sum_i f_i * 10**(i * width), joined pairwise level by level: each of
+    the log2(len(f)) levels shifts and adds every digit once."""
+    shift, add = _EXACT.scaleb, _EXACT.add
+    level, span = f, width
+    while len(level) > 1:
+        pairs = [add(shift(level[i + 1], span), level[i]) for i in range(0, len(level) - 1, 2)]
+        level, span = pairs + level[len(pairs) * 2 :], 2 * span
+    return level[0]
+
+
+def _split_decimal(x: Decimal, k: int) -> tuple[Decimal, Decimal]:
+    """(x // 10**k, x % 10**k) for an integral x >= 0, without a division."""
+    high = _EXACT.scaleb(x, -k).to_integral_value(decimal.ROUND_DOWN, _EXACT)
+    return high, _EXACT.subtract(x, _EXACT.scaleb(high, k))
+
+
+def _unpack_decimal(x: Decimal, width: int, count: int, out: list[Decimal]):
+    """Append the lowest ``count`` base-10 slots of x, lowest first, halving
+    the slot range at each level; x holds no digit above them."""
+    if count == 1:
+        out.append(x)
+        return
+    mid = count // 2
+    high, low = _split_decimal(x, mid * width)
+    _unpack_decimal(low, width, mid, out)
+    _unpack_decimal(high, width, count - mid, out)
+
+
+def _square_decimal(f: list[Decimal], out_len: int) -> list[Decimal]:
     """First ``out_len`` coefficients of f**2 from one exact Decimal square of
-    f packed into base-10 slots, read back out of the product's digits."""
-    packed, width = _pack_decimal(f, out_len)
+    f packed into base-10 slots, split back into slots by powers of ten."""
+    out: list[Decimal] = []
+    if out_len == 0:
+        return out
+    width = _slot_width(f, out_len)
+    packed = _pack_decimal(f, width)
     product = _mul_decimal(packed, packed)
     del packed  # each big number goes as soon as it is used: they set peak memory
-    # Only the lowest out_len slots are read, so only their digits become a string.
-    keep = out_len * width
-    high = _EXACT.scaleb(product, -keep).to_integral_value(decimal.ROUND_DOWN, _EXACT)
-    low = _EXACT.subtract(product, _EXACT.scaleb(high, keep))
-    del product, high
-    digits = str(low).zfill(keep)
-    del low
-    pow10: dict[int, int] = {}
-    return [
-        _digits_to_int(digits[keep - (i + 1) * width : keep - i * width], pow10)
-        for i in range(out_len)
-    ]
+    _, low = _split_decimal(product, out_len * width)  # only the lowest out_len slots are read
+    del product
+    _unpack_decimal(low, width, out_len, out)
+    return out
 
 
-def convolve_exact(f: list[int], g: list[int], out_len: int) -> list[int]:
-    """First ``out_len`` coefficients of the product of two nonnegative-int polys.
+def convolve_exact(f: list, g: list, out_len: int) -> list:
+    """First ``out_len`` coefficients of the product of two nonnegative polys.
 
-    A square is recognised by ``g is f``: it packs once, and above the
-    measured crossover it is squared in decimal.
+    Int coefficients are packed into binary slots of one CPython int, once
+    for a square (``g is f``).  Decimal coefficients (integral, exponent 0)
+    are squared in decimal and come back as Decimals; they take no other
+    product.
     """
     n, m = len(f), len(g)
     if n == 0 or m == 0:
         return [0] * out_len
+    if isinstance(f[0], Decimal):
+        if g is not f:
+            raise TypeError("Decimal coefficients are only squared (g is f)")
+        return _square_decimal(f, out_len)
     bits_f = max(f).bit_length()  # coefficients are nonnegative
     bits_g = bits_f if g is f else max(g).bit_length()
     if bits_f == 0 or bits_g == 0:
         return [0] * out_len
-    slot_bits = bits_f + bits_g + (min(n, m)).bit_length() + 1
-    if g is f and n >= _DEC_MIN_COEFFS and n * slot_bits >= _DEC_MIN_BITS:
-        return _square_decimal(f, out_len)
-    slot_bytes = (slot_bits + 7) // 8
+    slot_bytes = (bits_f + bits_g + (min(n, m)).bit_length() + 1 + 7) // 8
     x = _pack(f, slot_bytes)
     prod = _mul_bigint(x, x if g is f else _pack(g, slot_bytes))
     return _unpack(prod, slot_bytes, out_len)

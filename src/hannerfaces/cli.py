@@ -15,13 +15,12 @@ import math
 import sys
 from fractions import Fraction
 
-from ._kernels import decimal_strs
 from .asymptotics import flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
 from .phimap import compose_window, tfree_and_top, word_from_string
 from .polys import eval_at_one
-from .recursion import Engine, face_numbers, log2_face_number, proper_f_vector, widest_log2_by_step
+from .recursion import Engine, log2_face_number, proper_f_vector, run, widest_log2_by_step
 from .schedule import DensityParam, is_product_step, window_profile
 from .trees import DEFAULT_BUDGET, histogram_leaves, lower_bound_certificate, tree_sum_check
 
@@ -125,8 +124,11 @@ def _cmd_fvector(args) -> int:
                 f"a coefficient at n={len(widest) - 1} is predicted to print {digits} digits, "
                 f"over {_INT_STR_DIGITS}"
             )
-    values = face_numbers(a, args.n, args.kmax, engine)
-    texts = [_fmt_float(v) for v in values] if engine.is_log else decimal_strs(values)
+    poly = run(a, args.n, args.kmax, engine).poly
+    if engine.is_log:
+        texts = [_fmt_float(float(v)) for v in poly.log2_coeffs]
+    else:  # an integral Decimal's str() is its digits, in linear time
+        texts = [str(c) for c in poly.decimals]
     rows = [[str(k), text] for k, text in enumerate(texts)]
     _emit_rows(args, ["k", "coefficient"], rows)
     return EXIT_OK

@@ -71,7 +71,9 @@ def build_polytope(a: DensityParam, n: int) -> VPolytope:
     unions.  Hull is the free sum (the dual of the product of duals):
     vertices zero-padded unions, normals all concatenated pairs.
     """
-    if n < 0 or 2**n > _MAX_DIM:
+    if n < 0:
+        raise UsageError(f"step count must be >= 0, got {n}")
+    if 2**n > _MAX_DIM:
         raise UsageError(f"oracle dimension cap is {_MAX_DIM}, got 2^{n}")
     poly = _segment()
     for j in range(n):

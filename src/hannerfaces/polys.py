@@ -1,5 +1,6 @@
 """Truncated polynomial arithmetic over exact nonnegative big integers,
-plus a log-domain (base-2) floating companion for large instances.
+the exact engines' state in integral Decimals, and a log-domain (base-2)
+floating companion for large instances.
 
 Polynomials are value-semantic: operations return new objects and never
 mutate their inputs.  Explicit zeros are retained, so a polynomial always
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from . import _kernels
 from .errors import UsageError
 
 NEG_INF = float("-inf")
+_ZERO = Decimal(0)
+_ONE = Decimal(1)
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,87 @@ class IntPoly:
         return LogPoly(arr, self.kmax)
 
 
+@dataclass(frozen=True)
+class DecimalPoly:
+    """The exact engines' state: an IntPoly whose coefficients are held as
+    nonnegative integral Decimals (exponent 0), so a step squares, shifts and
+    adds in base 10 with no conversion.  Every operation runs in the trapping
+    ``_kernels._EXACT`` context, never the caller's, so nothing rounds.  Reads
+    give ints: ``[k]``, ``log2(k)`` and ``to_intpoly()``."""
+
+    decimals: tuple[Decimal, ...]
+    kmax: int
+
+    def __post_init__(self):
+        if self.kmax < 0:
+            raise UsageError("kmax must be nonnegative")
+        if len(self.decimals) != self.kmax + 1:
+            raise UsageError(
+                f"expected {self.kmax + 1} coefficients, got {len(self.decimals)}"
+            )
+        ds = self.decimals
+        if not (
+            set(map(type, ds)) <= {Decimal}
+            and all(map(_ONE.same_quantum, ds))
+            and not any(map(Decimal.is_signed, ds))
+        ):
+            raise UsageError("coefficients must be nonnegative Decimals with exponent 0")
+
+    @classmethod
+    def monomial(cls, coeff: int, degree: int, kmax: int) -> "DecimalPoly":
+        cs = [_ZERO] * (kmax + 1)
+        if degree <= kmax:
+            cs[degree] = Decimal(coeff)
+        return cls(tuple(cs), kmax)
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k <= self.kmax:
+            return 0
+        return _kernels._digits_to_int(str(self.decimals[k]), {})
+
+    def log2(self, k: int) -> float:
+        """log2 of coefficient k, bit for bit ``log2_int`` of the int (-inf for zero)."""
+        return log2_int(self[k])
+
+    def __add__(self, other: "DecimalPoly") -> "DecimalPoly":
+        self._check_compatible(other)
+        add = _kernels._EXACT.add
+        return DecimalPoly(tuple(map(add, self.decimals, other.decimals)), self.kmax)
+
+    def scale(self, c: int) -> "DecimalPoly":
+        if c < 0:
+            raise UsageError("scale factor must be nonnegative")
+        factor, mul = Decimal(c), _kernels._EXACT.multiply
+        return DecimalPoly(tuple(mul(factor, a) for a in self.decimals), self.kmax)
+
+    def shift(self, d: int) -> "DecimalPoly":
+        """Multiply by t**d, truncating."""
+        size = self.kmax + 1
+        return DecimalPoly((_ZERO,) * min(d, size) + self.decimals[: max(size - d, 0)], self.kmax)
+
+    def to_intpoly(self) -> IntPoly:
+        """The same polynomial with int coefficients, converted subquadratically."""
+        pow10: dict[int, int] = {}
+        ints = (_kernels._digits_to_int(str(c), pow10) for c in self.decimals)
+        return IntPoly(tuple(ints), self.kmax)
+
+    def _check_compatible(self, other: "DecimalPoly"):
+        if not isinstance(other, DecimalPoly):
+            raise UsageError(f"a DecimalPoly does not combine with {type(other).__name__}")
+        if self.kmax != other.kmax:
+            raise UsageError(f"kmax mismatch: {self.kmax} vs {other.kmax}")
+
+
 def convolve_truncated(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact truncated product; coefficient k of the result is
-    sum_{j<=k} f_j * g_{k-j}, terms above kmax discarded."""
+    sum_{j<=k} f_j * g_{k-j}, terms above kmax discarded.  A DecimalPoly
+    takes only its square (``g is f``), and the square is a DecimalPoly."""
     f._check_compatible(g)
+    if isinstance(f, DecimalPoly) or isinstance(g, DecimalPoly):
+        if g is not f:
+            raise UsageError("a DecimalPoly takes no product but its square (see to_intpoly)")
+        cf = list(f.decimals)
+        return DecimalPoly(tuple(_kernels.convolve_exact(cf, cf, f.kmax + 1)), f.kmax)
     cf = list(f.coeffs)
     out = _kernels.convolve_exact(cf, cf if g is f else list(g.coeffs), f.kmax + 1)
     return IntPoly(tuple(out), f.kmax)

@@ -12,8 +12,10 @@ Three engines share one stepping interface:
 * ``PAPER_LOG`` — float64 log2-domain companion of PAPER_EXACT for large
   instances.
 
-All polynomials are truncated at an explicit ``kmax``; coefficients of the
-exact engines are exact big integers.
+All polynomials are truncated at an explicit ``kmax``.  The exact engines
+hold their coefficients as integral Decimals (``DecimalPoly``) from step to
+step; every read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
+``verify_growth_bounds``) gives ints.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import islice, pairwise
 from typing import Iterator, Union
 
 from .errors import UsageError, VerificationError
 from .polys import (
+    DecimalPoly,
     IntPoly,
     LogPoly,
     convolve_truncated,
@@ -37,8 +41,9 @@ from .schedule import DensityParam, StepKind, is_product_step
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP, and a log scan reads k up to
 # its precision limit LOG_KMAX_CAP.  A run's state may hold STATE_BITS_CAP bits:
 # K+1 slots of its widest coefficient, 64 bits each in the log engine.  At a = 1/2
-# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit; with its squares
-# in decimal it takes 25.5 s at a peak RSS of 173 MiB (404 s with CPython-int squares).
+# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit; with its state
+# in Decimal it takes 10.7-11.7 s at a peak RSS of 181-208 MiB (20-27 s at 173 MiB
+# converting the state to and from ints every step, 404 s with CPython-int squares).
 # n=21/K=1448 would hold 257.5 Mbit; a log scan to n=26/K=8192 takes 0.6 s.
 EXACT_KMAX_CAP = 1024
 LOG_KMAX_CAP = 8192
@@ -67,7 +72,7 @@ class Engine(enum.Enum):
         return self is Engine.PAPER_LOG
 
 
-Poly = Union[IntPoly, LogPoly]
+Poly = Union[DecimalPoly, LogPoly]
 
 
 @dataclass
@@ -90,8 +95,10 @@ def initial_state(kmax: int, engine: Engine) -> RecursionState:
     """The segment: 2 vertices plus the improper face, i.e. 2 + t."""
     if kmax < 1:
         raise UsageError(f"kmax must be >= 1, got {kmax}")
-    seg = IntPoly.from_coeffs([2, 1], kmax)
-    poly: Poly = seg.to_log() if engine.is_log else seg
+    if engine.is_log:
+        poly: Poly = IntPoly.from_coeffs([2, 1], kmax).to_log()
+    else:
+        poly = DecimalPoly.monomial(2, 0, kmax) + DecimalPoly.monomial(1, 1, kmax)
     return RecursionState(poly=poly, n=0, engine=engine)
 
 
@@ -113,7 +120,7 @@ def step(state: RecursionState, kind: StepKind) -> RecursionState:
     return RecursionState(poly=new, n=state.n + 1, engine=state.engine)
 
 
-def _geometric_hull(f: IntPoly, n: int) -> IntPoly:
+def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
     """Free-sum Hull step at dimension d = 2**n.
 
     While d fits under the truncation bound the polynomial carries the
@@ -125,16 +132,14 @@ def _geometric_hull(f: IntPoly, n: int) -> IntPoly:
     d = 2**n
     if d > kmax:
         return convolve_truncated(f, f).shift(1) + f.scale(2)
-    g_coeffs = list(f.coeffs)
-    if g_coeffs[d] != 1:
+    if f.decimals[d] != 1:
         raise VerificationError(
-            f"geometric state corrupt: improper coefficient at degree {d} is {g_coeffs[d]}"
+            f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
         )
-    g_coeffs[d] = 0
-    g = IntPoly(tuple(g_coeffs), kmax)
+    g = DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], kmax)
     out = convolve_truncated(g, g).shift(1) + g.scale(2)
     if 2 * d <= kmax:
-        out = out + IntPoly.monomial(1, 2 * d, kmax)
+        out = out + DecimalPoly.monomial(1, 2 * d, kmax)
     return out
 
 
@@ -220,7 +225,7 @@ def run(a: DensityParam, n: int, kmax: int, engine: Engine) -> RecursionState:
 def face_numbers(a: DensityParam, n: int, kmax: int, engine: Engine):
     """Coefficient vector (a_{n,k})_{k<=kmax} of the requested engine.
 
-    Exact engines return a list of big integers; the log engine returns a
+    Exact engines return a list of ints; the log engine returns a
     list of log2 floats (-inf encodes a zero coefficient).  The printed
     recursion's boundary conventions match this iteration only for
     k <= 2**h1 (h1 = index of the first Hull step); above that the vector
@@ -230,14 +235,14 @@ def face_numbers(a: DensityParam, n: int, kmax: int, engine: Engine):
     state = run(a, n, kmax, engine)
     if engine.is_log:
         return [float(x) for x in state.poly.log2_coeffs]
-    return list(state.poly.coeffs)
+    return list(state.poly.to_intpoly().coeffs)
 
 
 def proper_f_vector(a: DensityParam, n: int) -> list[int]:
     """Proper-face f-vector (f_0 .. f_{d-1}) from the untruncated geometric engine."""
     d = 2**n
     state = run(a, n, max(1, d), Engine.GEOMETRIC_EXACT)
-    return list(state.poly.coeffs[:d])
+    return list(state.poly.to_intpoly().coeffs[:d])
 
 
 def log2_face_number(a: DensityParam, n: int, k: int, engine: Engine) -> float:
@@ -277,14 +282,16 @@ def verify_growth_bounds(a: DensityParam, n: int, r: int, kmax: int) -> GrowthRe
     """
     if n < 0 or r < 0:
         raise UsageError(f"n and r must be >= 0, got n={n}, r={r}")
-    states = list(islice(trajectory(a, n + r, kmax, Engine.PAPER_EXACT), n, None))
-    base = states[0].poly
-    final = states[-1].poly
+    states = [
+        s.poly.to_intpoly() for s in islice(trajectory(a, n + r, kmax, Engine.PAPER_EXACT), n, None)
+    ]
+    base = states[0]
+    final = states[-1]
     checks = []
     running_max = 0
     for k in range(kmax + 1):
         running_max = max(running_max, base[k])
-        monotone = all(s.poly[k] <= t.poly[k] for s, t in pairwise(states))
+        monotone = all(s[k] <= t[k] for s, t in pairwise(states))
         bound = (k ** (2**r)) * (running_max ** (2**r))
         upper_ok = final[k] <= bound
         if final[k] == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import _kernels
@@ -85,7 +86,7 @@ def _criterion_1():
             check(_euler_holds(res.lattice_f, d), f"Euler relation violated (a={a}, n={n})")
     # past the lattice's reach, the geometric engine alone
     for a in (HALF, THIRD, TWO_THIRDS):
-        total = eval_at_one(run(a, 5, 2**5, Engine.GEOMETRIC_EXACT).poly)
+        total = eval_at_one(run(a, 5, 2**5, Engine.GEOMETRIC_EXACT).poly.to_intpoly())
         check(total == 3**32, f"engine face total != 3^32 (a={a}, n=5)")
         check(_euler_holds(proper_f_vector(a, 4), 16), f"Euler relation violated (a={a}, n=4)")
     _check_runtime(start, 60.0, "criterion 1")
@@ -248,12 +249,13 @@ def _check_poly_engine():
         fast = convolve_truncated(f, g)
         slow = _kernels.convolve_schoolbook(list(f.coeffs), list(g.coeffs), kmax + 1)
         check(list(fast.coeffs) == slow, "fast convolution disagrees with schoolbook")
-    # One square past the decimal crossover: 64 coefficients of 4096 bits.
-    f = IntPoly.from_coeffs([rng.getrandbits(4096) for _ in range(64)], 63)
-    slow = _kernels.convolve_schoolbook(list(f.coeffs), list(f.coeffs), 64)
-    decimal_square = _kernels._square_decimal(list(f.coeffs), 64)
-    check(decimal_square == slow, "decimal square disagrees with schoolbook")
-    check(list(convolve_truncated(f, f).coeffs) == slow, "square disagrees with schoolbook")
+    # One engine-state square: 64 coefficients of 4096 bits, held as Decimals.
+    ints = [rng.getrandbits(4096) for _ in range(64)]
+    slow = _kernels.convolve_schoolbook(ints, ints, 64)
+    state = [Decimal(c) for c in ints]
+    square = _kernels.convolve_exact(state, state, 64)
+    check(all(isinstance(c, Decimal) for c in square), "decimal square left Decimal")
+    check([int(c) for c in square] == slow, "decimal square disagrees with schoolbook")
     return "10 random 40-bit products, K < 48, and a 64 x 4096-bit square through decimal"
 
 
@@ -274,8 +276,8 @@ def _check_phi_apply():
     for a in (HALF, THIRD, TWO_THIRDS):
         for Q in (1, 2, 3):
             phi = compose_window(window_profile(a, Q, 0).word)
-            before = run(a, 0, 32, Engine.PAPER_EXACT).poly
-            after = run(a, Q, 32, Engine.PAPER_EXACT).poly
+            before = run(a, 0, 32, Engine.PAPER_EXACT).poly.to_intpoly()
+            after = run(a, Q, 32, Engine.PAPER_EXACT).poly.to_intpoly()
             check(apply_phi(phi, before) == after, f"phi application off (a={a}, Q={Q})")
     return "Q <= 3, 3 densities, kmax=32"
 

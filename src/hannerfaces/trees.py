@@ -69,6 +69,11 @@ def count_trees(m: int, supports) -> int:
     return _count(_normalize_supports(m, supports))
 
 
+def _check_budget(budget: int):
+    if budget < 1:
+        raise UsageError(f"budget must be >= 1, got {budget}")
+
+
 def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[Tree]:
     """Duplicate-free stream of all uniform-height-m trees with internal
     degrees drawn from ``supports`` (one set, or one per height, root first).
@@ -78,6 +83,7 @@ def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[
     the root level is streamed; each degree k takes the k-fold product of
     the level below, in lexicographic order.
     """
+    _check_budget(budget)
     if m < 0:
         raise UsageError("height must be >= 0")
     per_level = _normalize_supports(m, supports)
@@ -159,9 +165,10 @@ def tree_sum_check(
     histogram, so each distinct histogram is weighed once and its terms are
     counted once per tree in its class.
     """
+    _check_budget(budget)
     by_height = window_phis(a, Q, m)[::-1]  # the root takes the last window
     trees = enumerate_trees(m, [phi.support for phi in by_height], budget)
-    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
+    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
     classes: dict[tuple, tuple[Histogram, IntPoly]] = {}
     multiplicity: Counter[tuple] = Counter()
     tree_classes = []

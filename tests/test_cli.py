@@ -194,6 +194,18 @@ class TestTrees:
         assert code == 3
         assert "more than budget 3" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_refused_before_any_tree_or_step(self, run, monkeypatch, budget):
+        calls = []
+        for name in ("enumerate_trees", "window_phis", "run"):
+            monkeypatch.setattr(trees, name, lambda *args, _name=name: calls.append(_name))
+        code, out, err = run(
+            "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", budget
+        )
+        assert (code, out) == (3, "")
+        assert f"budget must be >= 1, got {budget}" in err
+        assert calls == []
+
 
 _PER_TREE = ("degree_histogram", "tree_weight", "atypical_count_and_leaf_bound")
 
@@ -239,7 +251,7 @@ class TestEnginePolicy:
         assert code == 0
         assert [(s.n, s.kmax, s.engine) for s in states] == [(10, k, engine)] * 2
         poly = states[0].poly
-        want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly.coeffs[k])
+        want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly[k])
         assert report.log2_coeff == want
         assert json.loads(out)["engine_log2"] == format(want, ".17g")
 
@@ -378,6 +390,11 @@ class TestOracle:
         assert json.loads(out)["crosscheck_failures"] == [
             "lattice f-vector disagrees with geometric engine"
         ]
+
+    def test_negative_n_is_a_step_count_error(self, run):
+        code, out, err = run("oracle", "--a", "1/2", "--n", "-1")
+        assert (code, out) == (3, "")
+        assert err == "error: step count must be >= 0, got -1\n"
 
     def test_n4_skips_lattice(self, run):
         code, out, _ = run("oracle", "--a", "2/5", "--n", "4")

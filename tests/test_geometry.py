@@ -49,6 +49,10 @@ class TestBuildPolytope:
         with pytest.raises(UsageError):
             build_polytope(HALF, 5)
 
+    def test_negative_n_is_a_step_count_error(self):
+        with pytest.raises(UsageError, match="step count must be >= 0, got -1"):
+            build_polytope(HALF, -1)
+
 
 class TestFaceLattice:
     def test_square_lattice(self):

@@ -1,5 +1,6 @@
 import decimal
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hannerfaces import _kernels, selftest
+from hannerfaces import _kernels, polys, selftest
 from hannerfaces.asymptotics import floor_d_delta, scan
 from hannerfaces.errors import PrecisionError
-from hannerfaces.polys import log2_int
+from hannerfaces.polys import DecimalPoly, log2_int
 from hannerfaces.recursion import Engine, run, trajectory
 from hannerfaces.schedule import DensityParam
 
@@ -200,8 +201,12 @@ def default_int_digits():
     sys.set_int_max_str_digits(old)
 
 
-# Coefficients of mixed widths: zero slots, word-sized ones, and ones past both
-# conversion leaves (4096 bits; a square past 2000 digits) and past 4300 digits.
+def as_decimals(f):
+    return [Decimal(c) for c in f]
+
+
+# Coefficients of mixed widths: zero slots, word-sized ones, and ones past the
+# int leaf (2000 digits) and past 4300 digits.
 coefficients = st.one_of(
     st.just(0),
     st.integers(0, 2**64),
@@ -211,8 +216,8 @@ coefficients = st.one_of(
 
 
 class TestExactSquare:
-    """The decimal square, the int square and the int product all equal
-    schoolbook, under the default int_max_str_digits."""
+    """The decimal square of a Decimal state, the int square and the int
+    product all equal schoolbook, under the default int_max_str_digits."""
 
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -225,10 +230,9 @@ class TestExactSquare:
         assert _kernels.convolve_exact(f, f, out_len) == want
         assert _kernels.convolve_exact(f, list(f), out_len) == want
         if f:
-            assert _kernels._square_decimal(f, out_len) == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "_DEC_MIN_COEFFS", 10**9)  # every square on the int path
-            assert _kernels.convolve_exact(f, f, out_len) == want
+            state = as_decimals(f)
+            square = _kernels.convolve_exact(state, state, out_len)
+            assert [str(c) for c in square] == [str(Decimal(c)) for c in want]
 
     @pytest.mark.parametrize(
         "f",
@@ -236,19 +240,24 @@ class TestExactSquare:
     )
     @pytest.mark.parametrize("out_len", [0, 1, 3, 70])
     def test_edge_cases(self, f, out_len, default_int_digits):
+        # [10**50 - 1] * 40 is the all-9s case: every slot of the square is as
+        # wide as the slot width allows.
         want = _kernels.convolve_schoolbook(f, f, out_len)
-        assert _kernels._square_decimal(f, out_len) == want
+        state = as_decimals(f)
+        square = _kernels._square_decimal(state, out_len)
+        assert all(type(c) is Decimal and c.as_tuple().exponent == 0 for c in square)
+        assert square == as_decimals(want)
         assert _kernels.convolve_exact(f, f, out_len) == want
 
     def test_independent_of_the_callers_decimal_context(self):
-        f = [3**k for k in range(4000, 4040)]  # 6340 bits and up: past the 4096-bit leaf
+        f = [3**k for k in range(4000, 4040)]  # 6340 bits and up: past the 2000-digit leaf
+        state = as_decimals(f)
         with decimal.localcontext() as ctx:
             ctx.prec = 5
             ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-            square = _kernels._square_decimal(f, 40)
-            texts = _kernels.decimal_strs(f)
-        assert square == _kernels.convolve_schoolbook(f, f, 40)
-        assert texts == [str(decimal.Decimal(v)) for v in f]
+            square = _kernels.convolve_exact(state, state, 40)
+            ints = [_kernels._digits_to_int(str(c), {}) for c in square]
+        assert ints == _kernels.convolve_schoolbook(f, f, 40)
 
     def test_rounding_traps(self):
         # The square context never rounds (prec=MAX_PREC); if it would, it raises.
@@ -257,9 +266,15 @@ class TestExactSquare:
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
             ctx.multiply(decimal.Decimal(123456), decimal.Decimal(1))
 
+    def test_decimal_state_takes_only_its_square(self):
+        state = as_decimals([1, 2])
+        with pytest.raises(TypeError):
+            _kernels.convolve_exact(state, list(state), 2)
+
 
 def _conversion_points():
-    dec, dig = _kernels._DEC_LEAF_BITS, _kernels._INT_LEAF_DIGITS
+    # 4096 bits: where the int -> Decimal conversion, now gone, split.
+    dec, dig = 4096, _kernels._INT_LEAF_DIGITS
     points = {0, 1, 2, 9, 10, 11}
     for k in (1, 63, 64, dec - 1, dec, dec + 1, 2 * dec, 2 * dec + 1, 4 * dec + 7, 20000):
         points |= {2**k - 1, 2**k, 2**k + 1}
@@ -271,40 +286,47 @@ def _conversion_points():
 class TestConversions:
     @pytest.mark.parametrize("x", _conversion_points(), ids=lambda x: f"{x.bit_length()}bit")
     def test_round_trip(self, x, default_int_digits):
-        (text,) = _kernels.decimal_strs([x])
-        assert text == str(decimal.Decimal(x))  # the quadratic reference
+        text = str(Decimal(x))  # Decimal(int) is the quadratic reference
         assert _kernels._digits_to_int(text, {}) == x
         assert _kernels._digits_to_int(text.zfill(len(text) + 2500), {}) == x
+        poly = DecimalPoly((Decimal(text),), 0)
+        assert poly[0] == x and poly.to_intpoly().coeffs == (x,)
+        assert poly.log2(0) == log2_int(x)
 
     def test_one_power_cache_serves_many_values(self):
         values = [3**k for k in range(0, 30000, 997)]
-        pow2 = {}
-        texts = [str(_kernels._to_decimal(v, pow2)) for v in values]
-        assert texts == _kernels.decimal_strs(values)
-        assert all(k % _kernels._DEC_LEAF_BITS == 0 for k in pow2)
+        pow10 = {}
+        assert [_kernels._digits_to_int(str(Decimal(v)), pow10) for v in values] == values
+        assert all(k % _kernels._INT_LEAF_DIGITS == 0 for k in pow10)
 
 
-class TestExactScanSquaresTakeDecimal:
+class TestExactScanStaysDecimal:
     """The seed-0 exact_scan instances (asymptotics a=1/3 and fvector a=1/2,
-    both n=16, K=256): every square of at least _DEC_MIN_BITS packed bits goes
-    through decimal, or the fast path silently falls back to CPython ints."""
+    both n=16, K=256): every step squares its Decimal state in decimal, and
+    no coefficient is converted to or from an int between steps."""
 
     @pytest.mark.parametrize("a", [THIRD, DensityParam.rational(1, 2)])
-    def test_big_squares_take_the_decimal_path(self, a, monkeypatch):
-        real_mul, real_square = _kernels._mul_bigint, _kernels._square_decimal
-        decimal_squares = []
+    def test_no_base_conversion_between_steps(self, a, monkeypatch):
+        real_mul, real_post_init = _kernels._mul_decimal, polys.IntPoly.__post_init__
+        squares, int_polys = [], []
 
-        def int_mul(x, y):
-            if x.bit_length() + y.bit_length() >= 2 * _kernels._DEC_MIN_BITS:
-                raise AssertionError("a big square took the int path")
+        def refuse(*args):
+            raise AssertionError("an engine step left decimal")
+
+        def square(x, y):
+            squares.append(x is y)
             return real_mul(x, y)
 
-        def square(f, out_len):
-            decimal_squares.append(len(f))
-            return real_square(f, out_len)
+        def int_poly(self):
+            int_polys.append(self.kmax)
+            real_post_init(self)
 
-        monkeypatch.setattr(_kernels, "_mul_bigint", int_mul)
-        monkeypatch.setattr(_kernels, "_square_decimal", square)
+        monkeypatch.setattr(_kernels, "_mul_bigint", refuse)
+        monkeypatch.setattr(_kernels, "_digits_to_int", refuse)
+        monkeypatch.setattr(_kernels, "_mul_decimal", square)
         for state in trajectory(a, 16, 256, Engine.PAPER_EXACT):
-            pass
-        assert decimal_squares == [257] * 7
+            assert type(state.poly) is DecimalPoly
+            # patched only now: the sizing log pass starts from an IntPoly
+            monkeypatch.setattr(polys.IntPoly, "__post_init__", int_poly)
+        assert squares == [True] * 16
+        assert int_polys == []

@@ -125,8 +125,8 @@ class TestApplyPhi:
         kmax = 64
         for m in range(2):
             phi = compose_window(window_profile(a, Q, m).word)
-            before = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly
-            after = run(a, Q * (m + 1), kmax, Engine.PAPER_EXACT).poly
+            before = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
+            after = run(a, Q * (m + 1), kmax, Engine.PAPER_EXACT).poly.to_intpoly()
             assert apply_phi(phi, before) == after
 
 
@@ -148,4 +148,4 @@ class TestScaleSanity:
         for word, a in (((S, R), HALF), ((S, R, R), THIRD)):
             phi = compose_window(word)
             total = sum(eval_at_one(c) * 3**k for k, c in phi.terms.items())
-            assert total == eval_at_one(run(a, len(word), 2 ** (len(word) + 1), Engine.PAPER_EXACT).poly)
+            assert total == eval_at_one(run(a, len(word), 2 ** (len(word) + 1), Engine.PAPER_EXACT).poly.to_intpoly())

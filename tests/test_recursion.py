@@ -1,10 +1,18 @@
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hannerfaces import recursion
+from hannerfaces._kernels import convolve_schoolbook
+from hannerfaces.asymptotics import scan
 from hannerfaces.errors import UsageError
-from hannerfaces.polys import eval_at_one, log2_int
+from hannerfaces.polys import DecimalPoly, IntPoly, convolve_truncated, eval_at_one, log2_int
+from hannerfaces.trees import tree_sum_check
 from hannerfaces.recursion import (
     EXACT_KMAX_CAP,
     Engine,
@@ -62,11 +70,11 @@ def first_hull_index(a: DensityParam) -> int:
 class TestInitialState:
     def test_exact(self):
         s = initial_state(8, Engine.PAPER_EXACT)
-        assert s.poly.coeffs == (2, 1, 0, 0, 0, 0, 0, 0, 0)
+        assert s.poly.to_intpoly().coeffs == (2, 1, 0, 0, 0, 0, 0, 0, 0)
         assert s.n == 0
 
     def test_minimal_kmax(self):
-        assert initial_state(1, Engine.PAPER_EXACT).poly.coeffs == (2, 1)
+        assert initial_state(1, Engine.PAPER_EXACT).poly.to_intpoly().coeffs == (2, 1)
 
     def test_log(self):
         s = initial_state(4, Engine.PAPER_LOG)
@@ -82,13 +90,13 @@ class TestStep:
     def test_paper_hull_of_segment(self):
         s = initial_state(8, Engine.PAPER_EXACT)
         out = step(s, StepKind.HULL)
-        assert out.poly.coeffs[:4] == (4, 6, 4, 1)
+        assert out.poly.to_intpoly().coeffs[:4] == (4, 6, 4, 1)
         assert out.n == 1
 
     def test_geometric_hull_of_segment(self):
         s = initial_state(8, Engine.GEOMETRIC_EXACT)
         out = step(s, StepKind.HULL)
-        assert out.poly.coeffs[:4] == (4, 4, 1, 0)
+        assert out.poly.to_intpoly().coeffs[:4] == (4, 4, 1, 0)
 
     @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
     def test_one_square_per_step(self, monkeypatch, engine):
@@ -108,7 +116,7 @@ class TestStep:
     def test_product_of_segment_either_engine(self):
         for engine in (Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT):
             out = step(initial_state(8, engine), StepKind.PRODUCT)
-            assert out.poly.coeffs[:4] == (4, 4, 1, 0)
+            assert out.poly.to_intpoly().coeffs[:4] == (4, 4, 1, 0)
 
 
 class TestFaceNumbers:
@@ -183,10 +191,10 @@ class TestStateAdmission:
 
     @pytest.mark.parametrize(("a", "n", "kmax"), [(HALF, 12, 64), (THIRD, 13, 100), (TWO_THIRDS, 10, 32)])
     def test_prediction_is_the_exact_state(self, monkeypatch, a, n, kmax):
-        coeffs = run(a, n, kmax, Engine.PAPER_EXACT).poly.coeffs
+        coeffs = run(a, n, kmax, Engine.PAPER_EXACT).poly.to_intpoly().coeffs
         bits = (kmax + 1) * max(c.bit_length() for c in coeffs)
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits)
-        assert run(a, n, kmax, Engine.PAPER_EXACT).poly.coeffs == coeffs
+        assert run(a, n, kmax, Engine.PAPER_EXACT).poly.to_intpoly().coeffs == coeffs
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits - 1)
         with pytest.raises(UsageError, match=f"n={n}, K={kmax}"):
             run(a, n, kmax, Engine.PAPER_EXACT)
@@ -237,12 +245,12 @@ class TestEvalAtOneRecursion:
         # s_{n+1} = s_n^2 (product) or s_n^2 + 2 s_n (hull), exactly.
         kmax = 2**7  # >= deg F_6 for every schedule
         state = initial_state(kmax, Engine.PAPER_EXACT)
-        s = eval_at_one(state.poly)
+        s = eval_at_one(state.poly.to_intpoly())
         for j in range(6):
             kind = is_product_step(j, a)
             state = step(state, kind)
             expected = s * s if kind is StepKind.PRODUCT else s * s + 2 * s
-            s = eval_at_one(state.poly)
+            s = eval_at_one(state.poly.to_intpoly())
             assert s == expected
 
     @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS])
@@ -250,7 +258,7 @@ class TestEvalAtOneRecursion:
         # Untruncated geometric engine keeps F_n(1) = 3^(2^n).
         for n in range(7):
             state = run(a, n, max(1, 2**n), Engine.GEOMETRIC_EXACT)
-            assert eval_at_one(state.poly) == 3 ** (2**n)
+            assert eval_at_one(state.poly.to_intpoly()) == 3 ** (2**n)
 
     @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS])
     def test_geometric_euler_relation(self, a):
@@ -354,3 +362,89 @@ class TestLog2FaceNumber:
     def test_negative_k_rejected(self, engine):
         with pytest.raises(UsageError):
             log2_face_number(HALF, 2, -1, engine)
+
+
+def int_recursion(a: DensityParam, n: int, kmax: int, engine: Engine) -> list[int]:
+    """Independent oracle: both exact engines over Python int lists, every
+    square by schoolbook.  Paper Hull: t*F^2 + 2F.  Free-sum Hull while the
+    dimension d fits under kmax: with G = F - t^d, t*G^2 + 2G + t^(2d)."""
+    size = kmax + 1
+    f = [2, 1] + [0] * (size - 2)
+    for j in range(n):
+        d = 2**j
+        g = list(f)
+        hull = is_product_step(j, a) is StepKind.HULL
+        if engine is Engine.GEOMETRIC_EXACT and hull and d <= kmax:
+            g[d] -= 1
+        sq = convolve_schoolbook(g, g, size)
+        if not hull:
+            f = sq
+        else:
+            f = [2 * x + (sq[k - 1] if k else 0) for k, x in enumerate(g)]
+            if engine is Engine.GEOMETRIC_EXACT and 2 * d <= kmax:
+                f[2 * d] += 1
+    return f
+
+
+EXACT_ENGINES = [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT]
+DENSITIES = [DensityParam.rational(p, q) for q in range(2, 7) for p in range(1, q)]
+
+
+class TestDecimalState:
+    """The exact engines hold integral Decimals between steps; every read gives ints."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(DENSITIES),
+        st.integers(0, 9),
+        st.integers(1, 40),
+        st.sampled_from(EXACT_ENGINES),
+    )
+    def test_engines_match_an_int_recursion(self, a, n, kmax, engine):
+        want = int_recursion(a, n, kmax, engine)
+        state = run(a, n, kmax, engine)
+        assert type(state.poly) is DecimalPoly
+        assert state.poly.to_intpoly().coeffs == tuple(want)
+        assert face_numbers(a, n, kmax, engine) == want
+        assert all(state.poly[k] == want[k] for k in range(kmax + 1))
+        assert all(state.poly.log2(k) == log2_int(want[k]) for k in range(kmax + 1))
+
+    def test_caller_context_changes_nothing(self):
+        cases = [(HALF, 16, 256), (THIRD, 12, 40)]
+        want = [face_numbers(a, n, k, e) for a, n, k in cases for e in EXACT_ENGINES]
+        rows = scan(THIRD, Fraction(1, 2), range(15), Engine.PAPER_EXACT)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.clear_traps()
+            got = [face_numbers(a, n, k, e) for a, n, k in cases for e in EXACT_ENGINES]
+            got_rows = scan(THIRD, Fraction(1, 2), range(15), Engine.PAPER_EXACT)
+        assert got == want
+        assert got_rows == rows
+        assert max(want[0]).bit_length() > 1000  # far past 5 digits
+
+    def test_public_reads_are_ints(self):
+        poly = run(HALF, 12, 64, Engine.PAPER_EXACT).poly
+        values = [poly[k] for k in range(66)] + list(poly.to_intpoly().coeffs)
+        values += face_numbers(HALF, 12, 64, Engine.GEOMETRIC_EXACT) + proper_f_vector(HALF, 3)
+        report = verify_growth_bounds(HALF, 3, 2, 16)
+        values += [c.value_base for c in report.checks] + [c.value_stepped for c in report.checks]
+        values += list(tree_sum_check(HALF, 2, 2, 8).engine_poly.coeffs)
+        assert all(type(v) is int for v in values)
+        assert type(poly.log2(64)) is float
+
+    @pytest.mark.parametrize(
+        "bad", [Decimal(-1), Decimal("-0"), Decimal("2.5"), Decimal("1.0"), Decimal("1E+3"),
+                Decimal("NaN"), Decimal("Infinity"), 3]
+    )
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(UsageError, match="nonnegative Decimals with exponent 0"):
+            DecimalPoly((Decimal(1), bad), 1)
+
+    def test_no_product_but_a_square(self):
+        f = DecimalPoly.monomial(3, 1, 4)
+        with pytest.raises(UsageError):
+            convolve_truncated(f, DecimalPoly.monomial(3, 1, 4))
+        with pytest.raises(UsageError):
+            convolve_truncated(IntPoly.one(4), f)
+        with pytest.raises(UsageError):
+            f + IntPoly.one(4)

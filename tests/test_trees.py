@@ -100,6 +100,16 @@ class TestEnumeration:
     def test_budget_equal_to_count_is_allowed(self):
         assert len(list(enumerate_trees(2, {2, 4}, budget=20))) == 20
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_budget_rejected(self, budget):
+        for call in (
+            lambda: enumerate_trees(0, {2}, budget=budget),
+            lambda: tree_sum_check(HALF, 2, 0, 4, budget=budget),
+        ):
+            with pytest.raises(UsageError, match=f"budget must be >= 1, got {budget}") as ei:
+                call()
+            assert not isinstance(ei.value, BudgetExceededError)
+
     def test_tree_sum_check_refuses_before_the_recursion_runs(self, monkeypatch):
         # windows of a=1/2, Q=3 have supports {4,6,8}, {2..8}, {4,6,8}
         monkeypatch.setattr(trees, "run", lambda *args: pytest.fail("recursion ran"))
