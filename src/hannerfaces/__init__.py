@@ -33,7 +33,6 @@ from .polys import (
     LogPoly,
     convolve_truncated,
     eval_at_one,
-    log_convolve_truncated,
     power_truncated,
 )
 from .recursion import (
@@ -105,7 +104,6 @@ __all__ = [
     "flm_report",
     "initial_state",
     "is_product_step",
-    "log_convolve_truncated",
     "lower_bound_certificate",
     "lower_bound_value",
     "power_truncated",

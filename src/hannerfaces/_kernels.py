@@ -201,6 +201,9 @@ def _digits_to_int(digits: str, pow10: dict[int, int]) -> int:
     """A decimal digit string as an int in subquadratic time, without
     int_max_str_digits: split on digits and recombine with the powers of ten
     cached in ``pow10`` (one dict per conversion of a whole state).
+    ``int(Decimal)`` would be one call, but it is quadratic: 48 s against
+    1.1 s here at 10**6 digits, 440 s against 7.5 s at 3 * 10**6 (2-CPU VM,
+    CPython 3.11).
 
     For ``size`` digits over the leaf, the split is the largest leaf * 2**j
     below ``size``: both parts stay at most that long, and every split, and so

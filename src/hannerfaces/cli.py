@@ -208,11 +208,18 @@ def _cmd_lower_bound(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _cmd_asymptotics(args) -> int:
+def _scan(args):
+    """Density, delta and the scan rows at n = 0..--nmax of asymptotics and flm-report."""
     a = _parse_density(args)
     delta = _parse_fraction(args.delta, "--delta")
     engine = Engine.parse(args.engine)
-    rows = scan(a, delta, range(args.nmax + 1), engine)
+    if args.nmax < 0:
+        raise UsageError(f"step count must be >= 0, got {args.nmax}")
+    return a, delta, scan(a, delta, range(args.nmax + 1), engine)
+
+
+def _cmd_asymptotics(args) -> int:
+    _, _, rows = _scan(args)
     out = [
         [
             str(r.n),
@@ -268,10 +275,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_flm_report(args) -> int:
-    a = _parse_density(args)
-    delta = _parse_fraction(args.delta, "--delta")
-    engine = Engine.parse(args.engine)
-    rows = scan(a, delta, range(args.nmax + 1), engine)
+    if not (math.isfinite(args.fit_tol) and args.fit_tol >= 0):
+        raise UsageError(f"--fit-tol must be a finite number >= 0, got {args.fit_tol}")
+    a, delta, rows = _scan(args)
     report = flm_report(a, delta, rows, fit_tol=args.fit_tol)
     _emit_object(args, report)
     return EXIT_OK if report["fit_ok"] else EXIT_VERIFICATION

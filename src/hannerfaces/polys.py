@@ -1,10 +1,14 @@
-"""Truncated polynomial arithmetic over exact nonnegative big integers,
-the exact engines' state in integral Decimals, and a log-domain (base-2)
-floating companion for large instances.
+"""Truncated polynomials with nonnegative coefficients, in three types that
+share one arithmetic: ``IntPoly`` (exact ints), ``DecimalPoly`` (the exact
+engines' state, in integral Decimals) and ``LogPoly`` (float64 log2 entries,
+the log engine's state).  Each has ``monomial``, ``shift``, ``scale`` and
+``+``, and ``convolve_truncated`` is the one truncated product for all three,
+so a recursion step is one formula whatever its state type.
 
 Polynomials are value-semantic: operations return new objects and never
 mutate their inputs.  Explicit zeros are retained, so a polynomial always
-stores exactly ``kmax + 1`` coefficients.
+stores exactly ``kmax + 1`` coefficients.  Two polynomials combine only if
+they have the same type and the same ``kmax``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class IntPoly:
         return log2_int(self[k])
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        self._check_compatible(other)
+        _check_compatible(self, other)
         return IntPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.kmax)
 
     def scale(self, c: int) -> "IntPoly":
@@ -101,16 +105,6 @@ class IntPoly:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def _check_compatible(self, other: "IntPoly"):
-        if self.kmax != other.kmax:
-            raise UsageError(f"kmax mismatch: {self.kmax} vs {other.kmax}")
-
-    def to_log(self) -> "LogPoly":
-        arr = np.array(
-            [math.log2(c) if c else NEG_INF for c in self.coeffs], dtype=np.float64
-        )
-        return LogPoly(arr, self.kmax)
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ class DecimalPoly:
         return log2_int(self[k])
 
     def __add__(self, other: "DecimalPoly") -> "DecimalPoly":
-        self._check_compatible(other)
+        _check_compatible(self, other)
         add = _kernels._EXACT.add
         return DecimalPoly(tuple(map(add, self.decimals, other.decimals)), self.kmax)
 
@@ -177,19 +171,23 @@ class DecimalPoly:
         ints = (_kernels._digits_to_int(str(c), pow10) for c in self.decimals)
         return IntPoly(tuple(ints), self.kmax)
 
-    def _check_compatible(self, other: "DecimalPoly"):
-        if not isinstance(other, DecimalPoly):
-            raise UsageError(f"a DecimalPoly does not combine with {type(other).__name__}")
-        if self.kmax != other.kmax:
-            raise UsageError(f"kmax mismatch: {self.kmax} vs {other.kmax}")
+
+def _check_compatible(f, g):
+    if type(g) is not type(f):
+        raise UsageError(f"{type(f).__name__} does not combine with {type(g).__name__}")
+    if f.kmax != g.kmax:
+        raise UsageError(f"kmax mismatch: {f.kmax} vs {g.kmax}")
 
 
-def convolve_truncated(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact truncated product; coefficient k of the result is
-    sum_{j<=k} f_j * g_{k-j}, terms above kmax discarded.  A DecimalPoly
-    takes only its square (``g is f``), and the square is a DecimalPoly."""
-    f._check_compatible(g)
-    if isinstance(f, DecimalPoly) or isinstance(g, DecimalPoly):
+def convolve_truncated(f, g):
+    """Truncated product of two polynomials of one type; coefficient k of the
+    result is sum_{j<=k} f_j * g_{k-j}, terms above kmax discarded.  IntPolys
+    multiply exactly.  A DecimalPoly takes only its square (``g is f``), exact
+    in decimal.  LogPolys go through the log kernel, which bands a square."""
+    _check_compatible(f, g)
+    if isinstance(f, LogPoly):
+        return LogPoly(_kernels.log_convolve(f.log2_coeffs, g.log2_coeffs), f.kmax)
+    if isinstance(f, DecimalPoly):
         if g is not f:
             raise UsageError("a DecimalPoly takes no product but its square (see to_intpoly)")
         cf = list(f.decimals)
@@ -224,7 +222,10 @@ def power_truncated(f: IntPoly, e: int) -> IntPoly:
 
 
 class LogPoly:
-    """log2-domain companion of IntPoly: float64 entries, -inf encodes zero."""
+    """The log engine's state: the float64 log2 of each coefficient, -inf
+    for a zero one.  Its ``monomial``, ``shift``, ``scale`` and ``+`` are
+    those of IntPoly and DecimalPoly taken through log2, so every engine
+    steps through the same formula."""
 
     __slots__ = ("log2_coeffs", "kmax")
 
@@ -238,37 +239,35 @@ class LogPoly:
         self.kmax = kmax
 
     @classmethod
-    def zero(cls, kmax: int) -> "LogPoly":
-        return cls(np.full(kmax + 1, NEG_INF), kmax)
+    def monomial(cls, coeff: int, degree: int, kmax: int) -> "LogPoly":
+        if coeff < 0:
+            raise UsageError("coefficients must be nonnegative")
+        out = np.full(kmax + 1, NEG_INF)
+        if degree <= kmax:
+            out[degree] = log2_int(coeff)
+        return cls(out, kmax)
 
     def __getitem__(self, k: int) -> float:
         return float(self.log2_coeffs[k]) if 0 <= k <= self.kmax else NEG_INF
 
     log2 = __getitem__  # entries are stored as log2 already
 
-    def _check_compatible(self, other: "LogPoly"):
-        if self.kmax != other.kmax:
-            raise UsageError(f"kmax mismatch: {self.kmax} vs {other.kmax}")
+    def __add__(self, other: "LogPoly") -> "LogPoly":
+        _check_compatible(self, other)
+        return LogPoly(np.logaddexp2(self.log2_coeffs, other.log2_coeffs), self.kmax)
+
+    def scale(self, c: int) -> "LogPoly":
+        """Multiply by c: add log2 c (exactly 1.0 for c = 2)."""
+        if c < 0:
+            raise UsageError("scale factor must be nonnegative")
+        return LogPoly(self.log2_coeffs + log2_int(c), self.kmax)
 
     def shift(self, d: int) -> "LogPoly":
+        """Multiply by t**d, truncating."""
         out = np.full(self.kmax + 1, NEG_INF)
         if d <= self.kmax:
             out[d:] = self.log2_coeffs[: self.kmax + 1 - d]
         return LogPoly(out, self.kmax)
-
-    def addexp(self, other: "LogPoly", other_scale_log2: float = 0.0) -> "LogPoly":
-        """Elementwise log2(2**self + 2**(other + scale))."""
-        self._check_compatible(other)
-        return LogPoly(
-            np.logaddexp2(self.log2_coeffs, other.log2_coeffs + other_scale_log2),
-            self.kmax,
-        )
-
-
-def log_convolve_truncated(f: LogPoly, g: LogPoly) -> LogPoly:
-    """Log-domain truncated convolution (see _kernels for path selection)."""
-    f._check_compatible(g)
-    return LogPoly(_kernels.log_convolve(f.log2_coeffs, g.log2_coeffs), f.kmax)
 
 
 def log2_int(n: int) -> float:

@@ -14,8 +14,12 @@ Three engines share one stepping interface:
 
 All polynomials are truncated at an explicit ``kmax``.  The exact engines
 hold their coefficients as integral Decimals (``DecimalPoly``) from step to
-step; every read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
-``verify_growth_bounds``) gives ints.
+step, the log engine as float64 log2 values (``LogPoly``).  Both types share
+one arithmetic, so ``step`` is one formula for the printed recursion on
+either, and only the free-sum Hull step has a branch of its own.  Every
+exact read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
+``verify_growth_bounds``) gives ints.  ``trajectory`` is the one driver:
+runs, scans and the log pass that sizes an exact run all step through it.
 """
 
 from __future__ import annotations
@@ -28,14 +32,7 @@ from itertools import islice, pairwise
 from typing import Iterator, Union
 
 from .errors import UsageError, VerificationError
-from .polys import (
-    DecimalPoly,
-    IntPoly,
-    LogPoly,
-    convolve_truncated,
-    log2_int,
-    log_convolve_truncated,
-)
+from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP, and a log scan reads k up to
@@ -95,28 +92,20 @@ def initial_state(kmax: int, engine: Engine) -> RecursionState:
     """The segment: 2 vertices plus the improper face, i.e. 2 + t."""
     if kmax < 1:
         raise UsageError(f"kmax must be >= 1, got {kmax}")
-    if engine.is_log:
-        poly: Poly = IntPoly.from_coeffs([2, 1], kmax).to_log()
-    else:
-        poly = DecimalPoly.monomial(2, 0, kmax) + DecimalPoly.monomial(1, 1, kmax)
+    cls = LogPoly if engine.is_log else DecimalPoly
+    poly: Poly = cls.monomial(2, 0, kmax) + cls.monomial(1, 1, kmax)
     return RecursionState(poly=poly, n=0, engine=engine)
 
 
 def step(state: RecursionState, kind: StepKind) -> RecursionState:
-    """Apply one Product or Hull step and return the successor state."""
+    """Apply one Product (F -> F**2) or Hull (F -> t*F**2 + 2*F) step and
+    return the successor state; the free-sum Hull step is ``_geometric_hull``."""
     f = state.poly
-    if state.engine is Engine.PAPER_LOG:
-        sq = log_convolve_truncated(f, f)
-        if kind is StepKind.PRODUCT:
-            new = sq
-        else:
-            new = sq.shift(1).addexp(f, 1.0)  # t*F^2 + 2F
-    elif kind is StepKind.PRODUCT:
-        new = convolve_truncated(f, f)
-    elif state.engine is Engine.PAPER_EXACT:
-        new = convolve_truncated(f, f).shift(1) + f.scale(2)
+    if kind is StepKind.HULL and state.engine is Engine.GEOMETRIC_EXACT:
+        new = _geometric_hull(f, state.n)
     else:
-        new = _geometric_hull(f, state.n)  # does its one square itself
+        sq = convolve_truncated(f, f)
+        new = sq if kind is StepKind.PRODUCT else sq.shift(1) + f.scale(2)
     return RecursionState(poly=new, n=state.n + 1, engine=state.engine)
 
 
@@ -128,16 +117,14 @@ def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
     update is 2*(F - t^d) + t*(F - t^d)^2 + t^(2d).  Once d exceeds kmax
     all corrections lie above the bound and the printed formula applies.
     """
-    kmax = f.kmax
-    d = 2**n
-    if d > kmax:
-        return convolve_truncated(f, f).shift(1) + f.scale(2)
-    if f.decimals[d] != 1:
-        raise VerificationError(
-            f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
-        )
-    g = DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], kmax)
-    out = convolve_truncated(g, g).shift(1) + g.scale(2)
+    kmax, d = f.kmax, 2**n
+    if d <= kmax:
+        if f.decimals[d] != 1:
+            raise VerificationError(
+                f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
+            )
+        f = DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], kmax)
+    out = convolve_truncated(f, f).shift(1) + f.scale(2)
     if 2 * d <= kmax:
         out = out + DecimalPoly.monomial(1, 2 * d, kmax)
     return out
@@ -146,15 +133,16 @@ def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
 @functools.lru_cache(maxsize=1)
 def _widest_log2(a: DensityParam, n_max: int, kmax: int, cap_bits: int) -> tuple[float, ...]:
     """log2 of the widest coefficient of the printed recursion's states after
-    0, 1, ... steps, from one log pass at (a, n_max, kmax).  The pass stops
-    after the first state of more than ``cap_bits`` over K+1 slots.  The last
-    pass is kept, so a caller's own check and the driver's admission share it."""
-    state, out = initial_state(kmax, Engine.PAPER_LOG), []
-    while True:
+    0, 1, ... steps, from one log trajectory at (a, n_max, kmax).  The pass
+    stops after the first state of more than ``cap_bits`` over K+1 slots.  The
+    last pass is kept, so a caller's own check and the driver's admission
+    share it."""
+    out = []
+    for state in trajectory(a, n_max, kmax, Engine.PAPER_LOG):
         out.append(float(state.poly.log2_coeffs.max()))
-        if state.n == n_max or (kmax + 1) * (int(out[-1]) + 1) > cap_bits:
-            return tuple(out)
-        state = step(state, is_product_step(state.n, a))
+        if (kmax + 1) * (int(out[-1]) + 1) > cap_bits:
+            break
+    return tuple(out)
 
 
 def widest_log2_by_step(a: DensityParam, n: int, kmax: int) -> tuple[float, ...]:

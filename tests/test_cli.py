@@ -280,7 +280,6 @@ class TestRefusedUpFront:
             return real_step(state, kind)
 
         monkeypatch.setattr(recursion, "step", spy)
-        recursion._widest_log2.cache_clear()  # so the log pass runs here
         start = time.monotonic()
         code, out, err = run(*argv)
         assert time.monotonic() - start < 2.0
@@ -308,7 +307,6 @@ class TestRefusedUpFront:
             return real_step(state, kind)
 
         monkeypatch.setattr(recursion, "step", spy)
-        recursion._widest_log2.cache_clear()
         code, _, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "64", "--engine", "paper")
         assert code == 0
         assert log_steps == list(range(12))  # the digit check and the admission share it
@@ -316,7 +314,6 @@ class TestRefusedUpFront:
     def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
         steps = []
         monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
-        recursion._widest_log2.cache_clear()
         code, out, err = run("fvector", "--a", "1/2", "--n", "-1", "--kmax", "4")
         assert (code, out) == (3, "")
         assert "step count must be >= 0" in err
@@ -371,6 +368,15 @@ class TestAsymptotics:
     def test_bad_delta(self, run):
         code, _, err = run("asymptotics", "--a", "1/2", "--delta", "3/2", "--nmax", "4")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["asymptotics", "flm-report"])
+    def test_negative_nmax_is_a_step_count_error(self, run, monkeypatch, command):
+        scans = []
+        monkeypatch.setattr(cli, "scan", lambda *args: scans.append(args))
+        code, out, err = run(command, "--a", "1/2", "--delta", "1/2", "--nmax", "-1")
+        assert (code, out) == (3, "")
+        assert "step count must be >= 0, got -1" in err
+        assert scans == []
 
 
 class TestOracle:
@@ -439,6 +445,16 @@ class TestFlmReport:
             "0.0001",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_fit_tol_must_be_a_tolerance(self, run, monkeypatch, tol):
+        scans = []
+        monkeypatch.setattr(cli, "scan", lambda *args: scans.append(args))
+        argv = ("flm-report", "--a", "1/2", "--delta", "1/2", "--nmax", "12", "--fit-tol", tol)
+        code, out, err = run(*argv)
+        assert (code, out) == (3, "")
+        assert "--fit-tol must be a finite number >= 0" in err
+        assert scans == []
 
 
 class TestPlumbing:

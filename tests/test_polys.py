@@ -1,25 +1,33 @@
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hannerfaces import _kernels
 from hannerfaces.errors import PrecisionError, UsageError
 from hannerfaces.polys import (
+    DecimalPoly,
     IntPoly,
     LogPoly,
     convolve_truncated,
     eval_at_one,
     int_nth_root,
     log2_int,
-    log_convolve_truncated,
     power_truncated,
 )
 
 
 def P(coeffs, kmax):
     return IntPoly.from_coeffs(coeffs, kmax)
+
+
+def L(coeffs, kmax):
+    """The LogPoly of an IntPoly's coefficients, built with the constructor."""
+    return LogPoly(np.array([log2_int(c) for c in P(coeffs, kmax).coeffs]), kmax)
 
 
 class TestConvolveTruncated:
@@ -114,8 +122,8 @@ class TestPowerTruncated:
 
 class TestLogConvolve:
     def test_segment_squared_close_to_exact(self):
-        f = P([2, 1], 4).to_log()
-        out = log_convolve_truncated(f, f)
+        f = L([2, 1], 4)
+        out = convolve_truncated(f, f)
         expect = [math.log2(4), math.log2(4), 0.0, -math.inf, -math.inf]
         for got, want in zip(out.log2_coeffs, expect):
             if want == -math.inf:
@@ -124,14 +132,14 @@ class TestLogConvolve:
                 assert abs(got - want) <= 1e-12
 
     def test_unit_identity(self):
-        f = P([5, 0, 7, 1], 3).to_log()
-        unit = P([1], 3).to_log()
-        out = log_convolve_truncated(f, unit)
+        f = L([5, 0, 7, 1], 3)
+        unit = LogPoly.monomial(1, 0, 3)
+        out = convolve_truncated(f, unit)
         assert np.array_equal(out.log2_coeffs, f.log2_coeffs)
 
     def test_all_neg_inf(self):
-        z = LogPoly.zero(6)
-        out = log_convolve_truncated(z, z)
+        z = LogPoly.monomial(0, 0, 6)
+        out = convolve_truncated(z, z)
         assert np.all(np.isneginf(out.log2_coeffs))
 
     def test_exact_log_agreement_random_sparse(self):
@@ -145,7 +153,7 @@ class TestLogConvolve:
                     arr[rng.randrange(kmax + 1)] = rng.randrange(1, 2**64)
             fp, gp = P(f, kmax), P(g, kmax)
             exact = convolve_truncated(fp, gp)
-            approx = log_convolve_truncated(fp.to_log(), gp.to_log())
+            approx = convolve_truncated(L(f, kmax), L(g, kmax))
             for k in range(kmax + 1):
                 want = log2_int(exact[k])
                 got = approx[k]
@@ -157,11 +165,71 @@ class TestLogConvolve:
     def test_overflow_raises(self):
         f = LogPoly(np.array([1.5e308, 1.5e308]), 1)
         with pytest.raises(PrecisionError):
-            log_convolve_truncated(f, f)
+            convolve_truncated(f, f)
 
     def test_kmax_mismatch(self):
         with pytest.raises(UsageError):
-            log_convolve_truncated(LogPoly.zero(1), LogPoly.zero(2))
+            convolve_truncated(LogPoly.monomial(0, 0, 1), LogPoly.monomial(0, 0, 2))
+
+    def test_types_do_not_mix(self):
+        with pytest.raises(UsageError, match="LogPoly does not combine with IntPoly"):
+            convolve_truncated(L([2, 1], 3), P([2, 1], 3))
+        with pytest.raises(UsageError, match="IntPoly does not combine with LogPoly"):
+            P([2, 1], 3) + L([2, 1], 3)
+
+
+def _close_log2(got: np.ndarray, exact: DecimalPoly) -> bool:
+    """got agrees with log2 of exact's coefficients within 2**-50 relative,
+    and is -inf exactly where a coefficient is zero."""
+    want = np.array([exact.log2(k) for k in range(exact.kmax + 1)])
+    zero = np.isneginf(want)
+    return bool(
+        (np.isneginf(got) == zero).all()
+        and (np.abs(got[~zero] - want[~zero]) <= 2.0**-50 * np.maximum(np.abs(want[~zero]), 1.0)).all()
+    )
+
+
+class TestLogArithmetic:
+    """LogPoly's methods are DecimalPoly's taken through log2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda kmax: st.tuples(
+                st.just(kmax),
+                st.lists(st.integers(0, 2**70), min_size=kmax + 1, max_size=kmax + 1),
+                st.lists(st.integers(0, 2**70), min_size=kmax + 1, max_size=kmax + 1),
+            )
+        ),
+        st.integers(0, 5),
+        st.integers(0, 14),
+        st.integers(0, 1000),
+    )
+    def test_matches_log2_of_decimal_ops(self, polys, c, d, coeff):
+        kmax, fs, gs = polys
+        exact_f = DecimalPoly(tuple(map(Decimal, fs)), kmax)
+        exact_g = DecimalPoly(tuple(map(Decimal, gs)), kmax)
+        f, g = L(fs, kmax), L(gs, kmax)
+        cases = [
+            (LogPoly.monomial(coeff, d, kmax), DecimalPoly.monomial(coeff, d, kmax)),
+            (f.shift(d), exact_f.shift(d)),
+            (f.scale(c), exact_f.scale(c)),
+            (f + g, exact_f + exact_g),
+            (convolve_truncated(f, f), convolve_truncated(exact_f, exact_f)),
+        ]
+        for got, want in cases:
+            assert got.kmax == want.kmax
+            assert _close_log2(got.log2_coeffs, want)
+
+    def test_scale_by_two_adds_exactly_one(self):
+        f = L([5, 0, 7, 2**80], 3)
+        assert np.array_equal(f.scale(2).log2_coeffs, f.log2_coeffs + 1.0)
+
+    def test_negative_inputs_rejected(self):
+        with pytest.raises(UsageError):
+            LogPoly.monomial(-1, 0, 2)
+        with pytest.raises(UsageError):
+            L([1, 2], 1).scale(-2)
 
 
 class TestHelpers:

@@ -3,12 +3,13 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hannerfaces import recursion
-from hannerfaces._kernels import convolve_schoolbook
+from hannerfaces._kernels import convolve_schoolbook, log_convolve
 from hannerfaces.asymptotics import scan
 from hannerfaces.errors import UsageError
 from hannerfaces.polys import DecimalPoly, IntPoly, convolve_truncated, eval_at_one, log2_int
@@ -102,16 +103,38 @@ class TestStep:
     def test_one_square_per_step(self, monkeypatch, engine):
         # at K=64 the free-sum Hull step both removes the improper face (d <= 64)
         # and takes the printed formula (d > 64) within ten steps
+        # the sizing log pass squares LogPolys through the same entry
         squares = []
         real = recursion.convolve_truncated
 
         def spy(f, g):
-            squares.append(f)
+            if isinstance(f, DecimalPoly):
+                squares.append(f)
             return real(f, g)
 
         monkeypatch.setattr(recursion, "convolve_truncated", spy)
         run(HALF, 10, 64, engine)
         assert len(squares) == 10
+
+    @pytest.mark.parametrize("a", [HALF, THIRD])
+    def test_log_step_is_the_array_formula_bit_for_bit(self, a):
+        # the log step written on arrays: sq = log_convolve(f, f), then sq for
+        # a Product step and logaddexp2(shift(sq, 1), f + 1.0) for a Hull step
+        state = initial_state(200, Engine.PAPER_LOG)
+        assert np.array_equal(state.poly.log2_coeffs, [1.0, 0.0] + [-math.inf] * 199)
+        kinds = set()
+        for j in range(12):
+            f = state.poly.log2_coeffs
+            sq = log_convolve(f, f)
+            kind = is_product_step(j, a)
+            if kind is StepKind.HULL:
+                want = np.logaddexp2(np.concatenate(([-math.inf], sq[:-1])), f + 1.0)
+            else:
+                want = sq
+            state = step(state, kind)
+            assert np.array_equal(state.poly.log2_coeffs, want), (j, kind)
+            kinds.add(kind)
+        assert kinds == {StepKind.PRODUCT, StepKind.HULL}
 
     def test_product_of_segment_either_engine(self):
         for engine in (Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT):
@@ -209,6 +232,13 @@ class TestStateAdmission:
                            r"cannot be sized: .*\(134,217,792 > 134,217,728 bits\)"):
             next(trajectory(HALF, 42, 2**21, engine))
         assert exact_steps == []
+
+    def test_sizing_pass_stops_after_the_first_state_over_the_ceiling(self, monkeypatch):
+        full = widest_log2_by_step(HALF, 12, 64)
+        first_over = next(j for j, x in enumerate(full) if int(x) + 1 > 100)
+        assert 0 < first_over < 12
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", 65 * 100)
+        assert widest_log2_by_step(HALF, 12, 64) == full[: first_over + 1]
 
     def test_log_state_is_64_bits_a_slot(self, monkeypatch):
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
