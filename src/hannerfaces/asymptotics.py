@@ -180,6 +180,14 @@ def theoretical_exponents(a_value: float, delta: float) -> dict:
     }
 
 
+def check_fit_tol(fit_tol: float, name: str = "fit_tol") -> None:
+    """Raise UsageError, naming the value ``name``, unless ``fit_tol`` is a
+    finite number >= 0: a negative one would read as a failed fit, and a
+    non-finite one does not serialise as JSON."""
+    if not (math.isfinite(fit_tol) and fit_tol >= 0):
+        raise UsageError(f"{name} must be a finite number >= 0, got {fit_tol}")
+
+
 def flm_report(
     a: DensityParam,
     delta: Fraction,
@@ -193,6 +201,7 @@ def flm_report(
     a generic section is bounded by the face count this package measures,
     which is the quantity the fit estimates.
     """
+    check_fit_tol(fit_tol)
     a_val = float(a.value)
     d_val = float(delta)
     theory = theoretical_exponents(a_val, d_val)

@@ -199,16 +199,13 @@ class CrosscheckResult:
     def geometric_matches(self) -> bool:
         return self.lattice_f == self.geometric_f
 
-    @property
-    def paper_dominates(self) -> bool:
-        return all(p >= g for p, g in zip(self.paper_f, self.geometric_f))
-
 
 def f_vector_crosscheck(a: DensityParam, n: int) -> CrosscheckResult:
     """Brute-force lattice f-vector vs the recursion engines.
 
     The geometric engine must match exactly (hard failure otherwise); the
-    printed recursion must dominate coefficientwise.
+    printed recursion's f-vector, which dominates it coefficientwise, is
+    returned beside it.
     """
     poly = build_polytope(a, n)
     lattice = face_lattice(poly)

@@ -103,9 +103,6 @@ class IntPoly:
                 return k
         return -1
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class DecimalPoly:

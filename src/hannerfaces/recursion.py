@@ -25,7 +25,6 @@ runs, scans and the log pass that sizes an exact run all step through it.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice, pairwise
@@ -130,55 +129,45 @@ def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _widest_log2(a: DensityParam, n_max: int, kmax: int, cap_bits: int) -> tuple[float, ...]:
-    """log2 of the widest coefficient of the printed recursion's states after
-    0, 1, ... steps, from one log trajectory at (a, n_max, kmax).  The pass
-    stops after the first state of more than ``cap_bits`` over K+1 slots.  The
-    last pass is kept, so a caller's own check and the driver's admission
-    share it."""
+def _widest_log2(a: DensityParam, n_max: int, kmax: int) -> list[float]:
+    """log2 of the widest coefficient of the printed recursion at (a, kmax)
+    after 0, 1, ... steps, from one log trajectory to ``n_max``; it bounds both
+    exact engines coefficientwise.  The pass stops after the first state over
+    STATE_BITS_CAP, whose run ``trajectory`` refuses."""
     out = []
     for state in trajectory(a, n_max, kmax, Engine.PAPER_LOG):
         out.append(float(state.poly.log2_coeffs.max()))
-        if (kmax + 1) * (int(out[-1]) + 1) > cap_bits:
+        if (kmax + 1) * (int(out[-1]) + 1) > STATE_BITS_CAP:
             break
-    return tuple(out)
+    return out
 
 
-def widest_log2_by_step(a: DensityParam, n: int, kmax: int) -> tuple[float, ...]:
-    """log2 of the widest coefficient of the printed recursion at (a, kmax)
-    after 0, 1, ..., n steps, from the admission's log pass; it bounds both
-    exact engines coefficientwise.  The tuple ends early at the first state
-    over STATE_BITS_CAP, whose run ``trajectory`` refuses."""
-    if n < 0:
-        raise UsageError(f"step count must be >= 0, got {n}")
-    return _widest_log2(a, n, kmax, STATE_BITS_CAP)
+def check_state_bits(bits: int, what: str) -> None:
+    """Raise UsageError if ``bits`` pass STATE_BITS_CAP, with ``what`` (the
+    object and its verb, "... is predicted to hold") before the sizes."""
+    if bits > STATE_BITS_CAP:
+        raise UsageError(
+            f"{what} {bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed "
+            f"({bits:,} > {STATE_BITS_CAP:,} bits)"
+        )
 
 
 def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     """Raise UsageError if a state of the run is predicted to pass STATE_BITS_CAP."""
-
-    def over(bits: int) -> str:
-        return (
-            f"{bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed "
-            f"({bits:,} > {STATE_BITS_CAP:,} bits)"
-        )
-
     if engine.is_log:
         widths = [(n_max, 64)]
-    elif (bits := (kmax + 1) * 64) > STATE_BITS_CAP:
-        raise UsageError(
-            f"the {engine.value} engine run to n={n_max}, K={kmax} cannot be sized: "
-            f"its log pass would hold {over(bits)}"
-        )
     else:
-        widths = enumerate(int(x) + 1 for x in widest_log2_by_step(a, n_max, kmax))
+        check_state_bits(
+            (kmax + 1) * 64,
+            f"the {engine.value} engine run to n={n_max}, K={kmax} cannot be sized: "
+            "its log pass would hold",
+        )
+        widths = enumerate(int(x) + 1 for x in _widest_log2(a, n_max, kmax))
     for n, width in widths:
-        if (bits := (kmax + 1) * width) > STATE_BITS_CAP:
-            raise UsageError(
-                f"the {engine.value} engine state at n={n}, K={kmax} "
-                f"is predicted to hold {over(bits)}"
-            )
+        check_state_bits(
+            (kmax + 1) * width,
+            f"the {engine.value} engine state at n={n}, K={kmax} is predicted to hold",
+        )
 
 
 def trajectory(

@@ -110,11 +110,6 @@ def is_product_step(n: int, a: DensityParam) -> StepKind:
     raise PrecisionError(f"membership undecidable at step {n} with {a.precision_bits} bits")
 
 
-def schedule_kinds(a: DensityParam, steps: int) -> list[StepKind]:
-    """The first ``steps`` entries of the schedule word."""
-    return [is_product_step(n, a) for n in range(steps)]
-
-
 def floor_scaled(a: DensityParam, scale: int) -> int:
     """floor(scale * a), certified for the real kind."""
     lo, hi = a.interval(scale)

@@ -28,8 +28,8 @@ from typing import Iterator, Sequence
 from .asymptotics import rho_denominator
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
-from .polys import IntPoly, convolve_truncated, power_truncated
-from .recursion import Engine, log2_face_number, run
+from .polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
+from .recursion import Engine, check_state_bits, log2_face_number, run
 from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
@@ -405,7 +405,11 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         raise VerificationError(f"Q(T_m) = {stats.qcount} > k = {k}")
     if 2 * jstar > k:
         raise VerificationError(f"jstar = {jstar} > k/2 = {k / 2}")
-    w = tree_weight(hist, [phi] * m, max(jweight, 1))
+    t_trunc = max(jweight, 1)
+    # every coefficient of W(T_m) is at most W(T_m)(1) = prod C_deg(1)^count
+    width = int(sum(c * log2_int(eval_at_one(phi.terms[deg])) for (_, deg), c in hist.items())) + 1
+    check_state_bits((t_trunc + 1) * width, f"the weight W(T_m) at m={m}, K={t_trunc} is predicted to hold")
+    w = tree_weight(hist, [phi] * m, t_trunc)
     weight_coeff = w[jweight]
     if weight_coeff < 1:
         raise VerificationError(f"[t^{jweight}] W(T_m) = {weight_coeff} < 1")

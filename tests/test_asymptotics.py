@@ -198,6 +198,13 @@ class TestFlmReport:
         assert t["total"] == 2.25
         assert rep["fit_ok"]
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_fit_tol_must_be_a_tolerance(self, tol):
+        rows = scan(HALF, DELTA_HALF, range(13), Engine.PAPER_LOG)
+        with pytest.raises(UsageError, match=r"fit_tol must be a finite number >= 0"):
+            flm_report(HALF, DELTA_HALF, rows, fit_tol=tol)
+        assert flm_report(HALF, DELTA_HALF, rows, fit_tol=0.0)["fit_tolerance"] == 0.0
+
     def test_total_identity(self):
         for a_val, d_val in ((0.25, 0.5), (0.7, 0.3)):
             t = theoretical_exponents(a_val, d_val)

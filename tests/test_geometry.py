@@ -107,12 +107,12 @@ class TestCrosscheck:
         assert res.lattice_f == [8, 24, 32, 16]
         assert res.geometric_matches
         assert res.paper_f == [8, 24, 34, 24]
-        assert res.paper_dominates
+        assert all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
 
     def test_segment(self):
         res = f_vector_crosscheck(HALF, 0)
         assert res.lattice_f == [2]
-        assert res.geometric_matches and res.paper_dominates
+        assert res.geometric_matches and all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
 
     def test_hypercube_all_engines_agree(self):
         res = f_vector_crosscheck(TWO_THIRDS, 2)
@@ -124,7 +124,7 @@ class TestCrosscheck:
     def test_grid(self, a, n):
         res = f_vector_crosscheck(a, n)
         assert res.geometric_matches
-        assert res.paper_dominates
+        assert all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
         assert res.face_total == 3 ** (2**n)
 
 

@@ -25,9 +25,8 @@ from hannerfaces.recursion import (
     step,
     trajectory,
     verify_growth_bounds,
-    widest_log2_by_step,
 )
-from hannerfaces.schedule import DensityParam, StepKind, is_product_step, schedule_kinds
+from hannerfaces.schedule import DensityParam, StepKind, is_product_step
 
 HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)
@@ -169,8 +168,6 @@ class TestFaceNumbers:
             run(HALF, n, 8, Engine.PAPER_EXACT)
         with pytest.raises(UsageError):
             list(trajectory(HALF, n, 8, Engine.PAPER_LOG))
-        with pytest.raises(UsageError, match="step count must be >= 0"):
-            widest_log2_by_step(HALF, n, 8)
         for r in (0, 2, 5):
             with pytest.raises(UsageError):
                 verify_growth_bounds(HALF, n, r, 8)
@@ -234,11 +231,11 @@ class TestStateAdmission:
         assert exact_steps == []
 
     def test_sizing_pass_stops_after_the_first_state_over_the_ceiling(self, monkeypatch):
-        full = widest_log2_by_step(HALF, 12, 64)
+        full = recursion._widest_log2(HALF, 12, 64)
         first_over = next(j for j, x in enumerate(full) if int(x) + 1 > 100)
         assert 0 < first_over < 12
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 65 * 100)
-        assert widest_log2_by_step(HALF, 12, 64) == full[: first_over + 1]
+        assert recursion._widest_log2(HALF, 12, 64) == full[: first_over + 1]
 
     def test_log_state_is_64_bits_a_slot(self, monkeypatch):
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
@@ -332,7 +329,7 @@ class TestLogVsExact:
 
 class TestVertexCountPattern:
     def test_vertex_counts_follow_schedule(self):
-        kinds = schedule_kinds(HALF, 5)
+        kinds = [is_product_step(n, HALF) for n in range(5)]
         state = initial_state(4, Engine.PAPER_EXACT)
         prev = state.poly[0]
         for kind in kinds:

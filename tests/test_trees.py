@@ -4,7 +4,7 @@ from typing import Iterator
 
 import pytest
 
-from hannerfaces import trees
+from hannerfaces import recursion, trees
 from hannerfaces.asymptotics import floor_d_delta
 from hannerfaces.errors import BudgetExceededError, UsageError
 from hannerfaces.phimap import compose_window, tfree_and_top, window_phis
@@ -346,6 +346,20 @@ class TestLowerBoundCertificate:
         for m in (5, 6):
             cert = lower_bound_certificate(HALF, 2, m, 2**m)
             assert cert.leaves_exceed_2k and cert.certified
+
+    @pytest.mark.parametrize(("a", "Q", "m", "k"), [(HALF, 2, 7, 128), (HALF, 2, 9, 512), (THIRD, 3, 4, 128)])
+    def test_weight_size_prediction_bounds_the_weight(self, monkeypatch, a, Q, m, k):
+        weights, predicted, real_weight = [], [], trees.tree_weight
+        monkeypatch.setattr(trees, "tree_weight", lambda *args: weights.append(real_weight(*args)) or weights[-1])
+        monkeypatch.setattr(trees, "check_state_bits", lambda bits, what: predicted.append(bits))
+        lower_bound_certificate(a, Q, m, k)
+        (w,), (bits,) = weights, predicted
+        assert (w.kmax + 1) * max(c.bit_length() for c in w.coeffs) <= bits
+        monkeypatch.setattr(trees, "check_state_bits", recursion.check_state_bits)
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits - 1)
+        with pytest.raises(UsageError, match=f"at m={m}, K={w.kmax} is predicted to hold"):
+            lower_bound_certificate(a, Q, m, k)
+        assert len(weights) == 1  # refused before the weight
 
 
 class TestAtypicalFilter:
