@@ -77,13 +77,16 @@ def scan(
     states = trajectory(a, ns[-1], max(ks), engine)
     state = next(states)
     rows = []
+    products = {}  # (Q, m) -> p; rows of one window share it
     for n, k in zip(ns, ks):
         while state.n < n:
             state = next(states)
         log2_coeff = state.poly.log2(k)
         Q = choose_window(max(n, 1), a)
         m = n // Q
-        p = window_profile(a, Q, m).p
+        if (Q, m) not in products:
+            products[Q, m] = window_profile(a, Q, m).p
+        p = products[Q, m]
         rows.append(
             ScanRow(
                 n=n,

@@ -1,10 +1,16 @@
 """Ground-truth geometry at small dimension.
 
 Builds exact vertex/facet representations of the recursive family,
-enumerates the full face lattice from vertex-facet incidences (closed-set
-intersection, no linear programming, no floats), and computes exact
-circumradius / inradius data.  This is the oracle the coefficient engines
-are validated against.
+enumerates the full face lattice, and computes exact circumradius /
+inradius data.  This is the oracle the coefficient engines are validated
+against.
+
+The lattice is closed under intersection from the vertex-facet incidences
+on the smaller side: facet masks over the vertices when there are no more
+facets than vertices, else vertex co-masks over the facets.  No linear
+programming, no floats and no rank computation: each face's depth, the
+longest chain of proper intersections above it, gives its dimension,
+because the face lattice is graded and each cover is one intersection.
 
 Every coordinate is an integer: the segment is [-1, 1] with facet normals
 +-1, and both steps only concatenate and zero-pad coordinates, so every
@@ -116,75 +122,68 @@ class FaceLattice:
         return self.f_vector()[: self.dim]
 
 
-def _affine_rank(points: list[tuple[int, ...]]) -> int:
-    """Exact affine rank of integer points (Gaussian elimination over Z)."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    ncols = len(base)
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        prc = pr[c]
-        for i in range(rank + 1, len(rows)):
-            ric = rows[i][c]
-            if ric:
-                rows[i] = [prc * x - ric * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == min(len(rows), ncols):
-            break
-    return rank
-
-
 def face_lattice(poly: VPolytope) -> FaceLattice:
     """Every nonempty face exactly once, with its dimension.
 
-    Faces are the closures reachable by intersecting facet vertex sets,
-    starting from the improper face; dimensions are exact affine ranks.
+    The faces are the intersections of facets, read from vertex-facet
+    incidences on the side with fewer generators: facet masks over the
+    vertices when there are no more facets than vertices, else vertex
+    co-masks over the facets (each coface then maps back to the vertices on
+    all of its facets, and the improper face, which lies on no facet, is
+    added).  A set's depth is the longest chain of proper intersections
+    down to it from the top.  The sets are expanded in falling bit count,
+    and an intersection has fewer bits than the set it came from, so each
+    depth is final before its set is expanded.  The face lattice is graded
+    and every cover is an intersection with one generator, so dim = d -
+    depth on the vertex side and depth - 1 on the dual side.
     """
     if 3**poly.dim > _LATTICE_FACE_GUARD:
         raise UsageError(
             f"face lattice guard: 3^{poly.dim} exceeds {_LATTICE_FACE_GUARD} faces"
         )
-    nv = len(poly.vertices)
-    facet_masks = []
-    for u in poly.normals:
-        mask = 0
-        for i, v in enumerate(poly.vertices):
-            if _dot(u, v) == 1:
-                mask |= 1 << i
-        facet_masks.append(mask)
-    top = (1 << nv) - 1
-    seen = {top}
-    queue = [top]
-    while queue:
-        cur = queue.pop()
-        for fm in facet_masks:
-            nxt = cur & fm
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    faces = sorted((mask, _affine_rank([poly.vertices[i] for i in _bits(mask)])) for mask in seen)
-    lattice = FaceLattice(dim=poly.dim, faces=tuple(faces))
+    nv, nf = len(poly.vertices), len(poly.normals)
+    on = [[_dot(u, v) == 1 for v in poly.vertices] for u in poly.normals]  # on[facet][vertex]
+    dual = nf > nv
+    if dual:
+        gens = [_mask(col) for col in zip(*on)]  # vertex co-masks
+        top = (1 << nf) - 1
+    else:
+        gens = [_mask(row) for row in on]  # facet masks
+        top = (1 << nv) - 1
+    depth = {top: 0}
+    by_size = [[] for _ in range(top.bit_count() + 1)]
+    by_size[-1].append(top)
+    for size in range(len(by_size) - 1, 0, -1):
+        for cur in by_size[size]:
+            below = depth[cur] + 1
+            for g in gens:
+                child = cur & g
+                if child and child != cur:
+                    known = depth.get(child)
+                    if known is None:
+                        by_size[child.bit_count()].append(child)
+                        depth[child] = below
+                    elif known < below:
+                        depth[child] = below
+    if dual:
+        del depth[top]  # the empty face, on every facet
+        # a coface's vertices are those whose co-mask holds all of its facets
+        faces = [(_mask(cof & c == cof for c in gens), dep - 1) for cof, dep in depth.items()]
+        faces.append(((1 << nv) - 1, poly.dim))
+    else:
+        faces = [(mask, poly.dim - dep) for mask, dep in depth.items()]
+    lattice = FaceLattice(dim=poly.dim, faces=tuple(sorted(faces)))
     if lattice.f_vector()[poly.dim] != 1:
         raise VerificationError("improper face missing or duplicated")
     return lattice
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _mask(flags) -> int:
+    mask = 0
+    for i, on in enumerate(flags):
+        if on:
+            mask |= 1 << i
+    return mask
 
 
 @dataclass(frozen=True)

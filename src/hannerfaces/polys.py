@@ -279,15 +279,24 @@ def log2_int(n: int) -> float:
 
 
 def int_nth_root(x: int, r: int) -> int:
-    """floor(x**(1/r)) in exact integer arithmetic."""
+    """floor(x**(1/r)) in exact integer arithmetic.
+
+    Newton's iteration runs down from an over-estimate and exact checks end
+    it.  The float root 2^(log2_int(x)/r) is within (bit_length/r + 64) *
+    2^-52 of the root relatively; raised by twice that, it is a start above
+    the root from which a few steps reach it whatever r is.  A start read
+    from the bit length alone can be twice the root, and Newton then takes
+    about r steps.
+    """
     if x < 0 or r < 1:
         raise UsageError("int_nth_root requires x >= 0 and r >= 1")
     if r == 1 or x in (0, 1):
         return x
     if r == 2:
         return math.isqrt(x)
-    # Newton iteration with an over-estimate start, exact integer ops only.
-    y = 1 << (-(-x.bit_length() // r))
+    whole, frac = divmod(log2_int(x) / r, 1.0)
+    y = (int(math.ldexp(2.0**frac, 52)) << int(whole)) >> 52
+    y += (y * (x.bit_length() // r + 64) >> 51) + 1
     while True:
         y_next = ((r - 1) * y + x // y ** (r - 1)) // r
         if y_next >= y:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hannerfaces import schedule
 from hannerfaces.asymptotics import (
     ScanRow,
     bound_envelope,
@@ -22,6 +23,24 @@ THIRD = DensityParam.rational(1, 3)
 DELTA_HALF = Fraction(1, 2)
 
 
+def _newton_root(x: int, r: int) -> int:
+    """floor(x**(1/r)) by Newton's iteration down from 2^ceil(bit_length/r):
+    exact, but about r steps when the root is small."""
+    if r == 1 or x in (0, 1):
+        return x
+    y = 1 << (-(-x.bit_length() // r))
+    while True:
+        y_next = ((r - 1) * y + x // y ** (r - 1)) // r
+        if y_next >= y:
+            break
+        y = y_next
+    while y**r > x:
+        y -= 1
+    while (y + 1) ** r <= x:
+        y += 1
+    return y
+
+
 class TestFloorDDelta:
     def test_exact_powers(self):
         assert floor_d_delta(4, DELTA_HALF) == 4
@@ -37,6 +56,18 @@ class TestFloorDDelta:
     def test_delta_range(self):
         with pytest.raises(UsageError):
             floor_d_delta(4, Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "delta", [Fraction(1, 2000), DELTA_HALF, Fraction(1, 3), Fraction(3, 7), Fraction(5, 6)]
+    )
+    def test_matches_newton_from_a_power_of_two(self, delta):
+        num, den = delta.numerator, delta.denominator
+        # every n below 80, and n around the multiples of den, where d^delta is an integer
+        ns = set(range(80)) | {j * den + e for j in (1, 2, 7) for e in (-1, 0, 1)}
+        if den == 2000:
+            ns |= {7499, 15000}
+        for n in sorted(ns):
+            assert floor_d_delta(n, delta) == _newton_root(2 ** (n * num), den), n
 
 
 class TestScan:
@@ -81,6 +112,20 @@ class TestScan:
     def test_window_metadata(self):
         (row,) = scan(THIRD, DELTA_HALF, [7], Engine.PAPER_EXACT)
         assert row.Q == 3 and row.m == 2 and row.p == 1
+
+    def test_each_window_is_profiled_once(self, monkeypatch):
+        a = DensityParam.rational(1, 40)
+        steps = []
+        counted = schedule.is_product_step
+        monkeypatch.setattr(
+            schedule, "is_product_step", lambda n, dens: steps.append(n) or counted(n, dens)
+        )
+        rows = scan(a, Fraction(1, 16), range(100), Engine.PAPER_LOG)
+        # windows m = 0, 1, 2 of Q = 40 steps, not one window per row
+        assert sorted(steps) == list(range(120))
+        monkeypatch.undo()
+        for r in rows:
+            assert (r.Q, r.m, r.p) == (40, r.n // 40, schedule.window_profile(a, 40, r.n // 40).p)
 
 
 class TestFitExponent:

@@ -3,6 +3,7 @@ import pytest
 from hannerfaces.errors import UsageError
 from hannerfaces.geometry import (
     RadiiState,
+    VPolytope,
     build_polytope,
     f_vector_crosscheck,
     face_lattice,
@@ -17,6 +18,47 @@ TWO_THIRDS = DensityParam.rational(2, 3)
 TWO_FIFTHS = DensityParam.rational(2, 5)
 
 ALL_A = [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS]
+
+SIGNS = (1, -1)
+CUBE3 = VPolytope(
+    3,
+    tuple((x, y, z) for x in SIGNS for y in SIGNS for z in SIGNS),
+    tuple(tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in SIGNS),
+)
+CROSS3 = VPolytope(3, CUBE3.normals, CUBE3.vertices)
+
+
+def _affine_rank(points: list[tuple[int, ...]]) -> int:
+    """Exact affine rank of integer points (Gaussian elimination over Z)."""
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    ncols = len(base)
+    rank = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        prc = pr[c]
+        for i in range(rank + 1, len(rows)):
+            ric = rows[i][c]
+            if ric:
+                rows[i] = [prc * x - ric * y for x, y in zip(rows[i], pr)]
+        rank += 1
+        if rank == min(len(rows), ncols):
+            break
+    return rank
+
+
+def _on(u, v) -> bool:
+    return sum(a * b for a, b in zip(u, v)) == 1
 
 
 class TestBuildPolytope:
@@ -99,6 +141,41 @@ class TestFaceLattice:
     def test_guard(self):
         with pytest.raises(UsageError):
             face_lattice(build_polytope(HALF, 4))  # 3^16 faces
+
+    @pytest.mark.parametrize(
+        ("poly", "sides", "fv"),
+        [(CUBE3, (8, 6), [8, 12, 6]), (CROSS3, (6, 8), [6, 12, 8])],
+        ids=["cube-vertex-side", "cross-polytope-dual-side"],
+    )
+    def test_both_incidence_sides(self, poly, sides, fv):
+        poly.validate()
+        assert (len(poly.vertices), len(poly.normals)) == sides
+        lat = face_lattice(poly)
+        assert lat.proper_f_vector() == fv
+        assert lat.total == 27
+
+    @pytest.mark.parametrize(("a", "sides"), [(HALF, (64, 32)), (THIRD, (16, 256))])
+    def test_n3_on_each_side_has_3_to_the_8_faces(self, a, sides):
+        poly = build_polytope(a, 3)
+        assert (len(poly.vertices), len(poly.normals)) == sides
+        assert face_lattice(poly).total == 3**8
+
+    @pytest.mark.parametrize("a", ALL_A)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_graded_dimension_is_the_affine_rank(self, a, n):
+        poly = build_polytope(a, n)
+        everything = (1 << len(poly.vertices)) - 1
+        facet_masks = [
+            sum(1 << i for i, v in enumerate(poly.vertices) if _on(u, v)) for u in poly.normals
+        ]
+        for mask, fdim in face_lattice(poly).faces:
+            assert fdim == _affine_rank([v for i, v in enumerate(poly.vertices) if mask >> i & 1])
+            # closed: the vertices on every facet through the face are the face
+            closure = everything
+            for fm in facet_masks:
+                if mask & fm == mask:
+                    closure &= fm
+            assert closure == mask
 
 
 class TestCrosscheck:

@@ -246,7 +246,7 @@ class TestHelpers:
         assert int_nth_root(0, 3) == 0
         assert int_nth_root(63, 2) == 7
         assert int_nth_root(64, 2) == 8
-        for x in (2**60 - 1, 2**60, 10**30 + 12345):
+        for x in (2**60 - 1, 2**60, 10**30 + 12345, 3**5000, 3**5000 - 1):
             for r in (2, 3, 4, 5, 7):
                 y = int_nth_root(x, r)
                 assert y**r <= x < (y + 1) ** r
