@@ -15,8 +15,11 @@ deterministic run to run.
 
 Exact convolution packs nonnegative big coefficients into one huge number
 (Kronecker substitution) and multiplies once.  Int coefficients, the small
-products of trees, window maps and powers, go into binary slots of one CPython
-int; a square packs once and computes x*x.  The exact engines keep their
+products of trees and powers, go into binary slots of one CPython int; a
+square packs once and computes x*x.  The window-map composer packs each
+t-band of a term with ``_pack`` from its lowest nonzero t-degree, multiplies
+pairs of bands through ``_mul_bigint`` and reads the sums back with
+``_unpack``.  The exact engines keep their
 state as integral Decimals from step to step, and their squares go into
 base-10 slots of one Decimal, squared by libmpdec (the number-theoretic
 transform behind the ``decimal`` module) in a context that traps any

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import UsageError
@@ -70,8 +71,8 @@ def scan(
     ks = [floor_d_delta(n, delta) for n in ns]
     if engine.is_log and ks[-1] > LOG_KMAX_CAP:
         first = next(n for n in range(ns[-1] + 1) if floor_d_delta(n, delta) > LOG_KMAX_CAP)
-        raise UsageError(
-            f"k = floor(d^delta) = {ks[-1]} exceeds the log engine cap {LOG_KMAX_CAP}, "
+        raise UsageError(  # Decimal(k) prints past the int -> str digit limit
+            f"k = floor(d^delta) = {Decimal(ks[-1])} exceeds the log engine cap {LOG_KMAX_CAP}, "
             f"which delta={delta} first passes at n={first}"
         )
     states = trajectory(a, ns[-1], max(ks), engine)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+from ._kernels import _EXACT
 from .asymptotics import check_fit_tol, flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import build_polytope, face_lattice, radii, radii_recursion
@@ -209,19 +211,25 @@ def _scan(args):
 
 def _cmd_asymptotics(args) -> int:
     _, _, rows = _scan(args)
-    out = [
-        [
-            str(r.n),
-            str(r.d),
-            str(r.k),
-            str(r.Q),
-            str(r.m),
-            str(r.p),
-            _fmt_float(r.log2_coeff),
-            _fmt_float(r.rho),
-        ]
-        for r in rows
-    ]
+    # d = 2**n prints from a Decimal doubled row by row (rows come in rising n):
+    # str(int) is quadratic in the digits and refuses past int_max_str_digits.
+    d, at = Decimal(1), 0
+    out = []
+    for r in rows:
+        while at < r.n:
+            d, at = _EXACT.add(d, d), at + 1
+        out.append(
+            [
+                str(r.n),
+                str(d),
+                str(r.k),
+                str(r.Q),
+                str(r.m),
+                str(r.p),
+                _fmt_float(r.log2_coeff),
+                _fmt_float(r.rho),
+            ]
+        )
     _emit_rows(args, ["n", "d", "k", "Q", "m", "p", "log2_coeff", "rho"], out, args.csv)
     return EXIT_OK
 
@@ -386,11 +394,6 @@ def _load_config(path: str) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # `asymptotics` prints d = 2**n as an int, which passes CPython's default
-    # int -> str limit of 4300 digits from n = 14,286 (a log scan at a = 1/1000
-    # gets there).  Exact coefficients print from Decimals, outside the limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -12,6 +12,16 @@ Note C_k(t) is a general polynomial, not always a monomial: the word
 (R, S, R) yields C_4(t) = 16t + 2t^2, which is pinned as a regression
 test.  Downstream bounds only need the weaker facts asserted here (unique
 t-free term at x^(2^p), monic monomial top term).
+
+Each C_k(t) is nonzero only on a narrow band of t-degrees [lo_k, hi_k] that
+moves up with k, so the composition carries every term as a band: the
+offset lo_k and the coefficients from t^lo_k to t^hi_k.  A letter packs each
+band into binary slots of one int, multiplies the bands pairwise and adds
+each product lo_i + lo_j slots up into key k_i + k_j.  Before the last
+square of SRSRSRSRS the 121 terms span 5,357 t-slots from t^0 to their tops,
+and their bands hold only the 1,428 nonzero ones.  Composing that word
+multiplies 36.6 Mbit of operands as bands, against 152.0 Mbit as lists
+packed from t^0.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ from .errors import UsageError, VerificationError
 from .polys import IntPoly, convolve_truncated, power_truncated
 from .schedule import DensityParam, StepKind, window_profile
 
-# Composition cost grows as 4^Q.  Words of a = 1/2 took 0.4 s at Q=9, 8.7 s at
-# Q=10 and 272 s at Q=11 (2-CPU Xeon VM, under load).
+# Composition cost grows 20-40x per letter: 4x the x-pairs, each multiply
+# wider.  The word of a = 1/2 took 0.1 s at Q=9, 3.8 s at Q=10 and 88 s at
+# Q=11 (2-CPU Xeon VM, CPython 3.11 ints).
 _MAX_WORD_LEN = 11
 
 
@@ -64,26 +75,59 @@ class PhiMap:
         return self.terms.get(k, IntPoly.zero(self.t_trunc))
 
 
-def _square_xpoly(terms: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Square sum_k C_k(t) x^k exactly; t-polynomials ride along as
-    Kronecker-packed integers so each x-pair costs one big multiply."""
+# A term C_k(t) as a band (lo, [c_0, ..., c_w]): C_k(t) = t^lo * sum_i c_i t^i with
+# c_0 and c_w nonzero.  No coefficient is negative, so no sum of terms cancels
+# and every band's ends stay nonzero through the composition.
+Band = tuple[int, list[int]]
+
+
+def _apply_letter(terms: dict[int, Band], hull: bool) -> dict[int, Band]:
+    """phi^2 (Product) or t*phi^2 + 2*phi (Hull) of phi = sum_k C_k(t) x^k, on bands.
+
+    Each band is Kronecker-packed once, from its lowest slot, and each x-pair
+    costs one big multiply of two packed bands.  The product adds into key
+    ki + kj, lo_i + lo_j slots up (one more for the Hull's t); the Hull's
+    2*phi adds into the same packed sums, and each sum is unpacked once.
+
+    Slot width: a slot of key K sums c_a * c_b over the ordered pairs
+    (i, j) with i + j = K, at most one per i, and over a + b fixed, at most
+    the widest band's width per pair; the Hull adds one 2 * c.  Each term is
+    below 2**(2 * bits), bits being the widest coefficient's length, so the
+    at most ``count`` terms sum below 2**(2 * bits + bit_length(count)) and
+    no slot carries into the next.
+    """
     degs = sorted(terms)
-    t_len = max(len(c) for c in terms.values())
-    max_bits = max(max((v.bit_length() for v in c), default=0) for c in terms.values())
-    slot_bits = 2 * max_bits + (len(degs) * t_len).bit_length() + 2
-    slot_bytes = (slot_bits + 7) // 8
-    packed = {k: _kernels._pack(c, slot_bytes) for k, c in terms.items()}
-    out: dict[int, int] = {}
+    los = [terms[k][0] for k in degs]
+    widest = max(len(c) for _, c in terms.values())
+    bits = max(v.bit_length() for _, c in terms.values() for v in c)
+    count = len(degs) * widest + hull
+    slot_bytes = (2 * bits + count.bit_length() + 7) // 8
+    slot_bits = 8 * slot_bytes
+    packed = [_kernels._pack(terms[k][1], slot_bytes) for k in degs]
+    sums: dict[int, list[int]] = {}  # key -> [lowest slot, packed sum from that slot up]
+
+    def add(key: int, lo: int, value: int):
+        entry = sums.get(key)
+        if entry is None:
+            sums[key] = [lo, value]
+        elif lo >= entry[0]:
+            entry[1] += value << (lo - entry[0]) * slot_bits
+        else:
+            entry[1] = value + (entry[1] << (entry[0] - lo) * slot_bits)
+            entry[0] = lo
+
     for i, ki in enumerate(degs):
-        pi = packed[ki]
-        for kj in degs[i:]:
-            prod = _kernels._mul_bigint(pi, packed[kj])
-            if kj != ki:
-                prod *= 2
-            key = ki + kj
-            out[key] = out.get(key, 0) + prod
-    out_t_len = 2 * t_len - 1
-    return {k: _kernels._unpack(v, slot_bytes, out_t_len) for k, v in out.items()}
+        for j in range(i, len(degs)):
+            prod = _kernels._mul_bigint(packed[i], packed[j])
+            add(ki + degs[j], los[i] + los[j] + hull, prod if j == i else prod << 1)
+    if hull:
+        for k, lo, value in zip(degs, los, packed):
+            add(k, lo, value << 1)
+    # Only the slots up to a sum's highest bit are read.
+    return {
+        key: (lo, _kernels._unpack(value, slot_bytes, -(-value.bit_length() // slot_bits)))
+        for key, (lo, value) in sums.items()
+    }
 
 
 def compose_window(word) -> PhiMap:
@@ -98,26 +142,11 @@ def compose_window(word) -> PhiMap:
         raise UsageError("window word must be nonempty")
     if len(word) > _MAX_WORD_LEN:
         raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
-    t_truncation = 2 ** len(word)
-    cur: dict[int, list[int]] = {1: [1]}  # phi = x
+    cur: dict[int, Band] = {1: (0, [1])}  # phi = x
     for letter in word:
-        sq = _square_xpoly(cur)
-        if letter is StepKind.PRODUCT:
-            cur = sq
-        else:
-            new: dict[int, list[int]] = {k: [0] + c for k, c in sq.items()}  # t * phi^2
-            for k, c in cur.items():  # + 2 * phi
-                tgt = new.setdefault(k, [])
-                while len(tgt) < len(c):
-                    tgt.append(0)
-                for idx, v in enumerate(c):
-                    tgt[idx] += 2 * v
-            cur = new
-    terms = {
-        k: IntPoly.from_coeffs(c, t_truncation)
-        for k, c in cur.items()
-        if any(v for v in c)
-    }
+        cur = _apply_letter(cur, letter is StepKind.HULL)
+    t_truncation = 2 ** len(word)
+    terms = {k: IntPoly.from_coeffs([0] * lo + c, t_truncation) for k, (lo, c) in cur.items()}
     return PhiMap(word=word, terms=terms, t_trunc=t_truncation)
 
 

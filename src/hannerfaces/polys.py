@@ -42,7 +42,7 @@ class IntPoly:
             raise UsageError(
                 f"expected {self.kmax + 1} coefficients, got {len(self.coeffs)}"
             )
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs) < 0:
             raise UsageError("coefficients must be nonnegative")
 
     @classmethod

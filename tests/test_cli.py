@@ -2,11 +2,13 @@ import decimal
 import hashlib
 import json
 import re
+import sys
 import time
 
 import pytest
 
 from hannerfaces import cli, recursion, selftest, trees
+from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
 from hannerfaces.polys import log2_int
 from hannerfaces.recursion import Engine
@@ -91,6 +93,20 @@ class TestPhi:
     def test_missing_args(self, run):
         code, _, err = run("phi", "--a", "1/2")
         assert code == 3
+
+    # sha256 of stdout, recorded before the composer packed bands.
+    GOLDEN = {
+        ("1/2", "json"): "69cf2bb0033b995bc04cdefadcdc48c5ddb1c2d9c754d528986ada730548cbc6",
+        ("3/7", "json"): "2383782b1e896b5e18e11ecb3055569f46bdc3536fb915d9bd32dde34b2d5981",
+        ("4/9", "json"): "ed352c3cc7dd51986b487bac7812c372b473e0a748f6e46a2c74829d952749a6",
+        ("1/2", "csv"): "c29d23b1237ff7454d60d1868ff7c5b145fc611b5b57be95a0f40fa09134662a",
+    }
+
+    @pytest.mark.parametrize(("a", "fmt"), sorted(GOLDEN))
+    def test_output_bytes_pinned(self, run, a, fmt):
+        code, out, _ = run("phi", "--a", a, "--Q", "9", "--m", "0", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, fmt)]
 
 
 class TestTrees:
@@ -367,6 +383,25 @@ class TestAsymptotics:
     def test_bad_delta(self, run):
         code, _, err = run("asymptotics", "--a", "1/2", "--delta", "3/2", "--nmax", "4")
         assert code == 3
+
+    def test_d_column_past_the_int_digit_limit(self, run, monkeypatch):
+        # 2**14286 is the first power of two over CPython's default limit of
+        # 4300 digits for int -> str; the rows print d anyway, and the CLI
+        # leaves the caller's limit as it found it.
+        ns = [0, 1, 14285, 14286, 14300]
+        rows = [ScanRow(n, 2**n, 1, 1, n, 0, 0.0, 0.0, "log") for n in ns]
+        monkeypatch.setattr(cli, "_scan", lambda args: (None, None, rows))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, _ = run("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "0")
+            limit_after = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            expected = [str(2**n) for n in ns]
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, limit_after) == (0, 4300)
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == expected
 
     @pytest.mark.parametrize("command", ["asymptotics", "flm-report"])
     def test_negative_nmax_is_a_step_count_error(self, run, monkeypatch, command):

@@ -194,7 +194,7 @@ class TestExactPacking:
 
 @pytest.fixture
 def default_int_digits():
-    """The interpreter's default int_max_str_digits, which the CLI raises."""
+    """The interpreter's default int_max_str_digits, for the length of a test."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield
