@@ -161,11 +161,13 @@ def _cmd_trees(args) -> int:
     windows = [window_profile(a, args.Q, j) for j in range(args.m)]
     # qcount is defined against one window map, so only for a constant stack
     typical = 2 ** windows[0].p if len({win.word for win in windows}) == 1 else None
-    rows = []
-    for i, (hist, w) in enumerate(result.tree_classes):
-        qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
-        values = (i, histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
-        rows.append([str(v) for v in values])
+    cells = {}  # per class record: its row after the tree index, formatted once
+    for hist, w in result.tree_classes:
+        if id(hist) not in cells:
+            qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
+            values = (histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
+            cells[id(hist)] = [str(v) for v in values]
+    rows = [[str(i), *cells[id(hist)]] for i, (hist, _) in enumerate(result.tree_classes)]
     verdict = f"exact-match over {result.n_trees} trees"
     header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     if args.format == "json":

@@ -11,10 +11,12 @@ where the weight factor of a vertex at height j comes from window m-1-j
 (all windows coincide in the aligned rational case, which is the setting
 of the bound constructions).  Trees are nested tuples; a leaf is ().
 
-W(T) and L(T) depend on T only through its (height, degree) histogram, so
-each tree is walked once, everything else reads the histogram, and each
-distinct histogram is weighed once.  A family over the enumeration budget is
-refused from its count, before any tree is built.
+W(T) and L(T) depend on T only through its (height, degree) histogram.  The
+tree sum composes the histograms level by level, in the order
+``enumerate_trees`` yields the trees, without building or walking a tree, and
+weighs each distinct histogram once.  ``enumerate_trees`` and
+``degree_histogram`` stay as the independent oracle.  A family over the
+enumeration budget is refused from its count, before anything is composed.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .asymptotics import rho_denominator
 from .errors import BudgetExceededError, UsageError, VerificationError
@@ -74,6 +77,17 @@ def _check_budget(budget: int):
         raise UsageError(f"budget must be >= 1, got {budget}")
 
 
+def _admit(m: int, supports, budget: int) -> list[list[int]]:
+    """The per-level degree sets of a family of at most ``budget`` trees;
+    raises BudgetExceededError, from the count, for a larger one."""
+    _check_budget(budget)
+    if m < 0:
+        raise UsageError("height must be >= 0")
+    per_level = _normalize_supports(m, supports)
+    _count(per_level, budget)
+    return per_level
+
+
 def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[Tree]:
     """Duplicate-free stream of all uniform-height-m trees with internal
     degrees drawn from ``supports`` (one set, or one per height, root first).
@@ -83,11 +97,7 @@ def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[
     the root level is streamed; each degree k takes the k-fold product of
     the level below, in lexicographic order.
     """
-    _check_budget(budget)
-    if m < 0:
-        raise UsageError("height must be >= 0")
-    per_level = _normalize_supports(m, supports)
-    _count(per_level, budget)
+    per_level = _admit(m, supports, budget)
     trees: Iterator[Tree] = iter([()])
     for degrees in reversed(per_level):
         subtrees = tuple(trees)  # the level below, listed once
@@ -106,6 +116,39 @@ def degree_histogram(tree: Tree) -> Histogram:
             out[key] = out.get(key, 0) + 1
             stack.extend((c, h + 1) for c in node)
     return out
+
+
+def histogram_codes(per_level: list[list[int]]) -> tuple[list[int], Callable[[int], Histogram]]:
+    """Each tree's degree histogram packed into one int, in the order
+    ``enumerate_trees`` yields the trees, and the function that unpacks a
+    code; no tree is built.
+
+    Slot (h, i) of a code, ``width`` bits wide, counts the internal vertices at
+    height h whose degree is the i-th of all degrees in ``per_level``; no
+    height holds more than ``2**width - 1`` vertices, so slots never carry
+    into each other.  Levels are composed from the bottom up: the trees whose
+    root sits at height h with degree k are the k-fold product of the level
+    below, and each one's code is its root's slot plus its subtrees' codes.
+    """
+    degrees = sorted(set().union(*per_level))
+    width = math.prod(max(level) for level in per_level[:-1]).bit_length()
+    codes = [0]  # the leaf: no internal vertex
+    for h in reversed(range(len(per_level))):
+        below, codes = codes, []
+        for k in per_level[h]:
+            root = 1 << width * (h * len(degrees) + degrees.index(k))
+            codes.extend(map(partial(sum, start=root), product(below, repeat=k)))
+
+    def unpack(code: int) -> Histogram:
+        hist: Histogram = {}
+        for h in range(len(per_level)):
+            for i, deg in enumerate(degrees):
+                count = code >> width * (h * len(degrees) + i) & ((1 << width) - 1)
+                if count:
+                    hist[(h, deg)] = count
+        return hist
+
+    return codes, unpack
 
 
 def histogram_leaves(hist: Histogram) -> int:
@@ -160,30 +203,28 @@ def tree_sum_check(
     raises.
 
     An over-budget family is refused from its count, then the recursion runs,
-    so an input either refuses is refused before any tree is weighed.  Each
-    tree is walked once; W(T) and L(T) depend only on its (height, degree)
-    histogram, so each distinct histogram is weighed once and its terms are
-    counted once per tree in its class.
+    so an input either refuses is refused before any histogram is composed.
+    W(T) and L(T) depend only on the tree's (height, degree) histogram, which
+    ``histogram_codes`` composes level by level without building the tree;
+    each distinct histogram is weighed once and its terms are counted once per
+    tree in its class.
     """
     _check_budget(budget)
     by_height = window_phis(a, Q, m)[::-1]  # the root takes the last window
-    trees = enumerate_trees(m, [phi.support for phi in by_height], budget)
+    per_level = _admit(m, [phi.support for phi in by_height], budget)
     engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
-    classes: dict[tuple, tuple[Histogram, IntPoly]] = {}
-    multiplicity: Counter[tuple] = Counter()
-    tree_classes = []
-    for tree in trees:
-        hist = degree_histogram(tree)
-        key = tuple(sorted(hist.items()))
-        if key not in classes:
-            classes[key] = (hist, tree_weight(hist, by_height, kmax))
-        multiplicity[key] += 1
-        tree_classes.append(classes[key])
+    codes, unpack = histogram_codes(per_level)
+    multiplicity = Counter(codes)
+    classes: dict[int, tuple[Histogram, IntPoly]] = {}
+    for code in multiplicity:
+        hist = unpack(code)
+        classes[code] = (hist, tree_weight(hist, by_height, kmax))
+    tree_classes = list(map(classes.__getitem__, codes))
     seg = IntPoly.from_coeffs([2, 1], kmax)
     total = IntPoly.zero(kmax)
     coeff_sums = [0] * (kmax + 1)
-    for key, (hist, w) in classes.items():
-        count = multiplicity[key]
+    for code, (hist, w) in classes.items():
+        count = multiplicity[code]
         L = histogram_leaves(hist)
         total = total + convolve_truncated(w, power_truncated(seg, L)).scale(count)
         for k in range(kmax + 1):

@@ -143,6 +143,24 @@ class TestTrees:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, kmax, fmt)]
 
+    # sha256 of stdout for larger families, recorded from the version that
+    # built and walked every tree: the 9837 trees of the certify instance
+    # (CSV and JSON), a=2/5 and a=1/3 at Q=3 (69,904 trees), and 160,400
+    # trees of height 3.
+    GOLDEN_LARGE = {
+        ("1/2", "3", "2", "csv"): "18052ed5b7ea93ab146ab5cae5d043ecf3afc44335cbd0a0e56465f8cf82a84d",
+        ("1/2", "3", "2", "json"): "fc64fb224f0990c75f8b0bf9fe1b258fe53e0bab79e061e09491bcd25a3f12db",
+        ("2/5", "3", "2", "csv"): "04aeca23d331f64d1cacdb14c1d30e277bd0d98af6e089c45027a6761ea44f3e",
+        ("1/3", "3", "2", "csv"): "1bee1715f7f8cb12793dc955d333f38a05efbef296906b99264bdcc4259e1fcb",
+        ("1/2", "2", "3", "csv"): "98487f971af6e752267159405c78f507575854e6f9d1c08b06bebff515a4ab19",
+    }
+
+    @pytest.mark.parametrize(("a", "Q", "m", "fmt"), sorted(GOLDEN_LARGE))
+    def test_large_family_output_bytes_pinned(self, run, a, Q, m, fmt):
+        code, out, _ = run("trees", "--a", a, "--Q", Q, "--m", m, "--kmax", "4", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_LARGE[(a, Q, m, fmt)]
+
     @pytest.fixture
     def spies(self, monkeypatch):
         """Record each call to the per-tree functions as (args, result), under
@@ -160,22 +178,30 @@ class TestTrees:
                 monkeypatch.setattr(mod, name, spy, raising=False)
         return calls
 
-    def test_one_walk_per_tree_and_one_weight_per_histogram(self, run, spies):
+    def test_one_walk_per_tree_and_one_weight_per_histogram(self, run, spies, monkeypatch):
+        results = []
+        real = cli.tree_sum_check
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "tree_sum_check", spy)
         code, out, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
         assert code == 0
         n_trees = int(out.splitlines()[0].split()[-2])
         assert n_trees == 20
-        # one walk per tree, each on a different tree; one weight per distinct
-        # histogram, on a histogram a walk returned
-        walks = spies["degree_histogram"]
-        assert len(walks) == n_trees
-        assert len({args[0] for args, _ in walks}) == n_trees
-        walked = {id(hist) for _, hist in walks}
+        # no tree is built or walked; one weight per distinct histogram, on a
+        # histogram the result hands out
+        assert spies["enumerate_trees"] == []
+        assert spies["degree_histogram"] == []
+        (result,) = results
+        held = {id(hist) for hist, _ in result.tree_classes}
         weighed = [args[0] for args, _ in spies["tree_weight"]]
-        assert all(id(hist) in walked for hist in weighed)
+        assert all(id(hist) in held for hist in weighed)
         keys = [tuple(sorted(hist.items())) for hist in weighed]
         assert len(keys) == len(set(keys)) == 8
-        assert set(keys) == {tuple(sorted(hist.items())) for _, hist in walks}
+        assert set(keys) == {tuple(sorted(hist.items())) for hist, _ in result.tree_classes}
         assert spies["atypical_count_and_leaf_bound"] == []
         for gone in (
             "guarded",
@@ -218,6 +244,24 @@ class TestTrees:
         assert out == ""
         assert spies["tree_weight"] == []
 
+    def test_negative_height_refused_before_any_step(self, run, monkeypatch):
+        monkeypatch.setattr(trees, "run", lambda *args: pytest.fail("recursion ran"))
+        code, out, err = run("trees", "--a", "1/2", "--Q", "2", "--m", "-1", "--kmax", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: height must be >= 0\n"
+
+    @pytest.mark.parametrize(("budget", "code"), [("20", 0), ("19", 3)])
+    def test_budget_equal_to_the_count_is_admitted(self, run, budget, code):
+        got, out, err = run(
+            "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", budget
+        )
+        assert got == code
+        if code == 0:
+            assert out.splitlines()[0] == "verdict: exact-match over 20 trees"
+        else:
+            assert out == ""
+            assert err == "error: enumeration refused: at least 20 items, more than budget 19\n"
+
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run(
             "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", "3"
@@ -238,7 +282,7 @@ class TestTrees:
         assert calls == []
 
 
-_PER_TREE = ("degree_histogram", "tree_weight", "atypical_count_and_leaf_bound")
+_PER_TREE = ("enumerate_trees", "degree_histogram", "tree_weight", "atypical_count_and_leaf_bound")
 
 
 class TestLowerBound:

@@ -33,11 +33,12 @@ def test_trees_runs_one_sum_check_span(spans):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.main(["trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8"])
     finally:
         tracer.uninstall()
     assert code == 0
+    assert out.getvalue().splitlines()[0] == "verdict: exact-match over 20 trees"
     sum_check = tracer.names.index("trees.sum_check")
     assert list(tracer.name).count(sum_check) == 1
-    assert tracer.counts["trees.enumerated"] == 20
+    assert tracer.counts["trees.enumerated"] == 0  # the tree sum builds no tree

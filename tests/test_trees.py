@@ -3,6 +3,8 @@ from fractions import Fraction
 from typing import Iterator
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hannerfaces import recursion, trees
 from hannerfaces.asymptotics import floor_d_delta
@@ -17,6 +19,7 @@ from hannerfaces.trees import (
     count_trees,
     degree_histogram,
     enumerate_trees,
+    histogram_codes,
     histogram_leaves,
     lower_bound_certificate,
     lower_bound_histogram,
@@ -148,6 +151,29 @@ class TestEnumeration:
         # root degree from {2,3,4}, next level from {2,4}: 4+8+16 trees
         assert count_trees(2, [{2, 3, 4}, {2, 4}]) == 28
         assert len(list(enumerate_trees(2, [{2, 3, 4}, {2, 4}]))) == 28
+
+
+class TestHistogramCodes:
+    """The composed class stream against walking every enumerated tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda m: st.lists(st.sets(st.integers(1, 5), min_size=1), min_size=m, max_size=m)
+        )
+    )
+    @example([{1}, {1}, {1}])
+    @example([{1, 3}, {2}, {1, 2, 5}])
+    @example([{2}, {3}, {2}])
+    @example([{5}, {1, 4}])
+    @example([])
+    def test_same_histograms_as_walking_every_tree(self, supports):
+        m = len(supports)
+        n = count_trees(m, supports)
+        assume(n <= 3000)
+        codes, unpack = histogram_codes([sorted(s) for s in supports])
+        assert len(codes) == n
+        assert [unpack(c) for c in codes] == [degree_histogram(t) for t in enumerate_trees(m, supports)]
 
 
 class TestTreeWeight:
