@@ -4,10 +4,14 @@
 such step squares the state, and on engine states log2 a_{n,k} is concave in
 k along one leading run of finite entries.  For a concave run h, output k is
 a sum of the pair terms h[c - d] + h[k - c + d] (c = k // 2), which fall
-monotonically in d, so the square sums only the band d <= W and counts each
-pair twice.  W is the smallest half-width whose first dropped term lies more
-than 53 + ceil(log2(K + 1)) below the row maximum; concavity makes that edge
-check sufficient, and the dropped mass stays below 2**-53 of every output.
+monotonically in d, so the square sums only the band d <= w and counts each
+pair twice.  Outputs go in blocks of 64 centers with one half-width w each:
+the bisection's answer to "the first dropped pair of every row lies at least
+53 + ceil(log2(K + 1)) below the row's maximum", so the dropped mass stays
+below 2**-53 of every output (concavity makes that edge check sufficient).
+All blocks bisect in lockstep, one numpy edge check per step, and each
+block meets the midpoints a bisection of its own would, so w does not depend
+on how the search is batched.
 Every other input (two different operands, a non-concave run, interior
 zeros) goes through the full quadratic log-sum-exp ``_log_convolve_full``,
 which is also the oracle the band is tested against.  Both paths are
@@ -45,8 +49,10 @@ from .errors import PrecisionError
 NEG_INF = float("-inf")
 ACTIVE_KERNEL = "numpy"
 
-# Centers per block of the banded square: its temporaries hold at most
-# _BAND_BLOCK x (W + 1) floats, whatever K is.
+# Centers per block of the banded square.  A block shares one half-width w,
+# so the grouping sets which terms each output sums, and so its bits.  The
+# lockstep search holds 4 x _BAND_BLOCK edge indices per block, and a block's
+# band 2 x _BAND_BLOCK x (w + 1) floats, whatever K is.
 _BAND_BLOCK = 64
 # Past 2**53 a float64 log2 value no longer resolves a factor of 2.
 _LOG2_LIMIT = 2.0**53
@@ -80,65 +86,84 @@ def _concave_run(f: np.ndarray) -> int:
     return run
 
 
-def _band(x: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
-    """View of x whose entry [i, d] is x[start + i + step * d].
+def _band(x: np.ndarray, start: int, shape: tuple[int, ...], steps: tuple[int, ...]) -> np.ndarray:
+    """View of x whose entry [i, j, ...] is x[start + i * steps[0] + j * steps[1] + ...].
 
     Built with the ndarray constructor, which checks the view against the
     buffer.  numpy's as_strided and sliding_window_view (measured on numpy
     2.4) keep about 5 bytes per call alive, and a long scan makes many views.
     """
     unit = x.itemsize
-    return np.ndarray(
-        (rows, width), x.dtype, buffer=x, offset=start * unit, strides=(unit, step * unit)
-    )
+    strides = [step * unit for step in steps]
+    return np.ndarray(shape, x.dtype, buffer=x, offset=start * unit, strides=strides)
 
 
 def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
     """First n outputs of the log-domain square of a concave finite run h
-    (all coefficients above the run are zero)."""
+    (all coefficients above the run are zero).
+
+    Row 2c + p (p = 0 or 1) pairs h[c - d] with h[c + p + d] and peaks at
+    d = 0 with top h[c] + h[c + p].  Its centers c go in blocks of
+    _BAND_BLOCK, and each block sums d = 0..w for one half-width w: the
+    bisection's answer on 0..hi to "every row's first dropped pair, at
+    d = w + 1, lies at least cutoff below its top".  All blocks bisect in
+    lockstep, one gather and compare over every row per step, each block on
+    the same sequence of midpoints as a bisection of its own.
+    """
     size = h.shape[0]
     out = np.full(n, NEG_INF)
     rows = min(n, 2 * size - 1)
-    centers = (rows + 1) // 2
+    if rows <= 0:
+        return out
+    centers, n_odd = (rows + 1) // 2, rows // 2
+    starts = range(0, centers, _BAND_BLOCK)
+    blocks = len(starts)
     cutoff = 53 + math.ceil(math.log2(n + 1))
-    # hp[pad + i] is h[i], -inf outside the run; the pad covers every index
-    # a block's width search and band can reach.
+    # hp[pad + i] is h[i], -inf outside the run; the pad covers every index a
+    # block's search and band can reach.  hcat holds hp reversed, then hp, so
+    # both members of a row's edge pair sit at hcat indices that grow with w.
     pad = _BAND_BLOCK + 4
-    hp = np.full(size + 2 * pad, NEG_INF)
+    length = size + 2 * pad
+    hcat = np.full(2 * length, NEG_INF)
+    hp = hcat[length:]
     hp[pad : pad + size] = h
-    for c0 in range(0, centers, _BAND_BLOCK):
-        # Row 2c peaks at d = 0 with 2 h[c], row 2c + 1 with h[c] + h[c + 1];
-        # every center has an even row, all but possibly the last an odd one.
-        c = np.arange(c0, min(c0 + _BAND_BLOCK, centers))
-        b, n_odd = c.shape[0], min(c.shape[0], rows // 2 - c0)
-        top_even = 2.0 * h[c]
-        top_odd = h[c[:n_odd]] + h[c[:n_odd] + 1]
-        # Edge of half-width w: the pair at d = w + 1 of every row.
-        low = np.concatenate((c, c[:n_odd])) + (pad - 1)
-        high = np.concatenate((c, c[:n_odd] + 1)) + (pad + 1)
-        limit = np.concatenate((top_even, top_odd)) - cutoff
-        # Any w past hi_w puts every edge outside the run.
-        lo_w, hi_w = 0, min(int(c[-1]), size - 1 - c0)
-        while lo_w < hi_w:
-            mid = (lo_w + hi_w) // 2
-            if (hp[low - mid] + hp[high + mid] <= limit).all():
-                hi_w = mid
-            else:
-                lo_w = mid + 1
-        w = lo_w
-        # Row i of the block pairs h[c0 + i - d] with h[c0 + i + d] (even
-        # rows) or h[c0 + i + 1 + d] (odd rows), for d = 0..w.
-        down = _band(hp, pad + c0, b, w + 1, -1)
-        terms = down + _band(hp, pad + c0, b, w + 1, 1)
-        terms -= top_even[:, None]
-        s = np.exp2(terms, out=terms).sum(axis=1)
-        out[2 * c0 : 2 * (c0 + b) : 2] = top_even + np.log2(2.0 * s - 1.0)
-        if n_odd:
-            odd = terms[:n_odd]
-            np.add(down[:n_odd], _band(hp, pad + c0 + 1, n_odd, w + 1, 1), out=odd)
-            odd -= top_odd[:, None]
-            s = np.exp2(odd, out=odd).sum(axis=1)
-            out[2 * c0 + 1 : 2 * (c0 + n_odd) : 2] = top_odd + 1.0 + np.log2(s)
+    hcat[length - pad - size : length - pad] = h[::-1]
+    # tops[p, c] is the top of row 2c + p.  Past the last row it is +inf: such
+    # a row passes every edge check and sums to zero.
+    tops = np.full((2, blocks * _BAND_BLOCK), np.inf)
+    np.multiply(h[:centers], 2.0, out=tops[0, :centers])
+    np.add(h[:n_odd], h[1 : n_odd + 1], out=tops[1, :n_odd])
+    # Row j of limit and edge lists block j's even rows, then its odd rows.  At
+    # half-width w the edge pair of a row is hcat[low + w] and hcat[high + w].
+    span = 2 * _BAND_BLOCK
+    limit = (tops - cutoff).reshape(2, blocks, _BAND_BLOCK).transpose(1, 0, 2).reshape(blocks, span)
+    c = np.arange(blocks * _BAND_BLOCK).reshape(blocks, _BAND_BLOCK)
+    low = (length - pad) - c
+    high = c + (length + pad + 1)
+    edge = np.concatenate((low, low, high, high + 1), axis=1)
+    # At w = hi every edge lies outside the run, so every block's check at its
+    # hi passes, and hi only ever moves to a midpoint that passed.  A block
+    # whose bisection has ended (lo == hi) thus keeps both while the others
+    # go on.
+    hi = [min(c0 + _BAND_BLOCK, centers, size - c0) - 1 for c0 in starts]
+    lo = [0] * blocks
+    while lo != hi:
+        mid = [(a + b) >> 1 for a, b in zip(lo, hi)]
+        pairs = hcat[edge + np.array(mid)[:, None]]
+        ok = np.logical_and.reduce(pairs[:, :span] + pairs[:, span:] <= limit, axis=1).tolist()
+        lo = [a if k else m + 1 for a, m, k in zip(lo, mid, ok)]
+        hi = [m if k else b for b, m, k in zip(hi, mid, ok)]
+    sums = np.empty((2, centers))
+    for c0, w in zip(starts, hi):
+        # terms[p, i, d] pairs h[c0 + i - d] with h[c0 + i + p + d], d = 0..w.
+        b = min(_BAND_BLOCK, centers - c0)
+        down = _band(hp, pad + c0, (2, b, w + 1), (0, 1, -1))
+        terms = down + _band(hp, pad + c0, (2, b, w + 1), (1, 1, 1))
+        terms -= tops[:, c0 : c0 + b, None]
+        np.add.reduce(np.exp2(terms, out=terms), axis=2, out=sums[:, c0 : c0 + b])
+    # Even rows count the pair d = 0 once and every other pair twice.
+    out[0 : 2 * centers : 2] = tops[0, :centers] + np.log2(2.0 * sums[0] - 1.0)
+    out[1 : 2 * n_odd : 2] = tops[1, :n_odd] + 1.0 + np.log2(sums[1, :n_odd])
     return out
 
 

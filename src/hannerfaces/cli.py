@@ -14,6 +14,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from ._kernels import _EXACT
 from .asymptotics import check_fit_tol, flm_report, scan
@@ -69,7 +70,7 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} must be NUM/DEN, got {text!r}") from exc
 
 
-def _emit_rows(args, header: list[str], rows: list[list[str]], path: str | None = None):
+def _emit_rows(args, header: list[str], rows: Iterable[Sequence[str]], path: str | None = None):
     if getattr(args, "format", "csv") == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
@@ -161,18 +162,23 @@ def _cmd_trees(args) -> int:
     windows = [window_profile(a, args.Q, j) for j in range(args.m)]
     # qcount is defined against one window map, so only for a constant stack
     typical = 2 ** windows[0].p if len({win.word for win in windows}) == 1 else None
+    header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     cells = {}  # per class record: its row after the tree index, formatted once
     for hist, w in result.tree_classes:
         if id(hist) not in cells:
             qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
             values = (histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
             cells[id(hist)] = [str(v) for v in values]
-    rows = [[str(i), *cells[id(hist)]] for i, (hist, _) in enumerate(result.tree_classes)]
     verdict = f"exact-match over {result.n_trees} trees"
-    header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
     if args.format == "json":
-        _emit_object(args, {"verdict": verdict, "trees": [dict(zip(header, r)) for r in rows]})
+        records = {key: dict(zip(header[1:], row)) for key, row in cells.items()}
+        listed = [{"tree": str(i), **records[id(h)]} for i, (h, _) in enumerate(result.tree_classes)]
+        _emit_object(args, {"verdict": verdict, "trees": listed})
     else:
+        # A row is the tree index, then its class's text, joined once per
+        # class; the rows are made one at a time as they are written.
+        texts = {key: ",".join(row) for key, row in cells.items()}
+        rows = ((str(i), texts[id(h)]) for i, (h, _) in enumerate(result.tree_classes))
         sys.stdout.write(f"verdict: {verdict}\n")
         _emit_rows(args, header, rows)
     return EXIT_OK

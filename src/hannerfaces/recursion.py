@@ -40,7 +40,7 @@ from .schedule import DensityParam, StepKind, is_product_step
 # on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit; with its state
 # in Decimal it takes 10.7-11.7 s at a peak RSS of 181-208 MiB (20-27 s at 173 MiB
 # converting the state to and from ints every step, 404 s with CPython-int squares).
-# n=21/K=1448 would hold 257.5 Mbit; a log scan to n=26/K=8192 takes 0.6 s.
+# n=21/K=1448 would hold 257.5 Mbit; a log scan to n=26/K=8192 takes 0.35-0.46 s.
 EXACT_KMAX_CAP = 1024
 LOG_KMAX_CAP = 8192
 STATE_BITS_CAP = 2**27

@@ -456,6 +456,18 @@ class TestAsymptotics:
         assert "step count must be >= 0, got -1" in err
         assert scans == []
 
+    def test_log_scan_to_k_8192_bytes_pinned(self, run):
+        # sha256 of stdout, recorded before the banded square bisected its
+        # blocks in lockstep.
+        code, out, _ = run(
+            "asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "26", "--engine", "log"
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "9796f1df57a770cfd12ad9fc1af86eeb885492aacccf7e2190836003f1a8e33f"
+        )
+
 
 class TestOracle:
     def test_half_n2(self, run):
@@ -533,6 +545,30 @@ class TestFlmReport:
         assert (code, out) == (3, "")
         assert "--fit-tol must be a finite number >= 0" in err
         assert scans == []
+
+    # sha256 of stdout, recorded before the banded square bisected its blocks
+    # in lockstep: every published log row must keep its bits.
+    GOLDEN_LOG = {
+        "1/3": "984b4925554b1920486b52364a660e35452cae0b33d3863180b2d6d8e2a24173",
+        "2/5": "97189f150f8458974a8a96a24fc96d161b594ed7029e1031c6fa6815cfa99d38",
+        "1/4": "143cced5961676cd9409257098b2f24463dcf520304857533ffddf9c4353a60c",
+        "3/5": "1f8e8c7bf76ca90fa03ed1decca18a0e0c5f0df1928230d2ec462784949755d9",
+    }
+
+    @pytest.mark.parametrize("a", sorted(GOLDEN_LOG))
+    def test_log_report_bytes_pinned(self, run, a):
+        code, out, _ = run("flm-report", "--a", a, "--delta", "1/2", "--nmax", "24", "--engine", "log")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_LOG[a]
+
+    def test_irrational_report_bytes_pinned(self, run):
+        golden = "0.6180339887498948482045868343656381177:128"
+        code, out, _ = run("flm-report", "--a-real", golden, "--delta", "1/2", "--nmax", "22")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "2f87b67f9ec796e471ed8f808f63205c28cad698153fe6742a2b2eefbf090da8"
+        )
 
 
 class TestPlumbing:

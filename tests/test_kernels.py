@@ -1,7 +1,9 @@
 import decimal
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,13 +41,13 @@ def assert_log_close(got, want):
 
 
 @st.composite
-def concave_runs(draw):
+def concave_runs(draw, run_lens=st.integers(0, 300), tails=st.integers(0, 120)):
     """log2 coefficients >= 0 that are concave along a leading run, then -inf.
 
     Slopes are multiples of 1/64, so the run is exactly concave in float64.
     """
-    run_len = draw(st.integers(0, 300))
-    tail = draw(st.integers(0, 120))
+    run_len = draw(run_lens)
+    tail = draw(tails)
     n_slopes = max(run_len - 1, 0)
     slopes = draw(st.lists(st.integers(-4096, 4096), min_size=n_slopes, max_size=n_slopes))
     slopes.sort(reverse=True)
@@ -55,6 +57,89 @@ def concave_runs(draw):
     return np.concatenate((h, np.full(tail, -np.inf))), run_len
 
 
+# The banded square as it was before its blocks bisected in lockstep, kept
+# word for word (its view helper and block size renamed) as the byte oracle
+# for the kernel: the same half-widths give the same terms summed in the same
+# order.
+_REF_BAND_BLOCK = 64
+NEG_INF = float("-inf")
+
+
+def _reference_band(x, start, rows, width, step):
+    unit = x.itemsize
+    return np.ndarray(
+        (rows, width), x.dtype, buffer=x, offset=start * unit, strides=(unit, step * unit)
+    )
+
+
+def _reference_log_square_banded(h, n):
+    size = h.shape[0]
+    out = np.full(n, NEG_INF)
+    rows = min(n, 2 * size - 1)
+    centers = (rows + 1) // 2
+    cutoff = 53 + math.ceil(math.log2(n + 1))
+    pad = _REF_BAND_BLOCK + 4
+    hp = np.full(size + 2 * pad, NEG_INF)
+    hp[pad : pad + size] = h
+    for c0 in range(0, centers, _REF_BAND_BLOCK):
+        c = np.arange(c0, min(c0 + _REF_BAND_BLOCK, centers))
+        b, n_odd = c.shape[0], min(c.shape[0], rows // 2 - c0)
+        top_even = 2.0 * h[c]
+        top_odd = h[c[:n_odd]] + h[c[:n_odd] + 1]
+        low = np.concatenate((c, c[:n_odd])) + (pad - 1)
+        high = np.concatenate((c, c[:n_odd] + 1)) + (pad + 1)
+        limit = np.concatenate((top_even, top_odd)) - cutoff
+        lo_w, hi_w = 0, min(int(c[-1]), size - 1 - c0)
+        while lo_w < hi_w:
+            mid = (lo_w + hi_w) // 2
+            if (hp[low - mid] + hp[high + mid] <= limit).all():
+                hi_w = mid
+            else:
+                lo_w = mid + 1
+        w = lo_w
+        down = _reference_band(hp, pad + c0, b, w + 1, -1)
+        terms = down + _reference_band(hp, pad + c0, b, w + 1, 1)
+        terms -= top_even[:, None]
+        s = np.exp2(terms, out=terms).sum(axis=1)
+        out[2 * c0 : 2 * (c0 + b) : 2] = top_even + np.log2(2.0 * s - 1.0)
+        if n_odd:
+            odd = terms[:n_odd]
+            np.add(down[:n_odd], _reference_band(hp, pad + c0 + 1, n_odd, w + 1, 1), out=odd)
+            odd -= top_odd[:, None]
+            s = np.exp2(odd, out=odd).sum(axis=1)
+            out[2 * c0 + 1 : 2 * (c0 + n_odd) : 2] = top_odd + 1.0 + np.log2(s)
+    return out
+
+
+def assert_band_bytes_match_reference(h, n):
+    """Every block sums the same half-width w as in the reference, read off the
+    width of its d-descending band view, and the outputs agree byte for byte."""
+    widths, reference_widths = [], []
+    band, reference_band = _kernels._band, _reference_band
+
+    def spy(x, start, shape, steps):
+        if steps[-1] < 0:
+            widths.append(shape[-1] - 1)
+        return band(x, start, shape, steps)
+
+    def reference_spy(x, start, rows, width, step):
+        if step < 0:
+            reference_widths.append(width - 1)
+        return reference_band(x, start, rows, width, step)
+
+    with mock.patch.object(_kernels, "_band", spy):
+        got = _kernels._log_square_banded(h, n)
+    with mock.patch.dict(globals(), {"_reference_band": reference_spy}):
+        want = _reference_log_square_banded(h, n)
+    assert widths == reference_widths, (h.shape[0], n)
+    assert got.tobytes() == want.tobytes(), (h.shape[0], n)
+
+
+# Run lengths at and around multiples of 64 and 128: blocks that end exactly
+# at the run, one short of it, and one past it.
+BLOCK_EDGE_LENGTHS = [m + d for m in range(64, 705, 64) for d in (-1, 0, 1)]
+
+
 class TestBandedSquare:
     @settings(max_examples=150, deadline=None)
     @given(concave_runs())
@@ -62,6 +147,51 @@ class TestBandedSquare:
         f, run_len = case
         assert _kernels._concave_run(f) == run_len
         assert_log_close(_kernels.log_convolve(f, f), _kernels._log_convolve_full(f, f))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        concave_runs(
+            run_lens=st.one_of(st.integers(0, 700), st.sampled_from(BLOCK_EDGE_LENGTHS)),
+            tails=st.integers(0, 800),
+        )
+    )
+    def test_band_bytes_match_the_reference_on_concave_runs(self, case):
+        f, run_len = case
+        assert_band_bytes_match_reference(np.ascontiguousarray(f[:run_len]), f.shape[0])
+
+    @pytest.mark.parametrize("run_len", BLOCK_EDGE_LENGTHS[:12])
+    def test_band_bytes_match_the_reference_at_block_edges(self, run_len):
+        # Row counts from one row up to the full square and past it: odd and
+        # even counts, truncated squares and whole ones.
+        rng = np.random.default_rng(run_len)
+        slopes = np.sort(rng.integers(-4096, 4096, run_len - 1))[::-1] / 64
+        h = np.concatenate(([0.0], np.cumsum(slopes)))
+        h += 100 - h.min()
+        full = 2 * run_len - 1
+        for n in sorted({1, 2, 63, 64, 65, 128, 129, run_len, full - 1, full, full + 6}):
+            assert_band_bytes_match_reference(h[: min(n, run_len)], n)
+
+    @pytest.mark.parametrize(
+        "a, nmax", [(THIRD, 24), (GOLDEN, 22), (DensityParam.rational(1, 2), 26)]
+    )
+    def test_band_bytes_match_the_reference_on_scan_states(self, a, nmax, monkeypatch):
+        # Every square of the two default log-scan instances (K = 4096 and
+        # 2048) and of a = 1/2 at K = 8192.
+        squared = []
+        banded = _kernels._log_square_banded
+
+        def record(h, n):
+            squared.append((h.copy(), n))
+            return banded(h, n)
+
+        monkeypatch.setattr(_kernels, "_log_square_banded", record)
+        kmax = floor_d_delta(nmax, Fraction(1, 2))
+        for _ in trajectory(a, nmax, kmax, Engine.PAPER_LOG):
+            pass
+        monkeypatch.undo()
+        assert len(squared) == nmax and squared[-1][1] == kmax + 1
+        for h, n in squared:
+            assert_band_bytes_match_reference(h, n)
 
     @settings(max_examples=100, deadline=None)
     @given(
