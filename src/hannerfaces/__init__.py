@@ -11,8 +11,8 @@ from .asymptotics import (
     ScanRow,
     bound_envelope,
     fit_exponent,
-    floor_d_delta,
     flm_report,
+    floor_d_delta,
     scan,
 )
 from .errors import BudgetExceededError, PrecisionError, UsageError, VerificationError
@@ -49,16 +49,13 @@ from .trees import (
     LowerBoundCertificate,
     TreeStats,
     atypical_count_and_leaf_bound,
-    build_lower_bound_tree,
     count_trees,
     enumerate_trees,
     lower_bound_certificate,
-    lower_bound_value,
     preorder_decode,
     preorder_encode,
     tree_sum_check,
     tree_weight,
-    upper_bound_report,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +85,6 @@ __all__ = [
     "apply_phi",
     "atypical_count_and_leaf_bound",
     "bound_envelope",
-    "build_lower_bound_tree",
     "build_polytope",
     "choose_window",
     "compose_window",
@@ -100,12 +96,11 @@ __all__ = [
     "face_lattice",
     "face_numbers",
     "fit_exponent",
-    "floor_d_delta",
     "flm_report",
+    "floor_d_delta",
     "initial_state",
     "is_product_step",
     "lower_bound_certificate",
-    "lower_bound_value",
     "power_truncated",
     "preorder_decode",
     "preorder_encode",
@@ -117,7 +112,6 @@ __all__ = [
     "tfree_and_top",
     "tree_sum_check",
     "tree_weight",
-    "upper_bound_report",
     "verify_growth_bounds",
     "window_phis",
     "window_profile",

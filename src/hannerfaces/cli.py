@@ -127,7 +127,7 @@ def _cmd_fvector(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    if args.word:
+    if args.word is not None:
         word = word_from_string(args.word)
     else:
         a = _parse_density(args)

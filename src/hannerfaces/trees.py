@@ -17,6 +17,9 @@ tree sum composes the histograms level by level, in the order
 weighs each distinct histogram once.  ``enumerate_trees`` and
 ``degree_histogram`` stay as the independent oracle.  A family over the
 enumeration budget is refused from its count, before anything is composed.
+
+The lower-bound certificate reads the explicit tree T_m through the closed
+form of its histogram alone; T_m is never built.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
-from .asymptotics import rho_denominator
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
 from .polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
-from .recursion import Engine, check_state_bits, log2_face_number, run
+from .recursion import Engine, check_state_bits, run
 from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
@@ -303,16 +305,6 @@ def atypical_count_and_leaf_bound(hist: Histogram, phi: PhiMap) -> TreeStats:
     )
 
 
-def iter_nodes(tree: Tree):
-    """(node, height) pairs in preorder."""
-    stack = [(tree, 0)]
-    while stack:
-        node, h = stack.pop()
-        yield node, h
-        for c in reversed(node):
-            stack.append((c, h + 1))
-
-
 # ---------------------------------------------------------------------------
 # preorder encoding (injectivity certificate)
 # ---------------------------------------------------------------------------
@@ -321,7 +313,9 @@ def preorder_encode(tree: Tree, alphabet: Sequence[int]) -> tuple[int, ...]:
     """Letters over {0..|K|}: 0 for a leaf, 1+index(degree) otherwise."""
     index = {d: i + 1 for i, d in enumerate(alphabet)}
     out = []
-    for node, _ in iter_nodes(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if not node:
             out.append(0)
         else:
@@ -329,6 +323,7 @@ def preorder_encode(tree: Tree, alphabet: Sequence[int]) -> tuple[int, ...]:
                 out.append(index[len(node)])
             except KeyError as exc:
                 raise UsageError(f"degree {len(node)} not in alphabet {list(alphabet)}") from exc
+            stack.extend(reversed(node))
     return tuple(out)
 
 
@@ -350,20 +345,21 @@ def preorder_decode(word: Sequence[int], alphabet: Sequence[int]) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# explicit lower-bound tree and certificate
+# the explicit lower-bound tree T_m and its certificate
 # ---------------------------------------------------------------------------
 
-def build_lower_bound_tree(Q: int, p: int, lam: int, m: int, k: int) -> tuple[Tree, int, int]:
-    """Full 2^Q-ary levels up to height h-1, then full 2^p-ary subtrees.
+def _lower_bound_shape(Q: int, lam: int, m: int, k: int) -> tuple[int, int]:
+    """(h, jstar) of T_m: full 2^Q-ary levels up to height h-1, then full
+    2^p-ary subtrees down to height m.
 
     h = floor(log_{2^Q}(k / (2*lam))); requires k >= 2*lam and m > h.
-    Returns (tree, h, jstar) with jstar = lam * (2^Q)^h.
+    jstar = lam * (2^Q)^h.
     """
     if lam < 1:
         raise UsageError("lambda must be a positive integer (the word must contain an R)")
     if k < 2 * lam:
         raise UsageError(f"need k >= 2*lambda, got k={k} < {2 * lam}")
-    top, typical = 2**Q, 2**p
+    top = 2**Q
     h = 0
     while top ** (h + 1) * 2 * lam <= k:
         h += 1
@@ -371,19 +367,7 @@ def build_lower_bound_tree(Q: int, p: int, lam: int, m: int, k: int) -> tuple[Tr
         raise UsageError(
             f"need tree height m > h = floor(log_(2^Q)(k/2lam)) = {h}, got m={m}"
         )
-    jstar = lam * top**h
-    n_top = (top**h - 1) // (top - 1)  # vertices of degree 2^Q, heights 0..h-1
-    if 2 * jstar > k:
-        raise VerificationError(f"construction broke jstar <= k/2: {jstar} > {k}/2")
-    if n_top > k:
-        raise VerificationError(f"construction broke Q(T_m) <= k: {n_top} > {k}")
-    subtree: Tree = ()
-    for _ in range(m - h):
-        subtree = (subtree,) * typical
-    tree = subtree
-    for _ in range(h):
-        tree = (tree,) * top
-    return tree, h, jstar
+    return h, lam * top**h
 
 
 def lower_bound_histogram(Q: int, p: int, h: int, m: int) -> Histogram:
@@ -424,13 +408,18 @@ class LowerBoundCertificate:
 def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBoundCertificate:
     """Certify a_{Qm,k} >= 2^(L(T_m) - k) through the coefficient formula.
 
+    T_m enters only through its (height, degree) histogram, in closed form
+    from its shape (h, jstar); the tree itself is never built or walked.
     The certificate takes the term j = jweight of the formula: the weight
     of T_m is A^(#typical) * B^(#top) * t^jweight, so its coefficient
     there is a positive integer, and the binomial factor is >= 1 whenever
     k - jweight <= L.  (The construction's jstar = lam*(2^Q)^h, which is
     also reported, overcounts the top-degree vertices; the weight's true
-    t-degree uses their exact count.)
+    t-degree uses their exact count.)  The construction's two conditions,
+    Q(T_m) <= k and 2*jstar <= k, are checked here.
     """
+    if m < 1:
+        raise UsageError(f"the lower-bound tree needs m >= 1 windows, got m={m}")
     words = {window_profile(a, Q, j).word for j in range(m)}
     if len(words) != 1:
         raise UsageError(
@@ -438,7 +427,7 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         )
     phi = compose_window(next(iter(words)))
     A, p, B, lam = tfree_and_top(phi)
-    _, h, jstar = build_lower_bound_tree(Q, p, lam, m, k)  # T_m itself is never walked
+    h, jstar = _lower_bound_shape(Q, lam, m, k)
     hist = lower_bound_histogram(Q, p, h, m)
     jweight = lam * sum(c for (j, _), c in hist.items() if j < h)
     stats = atypical_count_and_leaf_bound(hist, phi)
@@ -470,42 +459,4 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         weight_coeff=weight_coeff,
         binom_ok=0 <= k - jweight <= L,
         leaves_exceed_2k=L > 2 * k,
-    )
-
-
-def lower_bound_value(a: DensityParam, Q: int, m: int, k: int) -> int:
-    """The certified bound 2^(L(T_m)-k), as an exact integer (0 if L < k,
-    where the bound is below 1 and carries no information)."""
-    cert = lower_bound_certificate(a, Q, m, k)
-    return 2**cert.bound_log2 if cert.bound_log2 >= 0 else 0
-
-
-# ---------------------------------------------------------------------------
-# empirical upper-bound envelope
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UpperBoundReport:
-    Q: int
-    m: int
-    p: int
-    k: int
-    log2_coeff: float
-    denominator: float  # 2^(m p) * k^(1 - p/Q)
-    rho: float
-
-
-def upper_bound_report(a: DensityParam, Q: int, m: int, k: int) -> UpperBoundReport:
-    """rho = log2 a_{Qm,k} / (2^(m p) * k^(1 - p/Q)), for envelope tracking.
-
-    The growth bound hides an unpinned 2^O(Q) factor, so rho is recorded
-    rather than asserted against a constant.
-    """
-    if k < 1:
-        raise UsageError(f"k must be >= 1, since k^(1 - p/Q) vanishes at k = 0; got k={k}")
-    p = window_profile(a, Q, 0).p
-    log2_coeff = log2_face_number(a, Q * m, k, Engine.for_kmax(k))
-    denom = rho_denominator(Q, m, p, k)
-    return UpperBoundReport(
-        Q=Q, m=m, p=p, k=k, log2_coeff=log2_coeff, denominator=denom, rho=log2_coeff / denom
     )

@@ -10,11 +10,13 @@ from hannerfaces.asymptotics import (
     fit_exponent,
     floor_d_delta,
     flm_report,
+    rho_denominator,
     scan,
     theoretical_exponents,
 )
 from hannerfaces.errors import UsageError
-from hannerfaces.recursion import LOG_KMAX_CAP, Engine
+from hannerfaces.polys import log2_int
+from hannerfaces.recursion import LOG_KMAX_CAP, Engine, face_numbers
 from hannerfaces.schedule import DensityParam
 from hannerfaces.selftest import golden_like
 
@@ -112,6 +114,16 @@ class TestScan:
     def test_window_metadata(self):
         (row,) = scan(THIRD, DELTA_HALF, [7], Engine.PAPER_EXACT)
         assert row.Q == 3 and row.m == 2 and row.p == 1
+
+    def test_row_rho_divides_by_the_growth_scale(self):
+        # n = 6: k = 8, Q = 2, m = 3, p = 1, so the scale is 2^3 * 8^(1/2)
+        (row,) = scan(HALF, DELTA_HALF, [6], Engine.PAPER_EXACT)
+        assert (row.k, row.Q, row.m, row.p) == (8, 2, 3, 1)
+        a68 = face_numbers(HALF, 6, 8, Engine.PAPER_EXACT)[8]
+        assert row.rho == pytest.approx(log2_int(a68) / (8 * math.sqrt(8)))
+
+    def test_rho_denominator_at_k_one(self):
+        assert rho_denominator(2, 2, 1, 1) == 2.0 ** (2 * 1)
 
     def test_each_window_is_profiled_once(self, monkeypatch):
         a = DensityParam.rational(1, 40)

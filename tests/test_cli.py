@@ -94,6 +94,12 @@ class TestPhi:
         code, _, err = run("phi", "--a", "1/2")
         assert code == 3
 
+    @pytest.mark.parametrize("extra", [(), ("--a", "1/2", "--Q", "2", "--m", "0")])
+    def test_empty_word_is_refused_not_ignored(self, run, extra):
+        code, out, err = run("phi", "--word", "", *extra)
+        assert (code, out) == (3, "")
+        assert err == "error: window word must be nonempty\n"
+
     # sha256 of stdout, recorded before the composer packed bands.
     GOLDEN = {
         ("1/2", "json"): "69cf2bb0033b995bc04cdefadcdc48c5ddb1c2d9c754d528986ada730548cbc6",
@@ -212,6 +218,11 @@ class TestTrees:
             "weighted_trees",
             "check_tree_sum",
             "WeightedTree",
+            "build_lower_bound_tree",
+            "lower_bound_value",
+            "upper_bound_report",
+            "UpperBoundReport",
+            "iter_nodes",
         ):
             assert not hasattr(trees, gone)
 
@@ -298,6 +309,33 @@ class TestLowerBound:
         code, _, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "2", "--k", "32")
         assert code == 3
 
+    # sha256 of the JSON stdout over the criterion-6 grid (k = floor(d^(1/2))
+    # at d = Q*m), recorded while the certificate still built its tree.
+    GOLDEN = {
+        ("1/2", "2", "3", "8"): "c5184d63d363ff7daf10a0c3da1f60133811e3c422e9f2c7c266b9ca8ffcc201",
+        ("1/2", "2", "4", "16"): "6fa3be87fed4c74103bf543c73557c515a3b6f3c1687d6b1e780ee2868d3300e",
+        ("1/2", "2", "5", "32"): "810215d9ae0131b32ff74f0569485ceceef102132d61c8e54e284b2d41dfb621",
+        ("1/2", "2", "6", "64"): "8ceb56e9d50b8574d7a4e746c5856841785aafeb0579d9b52674ed130d3a8778",
+        ("1/2", "2", "7", "128"): "65d6eaa9d04a8dfa8c824aaae44674f19652efe0cb76c6f5b8690988f19963c4",
+        ("1/2", "2", "8", "256"): "109a1d027268a9bcb67a994aec51fe50b2c18868d1b691217018da85c9f034bd",
+        ("1/3", "3", "2", "8"): "334bda48a1047007203abff2717784e3d5dfbb5d808cfd2da17242f2a3e9500d",
+        ("1/3", "3", "3", "22"): "c1b443de1cfb6af2d41b93272a183a3c5123ded88af03ce242742a849487daed",
+        ("1/3", "3", "4", "64"): "6bca4b5f84ad18d0c76790c58564bc55a5be2517ab0a2bdf85fbfa95f3f028d4",
+        ("1/3", "3", "5", "181"): "9a64cfd617b5b3f593c5aa16462e688a06f7272b0a286b5c88d4ddc622b835ea",
+    }
+
+    @pytest.mark.parametrize(("a", "Q", "m", "k"), sorted(GOLDEN))
+    def test_output_bytes_pinned(self, run, a, Q, m, k):
+        code, out, err = run("lower-bound", "--a", a, "--Q", Q, "--m", m, "--k", k, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, Q, m, k)]
+
+    def test_zero_windows_refused_by_name(self, run, monkeypatch):
+        monkeypatch.setattr(trees, "window_profile", lambda *args: pytest.fail("window profiled"))
+        code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "0", "--k", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: the lower-bound tree needs m >= 1 windows, got m=0\n"
+
     def test_oversize_engine_run_refused_before_the_certificate(self, run, monkeypatch):
         # the certificate's weight holds a 2^(m+1)-bit integer, so it must not come first
         monkeypatch.setattr(cli, "lower_bound_certificate", lambda *args: pytest.fail("certificate built"))
@@ -308,8 +346,8 @@ class TestLowerBound:
 
 
 class TestEnginePolicy:
-    """lower-bound and upper_bound_report read a_{n,k} from the exact engine
-    up to k = 1024 and from the log engine above it, at truncation bound k."""
+    """lower-bound reads a_{n,k} from the exact engine up to k = 1024 and from
+    the log engine above it, at truncation bound k."""
 
     @pytest.mark.parametrize(("k", "engine"), [(1024, Engine.PAPER_EXACT), (1025, Engine.PAPER_LOG)])
     def test_boundary(self, run, monkeypatch, k, engine):
@@ -321,13 +359,11 @@ class TestEnginePolicy:
             return states[-1]
 
         monkeypatch.setattr(recursion, "run", spy)
-        report = trees.upper_bound_report(DensityParam.rational(1, 2), 2, 5, k)
         code, out, _ = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "5", "--k", str(k))
         assert code == 0
-        assert [(s.n, s.kmax, s.engine) for s in states] == [(10, k, engine)] * 2
+        assert [(s.n, s.kmax, s.engine) for s in states] == [(10, k, engine)]
         poly = states[0].poly
         want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly[k])
-        assert report.log2_coeff == want
         assert json.loads(out)["engine_log2"] == format(want, ".17g")
 
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -15,7 +14,6 @@ from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
     atypical_count_and_leaf_bound,
-    build_lower_bound_tree,
     count_trees,
     degree_histogram,
     enumerate_trees,
@@ -23,12 +21,10 @@ from hannerfaces.trees import (
     histogram_leaves,
     lower_bound_certificate,
     lower_bound_histogram,
-    lower_bound_value,
     preorder_decode,
     preorder_encode,
     tree_sum_check,
     tree_weight,
-    upper_bound_report,
 )
 
 S, R = StepKind.PRODUCT, StepKind.HULL
@@ -48,6 +44,23 @@ def leaf_count(tree: tuple) -> int:
 def internal_count(tree: tuple) -> int:
     """Reference count of internal vertices, by recursion over the tree."""
     return 0 if not tree else 1 + sum(internal_count(c) for c in tree)
+
+
+def lower_bound_tree(Q: int, p: int, lam: int, m: int, k: int) -> tuple[tuple, int, int]:
+    """Reference T_m as nested tuples, with its h and jstar: full 2^Q-ary
+    levels up to height h-1, then full 2^p-ary subtrees down to height m,
+    where h = floor(log_{2^Q}(k / (2*lam))) by repeated floor division."""
+    top = 2**Q
+    h, q = 0, k // (2 * lam)
+    while q >= top:
+        h, q = h + 1, q // top
+    assert m > h
+    tree: tuple = ()
+    for _ in range(m - h):
+        tree = (tree,) * 2**p
+    for _ in range(h):
+        tree = (tree,) * top
+    return tree, h, lam * top**h
 
 
 def recursive_trees(m: int, per_level: list[list[int]], level: int = 0) -> Iterator[tuple]:
@@ -240,7 +253,7 @@ class TestTreeSumCheck:
 
 class TestAtypicalStats:
     def test_full_typical_tree(self):
-        t, _, _ = build_lower_bound_tree(2, 1, 1, 3, 2)  # h=0: full binary
+        t, _, _ = lower_bound_tree(2, 1, 1, 3, 2)  # h=0: full binary
         stats = atypical_count_and_leaf_bound(degree_histogram(t), PHI_SR)
         assert stats.qcount == 0
         assert stats.level_sizes == [1, 2, 4, 8]
@@ -254,10 +267,13 @@ class TestAtypicalStats:
         assert stats.level_recurrence_ok and stats.leaf_bound_ok
 
     def test_leaf_count_identity(self):
-        from hannerfaces.trees import iter_nodes
+        def nodes(tree):
+            yield tree
+            for c in tree:
+                yield from nodes(c)
 
         for t in enumerate_trees(2, {2, 4}):
-            hist_sum = sum(len(node) - 1 for node, _ in iter_nodes(t) if node)
+            hist_sum = sum(len(node) - 1 for node in nodes(t) if node)
             assert leaf_count(t) == 1 + hist_sum
             hist = degree_histogram(t)
             assert histogram_leaves(hist) == leaf_count(t)
@@ -290,26 +306,49 @@ class TestPreorder:
 
 
 class TestLowerBoundTree:
+    """The certificate's shape of T_m against the reference tree built here."""
+
+    @staticmethod
+    def assert_certificate_matches_the_tree(cert, tree, h, jstar):
+        assert (cert.h, cert.jstar) == (h, jstar)
+        assert cert.leaves == leaf_count(tree)
+        assert cert.qcount == sum(c for (_, d), c in degree_histogram(tree).items() if d != 2**cert.p)
+
     def test_example_half(self):
-        t, h, jstar = build_lower_bound_tree(2, 1, 1, 3, 8)
+        t, h, jstar = lower_bound_tree(2, 1, 1, 3, 8)
         assert h == 1 and jstar == 4
         assert len(t) == 4  # root degree 2^Q
         assert leaf_count(t) == 16
         assert all(len(c) == 2 for c in t)
+        self.assert_certificate_matches_the_tree(lower_bound_certificate(HALF, 2, 3, 8), t, h, jstar)
 
     def test_precondition_m_too_small(self):
-        with pytest.raises(UsageError):
-            build_lower_bound_tree(2, 1, 1, 2, 32)
+        with pytest.raises(UsageError, match=r"need tree height m > h = floor\(log_\(2\^Q\)\(k/2lam\)\) = 2, got m=2"):
+            lower_bound_certificate(HALF, 2, 2, 32)
 
     def test_example_third(self):
-        t, h, jstar = build_lower_bound_tree(3, 1, 3, 2, 48)
+        t, h, jstar = lower_bound_tree(3, 1, 3, 2, 48)
         assert h == 1
         assert leaf_count(t) == 16
         assert jstar == 24
+        self.assert_certificate_matches_the_tree(lower_bound_certificate(THIRD, 3, 2, 48), t, h, jstar)
 
     def test_k_below_two_lambda(self):
-        with pytest.raises(UsageError):
-            build_lower_bound_tree(2, 1, 3, 3, 5)
+        with pytest.raises(UsageError, match=r"need k >= 2\*lambda, got k=5 < 6"):
+            lower_bound_certificate(THIRD, 3, 3, 5)
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            ((2, 0, 0, -1), "lambda must be a positive integer"),  # every precondition fails
+            ((2, 1, 0, 1), "need k >= 2*lambda, got k=1 < 2"),
+            ((2, 1, 0, 2), "need tree height m > h = floor(log_(2^Q)(k/2lam)) = 0, got m=0"),
+        ],
+    )
+    def test_preconditions_in_order(self, args, message):
+        with pytest.raises(UsageError) as ei:
+            trees._lower_bound_shape(*args)
+        assert message in str(ei.value)
 
 
 class TestLowerBoundHistogram:
@@ -320,7 +359,7 @@ class TestLowerBoundHistogram:
     def test_closed_form_equals_the_walk(self, a, Q, m):
         k = floor_d_delta(Q * m, Fraction(1, 2))
         _, p, _, lam = tfree_and_top(compose_window(window_profile(a, Q, 0).word))
-        tree, h, _ = build_lower_bound_tree(Q, p, lam, m, k)
+        tree, h, _ = lower_bound_tree(Q, p, lam, m, k)
         assert lower_bound_histogram(Q, p, h, m) == degree_histogram(tree)
 
     def test_certificate_walks_no_tree(self, monkeypatch):
@@ -340,9 +379,8 @@ class TestLowerBoundCertificate:
         assert cert.jstar == 4 and cert.jstar * 2 <= 8
         assert cert.qcount <= 8
         assert cert.certified
-        assert lower_bound_value(HALF, 2, 3, 8) == 256
         a68 = face_numbers(HALF, 6, 8, Engine.PAPER_EXACT)[8]
-        assert a68 >= 256
+        assert a68 >= 2**cert.bound_log2
 
     def test_weight_exponent_is_not_jstar(self):
         # The weight of T_m has t-degree lam * (#top-degree vertices), which
@@ -356,7 +394,6 @@ class TestLowerBoundCertificate:
         cert = lower_bound_certificate(THIRD, 3, 2, 8)
         assert cert.h == 0
         assert cert.bound_log2 < 0  # L = 4 < k = 8: bound 2^(L-k) <= 1, still valid
-        assert lower_bound_value(THIRD, 3, 2, 8) == 0
 
     def test_third_m3_k48(self):
         # At this m the L > 2k precondition fails (L=32, 2k=96): the chain
@@ -429,31 +466,3 @@ class TestWeightMassBound:
     def test_internal_at_most_leaves_minus_one(self):
         for t in enumerate_trees(2, {2, 4}):
             assert internal_count(t) <= leaf_count(t) - 1
-
-
-class TestUpperBoundReport:
-    def test_example_half(self):
-        rep = upper_bound_report(HALF, 2, 3, 8)
-        a68 = face_numbers(HALF, 6, 8, Engine.PAPER_EXACT)[8]
-        assert rep.denominator == pytest.approx(8 * math.sqrt(8))
-        assert rep.rho == pytest.approx(log2_int(a68) / (8 * math.sqrt(8)))
-
-    def test_k_one(self):
-        rep = upper_bound_report(HALF, 2, 2, 1)
-        assert rep.denominator == pytest.approx(2.0 ** (2 * rep.p))
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(UsageError):
-            upper_bound_report(HALF, 2, 3, -1)
-
-    def test_zero_k_rejected(self):
-        # the denominator k^(1 - p/Q) is 0 at k = 0
-        with pytest.raises(UsageError):
-            upper_bound_report(HALF, 2, 3, 0)
-
-    def test_rho_envelope_across_m(self):
-        rhos = [
-            upper_bound_report(HALF, 2, m, max(1, int(math.isqrt(2 ** (2 * m))))).rho
-            for m in range(2, 7)
-        ]
-        assert max(rhos) / min(rhos) < 16
