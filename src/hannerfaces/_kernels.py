@@ -1,33 +1,44 @@
 """Low-level kernels: log-domain convolution and exact big-integer convolution.
 
 ``log_convolve`` is the one log kernel, run once per log-engine step.  Every
-such step squares the state, and on engine states log2 a_{n,k} is concave in
-k along one leading run of finite entries.  For a concave run h, output k is
-a sum of the pair terms h[c - d] + h[k - c + d] (c = k // 2), which fall
-monotonically in d, so the square sums only the band d <= w and counts each
-pair twice.  Outputs go in blocks of 64 centers with one half-width w each:
-the bisection's answer to "the first dropped pair of every row lies at least
-53 + ceil(log2(K + 1)) below the row's maximum", so the dropped mass stays
-below 2**-53 of every output (concavity makes that edge check sufficient).
-All blocks bisect in lockstep, one numpy edge check per step, and each
-block meets the midpoints a bisection of its own would, so w does not depend
-on how the search is batched.
-Every other input (two different operands, a non-concave run, interior
-zeros) goes through the full quadratic log-sum-exp ``_log_convolve_full``,
-which is also the oracle the band is tested against.  Both paths are
-deterministic run to run.
+step squares the state, whose log2 a_{n,k} is concave in k along one leading
+run of finite entries, so each output's pair terms fall monotonically away
+from its center and ``_log_square_banded`` sums a band of them, dropping a
+mass below 2**-53 of every output.  Any other input (two different operands,
+a non-concave run, interior zeros) takes the full quadratic log-sum-exp
+``_log_convolve_full``, the band's oracle.  Both are deterministic.
+
+Precision.  Let u = 2**-53 and x = log2 a_{n,k}.  After n steps the engine's
+value is -inf exactly where a_{n,k} = 0, else within 170 n u x of x on the
+whole range it admits (x <= 2**53, so u x <= 1), taking exp2, log2 and log1p
+within 4 ulps (8u).  A log-sum-exp moves by at most its largest term's change,
+and each term x_i + x_j of a square is at most its output z, so a relative
+error passes a step unchanged and each step adds its own rounding as a share of
+z >= 1 (a coefficient 1 is one pair of 1s, summed exactly).  A square row is
+z = top + log2(2S - 1) (odd rows: top + 1 + log2 S), S >= 1 summing N band
+terms 2**t_d.  The pair sums (u z) and top subtractions (u |t_d|, whose mean
+under the weights 2**t_d / S is <= log2 N <= z) move S by 2 ln2 u z, exp2 by
+8u, and numpy's pairwise sum (blocks of 128 on 8 accumulators, halved above) by
+D u, D = 39 roundings a term up to 2**21 terms.  2S - 1 at most doubles that
+and adds u, the dropped mass u; log2 adds 8u z and the final additions 2u z:
+(5 + 8) u z + (2 / ln2)(8 + D + 1) u <= 151.5 u z.  The band's tests read
+rounded values, so a dropped pair may sit 5 u z nearer its top than the cutoff:
+the mass u 2**(5uz) <= u + 31 u**2 z moves z by under 2**-46 u z more.  The
+Hull step, logaddexp2(t F**2, F + 1) = A + log2(1 + 2**t) of slope <= 1/2 in t,
+adds u z + 0.4u (t) + 0.72 * 8u (exp2) + 8u (log1p) + 2u (log2 e) <= 17.2 u z,
+F + 1 rounding below the square's share.  Each step adds under 170 u, whose
+last 1.3 u covers the n u**2 z terms while n < 2**40.
 
 Exact convolution packs nonnegative big coefficients into one huge number
 (Kronecker substitution) and multiplies once.  Int coefficients, the small
 products of trees and powers, go into binary slots of one CPython int; a
-square packs once and computes x*x.  The window-map composer packs each
-t-band of a term with ``_pack`` from its lowest nonzero t-degree, multiplies
-pairs of bands through ``_mul_bigint`` and reads the sums back with
-``_unpack``.  The exact engines keep their
-state as integral Decimals from step to step, and their squares go into
-base-10 slots of one Decimal, squared by libmpdec (the number-theoretic
-transform behind the ``decimal`` module) in a context that traps any
-rounding.  Packing and reading the slots back are shifts, adds and
+square packs once and computes x*x.  The window-map composer packs each t-band
+of a term with ``_pack`` from its lowest nonzero t-degree, multiplies pairs of
+bands through ``_mul_bigint`` and reads the sums back with ``_unpack``.  The
+exact engines keep their state as integral Decimals from step to step, and
+their squares go into base-10 slots of one Decimal, squared by libmpdec (the
+number-theoretic transform behind the ``decimal`` module) in a context that
+traps any rounding.  Packing and reading the slots back are shifts, adds and
 truncations by powers of ten, so no step converts between bases.  A
 coefficient becomes an int only where it is read, through ``_digits_to_int``,
 which splits recursively, stays subquadratic and never depends on
@@ -118,7 +129,7 @@ def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
     centers, n_odd = (rows + 1) // 2, rows // 2
     starts = range(0, centers, _BAND_BLOCK)
     blocks = len(starts)
-    cutoff = 53 + math.ceil(math.log2(n + 1))
+    cutoff = 53 + math.ceil(math.log2(n + 1))  # a row drops <= n + 1 terms, each <= 2**-cutoff of it
     # hp[pad + i] is h[i], -inf outside the run; the pad covers every index a
     # block's search and band can reach.  hcat holds hp reversed, then hp, so
     # both members of a row's edge pair sit at hcat indices that grow with w.

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import UsageError
 from .polys import int_nth_root
-from .recursion import LOG_KMAX_CAP, Engine, trajectory
+from .recursion import Engine, trajectory
 from .schedule import DensityParam, choose_window, window_profile
 
 # Recorded after the first full runs; the growth bounds hide an unpinned
@@ -59,9 +58,8 @@ def scan(
 ) -> list[ScanRow]:
     """One row per n: log2 a_{n,k} at k = floor(d^delta).
 
-    A log scan reads k up to LOG_KMAX_CAP, and ``trajectory`` admits the state.
-    One trajectory at the largest k serves all rows, which agree with per-n runs
-    at their own k because coefficient k depends only on lower coefficients.
+    One trajectory at the largest k, admitted by its state size, serves all rows;
+    they agree with per-n runs at their own k, as coefficient k needs only lower ones.
     """
     ns = sorted(n_range)
     if not ns:
@@ -69,12 +67,6 @@ def scan(
     if ns[0] < 0:
         raise UsageError("scan indices must be nonnegative")
     ks = [floor_d_delta(n, delta) for n in ns]
-    if engine.is_log and ks[-1] > LOG_KMAX_CAP:
-        first = next(n for n in range(ns[-1] + 1) if floor_d_delta(n, delta) > LOG_KMAX_CAP)
-        raise UsageError(  # Decimal(k) prints past the int -> str digit limit
-            f"k = floor(d^delta) = {Decimal(ks[-1])} exceeds the log engine cap {LOG_KMAX_CAP}, "
-            f"which delta={delta} first passes at n={first}"
-        )
     states = trajectory(a, ns[-1], max(ks), engine)
     state = next(states)
     rows = []

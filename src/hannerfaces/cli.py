@@ -24,7 +24,7 @@ from .phimap import compose_window, tfree_and_top, word_from_string
 from .polys import eval_at_one
 from .recursion import Engine, log2_face_number, proper_f_vector, run
 from .schedule import DensityParam, is_product_step, window_profile
-from .trees import DEFAULT_BUDGET, histogram_leaves, lower_bound_certificate, tree_sum_check
+from .trees import DEFAULT_BUDGET, check_windows, histogram_leaves, lower_bound_certificate, tree_sum_check
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -129,6 +129,8 @@ def _cmd_fvector(args) -> int:
 def _cmd_phi(args) -> int:
     if args.word is not None:
         word = word_from_string(args.word)
+        if word and (args.a, args.a_real, args.Q, args.m) != (None,) * 4:  # "" is refused below
+            raise UsageError("give either --word or --a/--a-real/--Q/--m, not both")
     else:
         a = _parse_density(args)
         if args.Q is None or args.m is None:
@@ -186,6 +188,7 @@ def _cmd_trees(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     a = _parse_density(args)
+    check_windows(args.m)  # before the engine run at n = Q*m, whose refusal would name n
     engine_log2 = log2_face_number(a, args.Q * args.m, args.k, Engine.for_kmax(args.k))
     cert = lower_bound_certificate(a, args.Q, args.m, args.k)
     ok = cert.bound_log2 <= engine_log2
@@ -218,6 +221,8 @@ def _scan(args):
 
 
 def _cmd_asymptotics(args) -> int:
+    if args.csv and args.format == "json":  # before the scan, which may take seconds
+        raise UsageError("--csv writes CSV; give --format csv or leave --csv out")
     _, _, rows = _scan(args)
     # d = 2**n prints from a Decimal doubled row by row (rows come in rising n):
     # str(int) is quadratic in the digits and refuses past int_max_str_digits.

@@ -34,15 +34,11 @@ from .errors import UsageError, VerificationError
 from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int
 from .schedule import DensityParam, StepKind, is_product_step
 
-# Engine.for_kmax runs exact up to EXACT_KMAX_CAP, and a log scan reads k up to
-# its precision limit LOG_KMAX_CAP.  A run's state may hold STATE_BITS_CAP bits:
-# K+1 slots of its widest coefficient, 64 bits each in the log engine.  At a = 1/2
-# on a 2-CPU Xeon VM the exact run to n=20/K=1024 holds 109.8 Mbit; with its state
-# in Decimal it takes 10.7-11.7 s at a peak RSS of 181-208 MiB (20-27 s at 173 MiB
-# converting the state to and from ints every step, 404 s with CPython-int squares).
-# n=21/K=1448 would hold 257.5 Mbit; a log scan to n=26/K=8192 takes 0.35-0.46 s.
+# Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
+# STATE_BITS_CAP bits: K+1 slots of its widest coefficient, 64 bits a slot in the
+# log engine (so K <= 2,097,151).  README gives the timings at a = 1/2: the exact
+# run to n=20/K=1024 holds 109.8 Mbit (n=21/K=1448: 257.5), the log run to n=41 94.9.
 EXACT_KMAX_CAP = 1024
-LOG_KMAX_CAP = 8192
 STATE_BITS_CAP = 2**27
 
 

@@ -370,6 +370,11 @@ def _lower_bound_shape(Q: int, lam: int, m: int, k: int) -> tuple[int, int]:
     return h, lam * top**h
 
 
+def check_windows(m: int) -> None:
+    if m < 1:
+        raise UsageError(f"the lower-bound tree needs m >= 1 windows, got m={m}")
+
+
 def lower_bound_histogram(Q: int, p: int, h: int, m: int) -> Histogram:
     """degree_histogram of the lower-bound tree, in closed form: 2^(Qj) vertices
     of degree 2^Q at each height j < h, then 2^(Qh + p(j-h)) of degree 2^p."""
@@ -392,17 +397,8 @@ class LowerBoundCertificate:
     qcount: int
     bound_log2: int  # the certified bound is 2^(L - k)
     weight_coeff: int  # [t^jweight] W(T_m), verified directly
-    binom_ok: bool
+    certified: bool  # 0 <= k - jweight <= L; the other conditions raise when unmet
     leaves_exceed_2k: bool  # L > 2k at this m (report-only precondition)
-
-    @property
-    def certified(self) -> bool:
-        return (
-            self.weight_coeff >= 1
-            and self.binom_ok
-            and self.jstar * 2 <= self.k
-            and self.qcount <= self.k
-        )
 
 
 def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBoundCertificate:
@@ -418,8 +414,7 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
     t-degree uses their exact count.)  The construction's two conditions,
     Q(T_m) <= k and 2*jstar <= k, are checked here.
     """
-    if m < 1:
-        raise UsageError(f"the lower-bound tree needs m >= 1 windows, got m={m}")
+    check_windows(m)
     words = {window_profile(a, Q, j).word for j in range(m)}
     if len(words) != 1:
         raise UsageError(
@@ -457,6 +452,6 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         qcount=stats.qcount,
         bound_log2=L - k,
         weight_coeff=weight_coeff,
-        binom_ok=0 <= k - jweight <= L,
+        certified=0 <= k - jweight <= L,
         leaves_exceed_2k=L > 2 * k,
     )

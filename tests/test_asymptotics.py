@@ -16,7 +16,7 @@ from hannerfaces.asymptotics import (
 )
 from hannerfaces.errors import UsageError
 from hannerfaces.polys import log2_int
-from hannerfaces.recursion import LOG_KMAX_CAP, Engine, face_numbers
+from hannerfaces.recursion import Engine, face_numbers
 from hannerfaces.schedule import DensityParam
 from hannerfaces.selftest import golden_like
 
@@ -97,14 +97,9 @@ class TestScan:
     def test_feasibility_cap(self):
         with pytest.raises(UsageError):
             scan(HALF, DELTA_HALF, [22], Engine.PAPER_EXACT)
-        with pytest.raises(UsageError):
-            scan(HALF, DELTA_HALF, [28], Engine.PAPER_LOG)
-
-    @pytest.mark.parametrize(("delta", "first"), [(DELTA_HALF, 27), (Fraction(1, 4), 53)])
-    def test_log_cap_names_the_first_n_past_it(self, delta, first):
-        assert floor_d_delta(first - 1, delta) <= LOG_KMAX_CAP < floor_d_delta(first, delta)
-        with pytest.raises(UsageError, match=f"which delta={delta} first passes at n={first}$"):
-            scan(HALF, delta, range(first + 4), Engine.PAPER_LOG)
+        # a log scan meets the state size rule alone: K = 2^21 slots of 64 bits
+        with pytest.raises(UsageError, match=r"at n=42, K=2097152 .*\(134,217,792 > 134,217,728 bits\)$"):
+            scan(HALF, DELTA_HALF, [42], Engine.PAPER_LOG)
 
     def test_exact_scan_is_admitted_by_its_state(self):
         # k = 1448 at n = 21 is refused for its predicted state, not for k

@@ -100,6 +100,32 @@ class TestPhi:
         assert (code, out) == (3, "")
         assert err == "error: window word must be nonempty\n"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--a", "1/2", "--Q", "3", "--m", "0"),
+            ("--a", "1/2"),
+            ("--a-real", "0.618:64"),
+            ("--Q", "3"),
+            ("--m", "0"),
+        ],
+    )
+    def test_word_with_density_flags_is_refused(self, run, monkeypatch, extra):
+        monkeypatch.setattr(cli, "compose_window", lambda word: pytest.fail("map composed"))
+        code, out, err = run("phi", "--word", "SR", *extra)
+        assert (code, out) == (3, "")
+        assert err == "error: give either --word or --a/--a-real/--Q/--m, not both\n"
+
+    def test_word_with_density_from_config_is_refused(self, run, tmp_path):
+        # config flags count as given, so a density config and --word conflict
+        cfg = tmp_path / "density.cfg"
+        cfg.write_text("a=1/2\nQ=3\nm=1\n")
+        code, out, err = run("--config", str(cfg), "phi", "--word", "SR")
+        assert (code, out) == (3, "")
+        assert err == "error: give either --word or --a/--a-real/--Q/--m, not both\n"
+        code, out, _ = run("--config", str(cfg), "phi")
+        assert code == 0 and '"word": "RSR"' in out
+
     # sha256 of stdout, recorded before the composer packed bands.
     GOLDEN = {
         ("1/2", "json"): "69cf2bb0033b995bc04cdefadcdc48c5ddb1c2d9c754d528986ada730548cbc6",
@@ -336,6 +362,12 @@ class TestLowerBound:
         assert (code, out) == (3, "")
         assert err == "error: the lower-bound tree needs m >= 1 windows, got m=0\n"
 
+    def test_negative_windows_refused_by_name_before_the_engine(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "log2_face_number", lambda *args: pytest.fail("engine ran"))
+        code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "-1", "--k", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: the lower-bound tree needs m >= 1 windows, got m=-1\n"
+
     def test_oversize_engine_run_refused_before_the_certificate(self, run, monkeypatch):
         # the certificate's weight holds a 2^(m+1)-bit integer, so it must not come first
         monkeypatch.setattr(cli, "lower_bound_certificate", lambda *args: pytest.fail("certificate built"))
@@ -460,6 +492,15 @@ class TestAsymptotics:
         assert out == ""
         assert path.read_text().splitlines()[0] == "n,d,k,Q,m,p,log2_coeff,rho"
 
+    def test_csv_file_with_json_format_is_refused(self, run, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "scan", lambda *args: pytest.fail("scan ran"))
+        path = tmp_path / "rows.csv"
+        argv = ("--delta", "1/2", "--nmax", "3", "--csv", str(path), "--format", "json")
+        code, out, err = run("asymptotics", "--a", "1/2", *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: --csv writes CSV; give --format csv or leave --csv out\n"
+        assert not path.exists()
+
     def test_bad_delta(self, run):
         code, _, err = run("asymptotics", "--a", "1/2", "--delta", "3/2", "--nmax", "4")
         assert code == 3
@@ -491,6 +532,18 @@ class TestAsymptotics:
         assert (code, out) == (3, "")
         assert "step count must be >= 0, got -1" in err
         assert scans == []
+
+    def test_log_scan_past_k_8192_bytes_pinned(self, run):
+        # sha256 of stdout, recorded with the 8192 cap on k lifted and the
+        # kernel as it was then: rows past n=26 print the parent kernel's bytes.
+        code, out, _ = run(
+            "asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "28", "--engine", "log"
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "4517dad291d1acc5e8cc4d9faf7a2b043d33df3f91782c477271ffd17faff793"
+        )
 
     def test_log_scan_to_k_8192_bytes_pinned(self, run):
         # sha256 of stdout, recorded before the banded square bisected its
