@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polys import int_nth_root
-from .recursion import Engine, trajectory
+from .recursion import Engine, log2_face_numbers
 from .schedule import DensityParam, choose_window, window_profile
 
 # Recorded after the first full runs; the growth bounds hide an unpinned
@@ -58,8 +58,9 @@ def scan(
 ) -> list[ScanRow]:
     """One row per n: log2 a_{n,k} at k = floor(d^delta).
 
-    One trajectory at the largest k, admitted by its state size, serves all rows;
-    they agree with per-n runs at their own k, as coefficient k needs only lower ones.
+    One trajectory at the largest k, admitted by its state size, serves all rows
+    (``log2_face_numbers``; an exact scan's last n is read by coefficient); they
+    agree with per-n runs at their own k, as coefficient k needs only lower ones.
     """
     ns = sorted(n_range)
     if not ns:
@@ -67,14 +68,10 @@ def scan(
     if ns[0] < 0:
         raise UsageError("scan indices must be nonnegative")
     ks = [floor_d_delta(n, delta) for n in ns]
-    states = trajectory(a, ns[-1], max(ks), engine)
-    state = next(states)
+    values = log2_face_numbers(a, list(zip(ns, ks)), engine)
     rows = []
     products = {}  # (Q, m) -> p; rows of one window share it
-    for n, k in zip(ns, ks):
-        while state.n < n:
-            state = next(states)
-        log2_coeff = state.poly.log2(k)
+    for n, k, log2_coeff in zip(ns, ks, values):
         Q = choose_window(max(n, 1), a)
         m = n // Q
         if (Q, m) not in products:

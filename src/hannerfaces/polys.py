@@ -13,6 +13,7 @@ they have the same type and the same ``kmax``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -192,6 +193,20 @@ def convolve_truncated(f, g):
     cf = list(f.coeffs)
     out = _kernels.convolve_exact(cf, cf if g is f else list(g.coeffs), f.kmax + 1)
     return IntPoly(tuple(out), f.kmax)
+
+
+def square_coefficient(f: DecimalPoly, k: int) -> Decimal:
+    """Coefficient k <= kmax of ``convolve_truncated(f, f)`` alone, exact in
+    decimal: 2 * sum_{i < k/2} f_i * f_{k-i}, plus f_{k/2}**2 for even k.  That is
+    about k/2 products of single coefficients, where the whole square packs all
+    kmax + 1 of them into one number.  Only the exact state takes it: a log row's
+    bytes depend on the band width its block shares, so the log engine squares
+    whole states."""
+    cs, add, mul = f.decimals, _kernels._EXACT.add, _kernels._EXACT.multiply
+    half = (k + 1) // 2
+    pairs = functools.reduce(add, map(mul, cs[:half], cs[k : k - half : -1]), _ZERO)
+    out = add(pairs, pairs)
+    return add(out, mul(cs[half], cs[half])) if k % 2 == 0 else out
 
 
 def eval_at_one(f: IntPoly) -> int:

@@ -20,6 +20,10 @@ either, and only the free-sum Hull step has a branch of its own.  Every
 exact read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
 ``verify_growth_bounds``) gives ints.  ``trajectory`` is the one driver:
 runs, scans and the log pass that sizes an exact run all step through it.
+A read of single coefficients (``log2_face_numbers``: scans and
+``log2_face_number``) stops an exact trajectory one state short and takes
+the last step's coefficients alone by ``step_coefficient``, which ``step``
+serves as oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from decimal import Decimal
 from itertools import islice, pairwise
 from typing import Iterator, Union
 
+from . import _kernels
 from .errors import UsageError, VerificationError
-from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int
+from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int, square_coefficient
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
@@ -113,16 +118,43 @@ def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
     all corrections lie above the bound and the printed formula applies.
     """
     kmax, d = f.kmax, 2**n
-    if d <= kmax:
-        if f.decimals[d] != 1:
-            raise VerificationError(
-                f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
-            )
-        f = DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], kmax)
+    f = _without_improper_face(f, d)
     out = convolve_truncated(f, f).shift(1) + f.scale(2)
     if 2 * d <= kmax:
         out = out + DecimalPoly.monomial(1, 2 * d, kmax)
     return out
+
+
+def _without_improper_face(f: DecimalPoly, d: int) -> DecimalPoly:
+    """F - t^d while d fits under the truncation bound, else F."""
+    if d > f.kmax:
+        return f
+    if f.decimals[d] != 1:
+        raise VerificationError(
+            f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
+        )
+    return DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], f.kmax)
+
+
+def step_coefficient(state: RecursionState, kind: StepKind, k: int) -> int:
+    """Coefficient k of ``step(state, kind).poly`` of an exact engine, from
+    coefficients <= k of the state alone: [t^k]F^2 for a Product step,
+    [t^(k-1)]F^2 + 2 f_k for a Hull step, and for the free-sum Hull step the
+    same on F - t^d plus 1 at k = 2d.  ``step`` is its oracle."""
+    f, add = state.poly, _kernels._EXACT.add
+    if kind is StepKind.PRODUCT:
+        c = square_coefficient(f, k)
+    else:
+        d = 2**state.n
+        geometric = state.engine is Engine.GEOMETRIC_EXACT
+        if geometric:
+            f = _without_improper_face(f, d)
+        c = add(f.decimals[k], f.decimals[k])
+        if k:
+            c = add(c, square_coefficient(f, k - 1))
+        if geometric and k == 2 * d:
+            c = add(c, Decimal(1))
+    return _kernels._digits_to_int(str(c), {})
 
 
 def _widest_log2(a: DensityParam, n_max: int, kmax: int) -> list[float]:
@@ -149,7 +181,15 @@ def check_state_bits(bits: int, what: str) -> None:
 
 
 def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
-    """Raise UsageError if a state of the run is predicted to pass STATE_BITS_CAP."""
+    """Raise UsageError if a state of the run is predicted to pass STATE_BITS_CAP.
+
+    A log state holds 64 bits a slot.  An exact coefficient after n steps is
+    below 4**(2**n): F_0(1) = 3, and a step maps F(1) to at most F(1)**2 +
+    2 F(1) < (F(1) + 1)**2 (the free-sum engine stays below the printed one
+    coefficientwise).  So an exact run to n with (K+1) * 2**(n+1) bits under
+    the cap is admitted as it stands; past that bound a log pass, which bounds
+    both exact engines coefficientwise, sizes each state.
+    """
     if engine.is_log:
         widths = [(n_max, 64)]
     else:
@@ -158,6 +198,9 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
             f"the {engine.value} engine run to n={n_max}, K={kmax} cannot be sized: "
             "its log pass would hold",
         )
+        # the shift only while it can come out under the cap
+        if n_max < STATE_BITS_CAP.bit_length() and (kmax + 1) << (n_max + 1) <= STATE_BITS_CAP:
+            return
         widths = enumerate(int(x) + 1 for x in _widest_log2(a, n_max, kmax))
     for n, width in widths:
         check_state_bits(
@@ -175,8 +218,8 @@ def trajectory(
     one before, so the state after n steps agrees up to any k <= ``kmax``
     with a run to n at truncation bound k.
 
-    A run predicted to pass STATE_BITS_CAP is refused before the first step;
-    exact widths come from a log pass, which bounds both exact engines.
+    A run predicted to pass STATE_BITS_CAP is refused before the first step
+    (``_admit``).
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")
@@ -222,7 +265,31 @@ def log2_face_number(a: DensityParam, n: int, k: int, engine: Engine) -> float:
     """log2 a_{n,k} under the given engine (exact engines converted exactly)."""
     if k < 0:
         raise UsageError(f"face index k must be nonnegative, got {k}")
-    return run(a, n, max(1, k), engine).poly.log2(k)
+    return log2_face_numbers(a, [(n, k)], engine)[0]
+
+
+def log2_face_numbers(a: DensityParam, points, engine: Engine) -> list[float]:
+    """log2 a_{n,k} at each (n, k) of ``points`` (n nondecreasing, k >= 0), from
+    one trajectory to the last n at the largest k, admitted at that n.
+
+    An exact trajectory stops one state short of the last n, whose
+    coefficients come from ``step_coefficient``: its whole square is never
+    taken.  A log row's bytes depend on the band its block shares, so the log
+    engine takes every step.
+    """
+    n_last = points[-1][0]
+    built = n_last if engine.is_log else n_last - 1
+    states = trajectory(a, n_last, max(1, max(k for _, k in points)), engine)
+    state = next(states)
+    out = []
+    for n, k in points:
+        while state.n < min(n, built):
+            state = next(states)
+        if state.n == n:
+            out.append(state.poly.log2(k))
+        else:
+            out.append(log2_int(step_coefficient(state, is_product_step(state.n, a), k)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,15 @@ from .asymptotics import (
 from .geometry import build_polytope, f_vector_crosscheck, radii, radii_recursion
 from .phimap import apply_phi, compose_window, tfree_and_top
 from .polys import IntPoly, convolve_truncated, eval_at_one, log2_int
-from .recursion import Engine, face_numbers, proper_f_vector, run, verify_growth_bounds
+from .recursion import (
+    Engine,
+    face_numbers,
+    proper_f_vector,
+    run,
+    step,
+    step_coefficient,
+    verify_growth_bounds,
+)
 from .schedule import DensityParam, StepKind, is_product_step, window_profile
 from .trees import (
     enumerate_trees,
@@ -272,6 +280,17 @@ def _check_log_vs_exact():
     return "every k <= 24 at n=10 within 1e-6 relative, a in {1/2,1/3}"
 
 
+def _check_step_coefficient():
+    for engine in (Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT):
+        state = run(THIRD, 5, 64, engine)  # d = 32, so the free-sum t^(2d) sits at k = 64
+        for kind in StepKind:
+            want = step(state, kind).poly
+            got = [step_coefficient(state, kind, k) for k in range(65)]
+            where = f"({engine.value} engine, {kind.name} step)"
+            check(got == [want[k] for k in range(65)], f"coefficient step off the full step {where}")
+    return "every k <= 64 of both step kinds on a=1/3 states at n=5, K=64, both exact engines"
+
+
 def _check_phi_apply():
     for a in (HALF, THIRD, TWO_THIRDS):
         for Q in (1, 2, 3):
@@ -313,6 +332,7 @@ CHECKS = [
     ("schedule_periodicity", _check_schedule),
     ("exact_convolution_vs_schoolbook", _check_poly_engine),
     ("log_engine_vs_exact_every_k", _check_log_vs_exact),
+    ("coefficient_step_vs_full_step", _check_step_coefficient),
     ("window_map_apply_vs_recursion", _check_phi_apply),
     ("preorder_round_trip", _check_preorder),
     ("banded_vs_full_log_kernel", _check_log_kernel_band),

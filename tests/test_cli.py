@@ -10,7 +10,6 @@ import pytest
 from hannerfaces import cli, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
-from hannerfaces.polys import log2_int
 from hannerfaces.recursion import Engine
 from hannerfaces.schedule import DensityParam, StepKind, is_product_step
 
@@ -383,19 +382,21 @@ class TestEnginePolicy:
 
     @pytest.mark.parametrize(("k", "engine"), [(1024, Engine.PAPER_EXACT), (1025, Engine.PAPER_LOG)])
     def test_boundary(self, run, monkeypatch, k, engine):
-        states = []
-        real_run = recursion.run
+        # The exact engine steps to n=9 and reads coefficient k of step 10 alone;
+        # the closed form admits it, so no log step sizes it.  The log engine
+        # takes all 10 steps.
+        stepped = []
+        real_step = recursion.step
 
-        def spy(a, n, kmax, engine):
-            states.append(real_run(a, n, kmax, engine))
-            return states[-1]
+        def spy(state, kind):
+            stepped.append((state.n, state.kmax, state.engine))
+            return real_step(state, kind)
 
-        monkeypatch.setattr(recursion, "run", spy)
+        monkeypatch.setattr(recursion, "step", spy)
         code, out, _ = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "5", "--k", str(k))
         assert code == 0
-        assert [(s.n, s.kmax, s.engine) for s in states] == [(10, k, engine)]
-        poly = states[0].poly
-        want = float(poly.log2_coeffs[k]) if engine.is_log else log2_int(poly[k])
+        assert stepped == [(n, k, engine) for n in range(10 if engine.is_log else 9)]
+        want = recursion.run(DensityParam.rational(1, 2), 10, k, engine).poly.log2(k)
         assert json.loads(out)["engine_log2"] == format(want, ".17g")
 
 
@@ -442,7 +443,7 @@ class TestRefusedUpFront:
         assert "the paper engine run to n=42, K=2097152" in err
         assert "(134,217,792 > 134,217,728 bits)" in err
 
-    def test_fvector_sizes_its_run_with_one_log_pass(self, run, monkeypatch):
+    def test_log_pass_only_past_the_closed_form(self, run, monkeypatch):
         log_steps = []
         real_step = recursion.step
 
@@ -452,9 +453,14 @@ class TestRefusedUpFront:
             return real_step(state, kind)
 
         monkeypatch.setattr(recursion, "step", spy)
+        # 65 * 2^13 bits bound every state: admitted with no log step
         code, _, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "64", "--engine", "paper")
         assert code == 0
-        assert log_steps == list(range(12))  # the admission's pass, and no other
+        assert log_steps == []
+        # 1025 * 2^21 bits is over the ceiling: one log pass sizes the run, before any exact step
+        states = recursion.trajectory(DensityParam.rational(1, 2), 20, 1024, Engine.PAPER_EXACT)
+        assert next(states).n == 0
+        assert log_steps == list(range(20))
 
     def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
         steps = []
@@ -558,6 +564,21 @@ class TestAsymptotics:
         )
 
 
+    # sha256 of stdout, recorded before the last step was read by coefficient
+    # and before the closed form admitted exact runs without a log pass.
+    GOLDEN_EXACT = {
+        ("1/3", "16", "paper"): "54a2391685edb1f0635eaf9c83154d31a5b5cf7d2bf185c12f755afc02fae1e4",
+        ("1/2", "12", "geometric"): "a21ecf046ebca0dc2910cfb7f64bc55764e414d1147825bc58794b4fdedb40c3",
+    }
+
+    @pytest.mark.parametrize(("a", "nmax", "engine"), sorted(GOLDEN_EXACT))
+    def test_exact_scan_bytes_pinned(self, run, a, nmax, engine):
+        argv = ("--delta", "1/2", "--nmax", nmax, "--engine", engine)
+        code, out, _ = run("asymptotics", "--a", a, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_EXACT[(a, nmax, engine)]
+
+
 class TestOracle:
     def test_half_n2(self, run):
         code, out, _ = run("oracle", "--a", "1/2", "--n", "2")
@@ -649,6 +670,15 @@ class TestFlmReport:
         code, out, _ = run("flm-report", "--a", a, "--delta", "1/2", "--nmax", "24", "--engine", "log")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_LOG[a]
+
+    def test_exact_report_bytes_pinned(self, run):
+        # recorded before the last step was read by coefficient
+        code, out, _ = run("flm-report", "--a", "1/3", "--delta", "1/2", "--nmax", "15", "--engine", "paper")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "cfdc1d61b42ff70d359c175d51f3c144f6a5286bed445ec28a258f51d4932fbe"
+        )
 
     def test_irrational_report_bytes_pinned(self, run):
         golden = "0.6180339887498948482045868343656381177:128"

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hannerfaces import recursion
-from hannerfaces._kernels import convolve_schoolbook, log_convolve
+from hannerfaces import recursion, selftest
+from hannerfaces._kernels import _EXACT, convolve_schoolbook, log_convolve
 from hannerfaces.asymptotics import scan
 from hannerfaces.errors import UsageError
 from hannerfaces.polys import DecimalPoly, IntPoly, convolve_truncated, eval_at_one, log2_int
@@ -31,6 +31,8 @@ from hannerfaces.schedule import DensityParam, StepKind, is_product_step
 HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
+TWO_FIFTHS = DensityParam.rational(2, 5)
+EXACT_ENGINES = [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT]
 
 
 def literal_recursion(a: DensityParam, n: int) -> dict[int, int]:
@@ -237,11 +239,71 @@ class TestStateAdmission:
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 65 * 100)
         assert recursion._widest_log2(HALF, 12, 64) == full[: first_over + 1]
 
+    @pytest.mark.parametrize("n", [6, 12, 20, 25])
+    def test_closed_form_admits_without_a_log_pass(self, monkeypatch, n):
+        passes = []
+        monkeypatch.setattr(recursion, "_widest_log2", lambda *args: passes.append(args) or [])
+        kmax = (recursion.STATE_BITS_CAP >> (n + 1)) - 1  # (K+1) * 2^(n+1) is the ceiling
+        for engine in EXACT_ENGINES:
+            recursion._admit(HALF, n, kmax, engine)
+        assert passes == []
+        recursion._admit(HALF, n, kmax + 1, Engine.PAPER_EXACT)
+        assert passes == [(HALF, n, kmax + 1)]
+
+    @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
+    def test_closed_form_bounds_every_state(self, a):
+        # a coefficient after n steps is below 4^(2^n): at most 2^(n+1) bits
+        for engine in EXACT_ENGINES:
+            for state in trajectory(a, 13, 64, engine):
+                widest = max(c.bit_length() for c in state.poly.to_intpoly().coeffs)
+                assert widest <= 2 ** (state.n + 1)
+        # and so is every width the log pass predicts
+        widths = [int(x) + 1 for x in recursion._widest_log2(a, 20, 1024)]
+        assert all(w <= 2 ** (n + 1) for n, w in enumerate(widths))
+
     def test_log_state_is_64_bits_a_slot(self, monkeypatch):
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
         assert run(HALF, 6, 8, Engine.PAPER_LOG).n == 6
         with pytest.raises(UsageError, match="log engine state at n=6, K=9"):
             run(HALF, 6, 9, Engine.PAPER_LOG)
+
+
+class TestStepCoefficient:
+    """``step_coefficient`` reads one coefficient of the next exact state
+    without squaring the whole state; ``step`` is its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([HALF, THIRD, TWO_THIRDS, TWO_FIFTHS]),
+        st.integers(0, 12),
+        st.integers(1, 64),
+        st.sampled_from(EXACT_ENGINES),
+        st.sampled_from(list(StepKind)),
+    )
+    @example(HALF, 0, 1, Engine.GEOMETRIC_EXACT, StepKind.HULL)
+    @example(THIRD, 3, 16, Engine.GEOMETRIC_EXACT, StepKind.HULL)  # t^(2d) at k = 2d = K
+    @example(TWO_FIFTHS, 12, 64, Engine.PAPER_EXACT, StepKind.PRODUCT)
+    def test_every_coefficient_is_the_full_steps(self, a, n, kmax, engine, kind):
+        state = run(a, n, kmax, engine)
+        want = step(state, kind).poly
+        got = [recursion.step_coefficient(state, kind, k) for k in range(kmax + 1)]
+        assert got == [want[k] for k in range(kmax + 1)]
+
+    def test_selftest_check_catches_a_wrong_square_coefficient(self, monkeypatch):
+        selftest._check_step_coefficient()
+        real = recursion.square_coefficient
+        off_by_one = lambda f, k: _EXACT.add(real(f, k), Decimal(1))  # noqa: E731
+        monkeypatch.setattr(recursion, "square_coefficient", off_by_one)
+        with pytest.raises(AssertionError, match="coefficient step off the full step"):
+            selftest._check_step_coefficient()
+
+    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
+    def test_single_reads_equal_the_full_run(self, a, engine):
+        for n in range(13):
+            for k in (0, 1, 21, 64):
+                want = run(a, n, max(1, k), engine).poly.log2(k)
+                assert log2_face_number(a, n, k, engine) == want
 
 
 class TestLiteralRecursionOracle:
@@ -413,7 +475,6 @@ def int_recursion(a: DensityParam, n: int, kmax: int, engine: Engine) -> list[in
     return f
 
 
-EXACT_ENGINES = [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT]
 DENSITIES = [DensityParam.rational(p, q) for q in range(2, 7) for p in range(1, q)]
 
 
