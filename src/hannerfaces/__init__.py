@@ -47,8 +47,6 @@ from .recursion import (
 from .schedule import DensityParam, StepKind, Window, choose_window, is_product_step, window_profile
 from .trees import (
     LowerBoundCertificate,
-    TreeStats,
-    atypical_count_and_leaf_bound,
     count_trees,
     enumerate_trees,
     lower_bound_certificate,
@@ -77,13 +75,11 @@ __all__ = [
     "RecursionState",
     "ScanRow",
     "StepKind",
-    "TreeStats",
     "UsageError",
     "VPolytope",
     "VerificationError",
     "Window",
     "apply_phi",
-    "atypical_count_and_leaf_bound",
     "bound_envelope",
     "build_polytope",
     "choose_window",

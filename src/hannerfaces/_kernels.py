@@ -4,9 +4,11 @@
 step squares the state, whose log2 a_{n,k} is concave in k along one leading
 run of finite entries, so each output's pair terms fall monotonically away
 from its center and ``_log_square_banded`` sums a band of them, dropping a
-mass below 2**-53 of every output.  Any other input (two different operands,
-a non-concave run, interior zeros) takes the full quadratic log-sum-exp
-``_log_convolve_full``, the band's oracle.  Both are deterministic.
+mass below 2**-53 of every output.  A square whose input is not such a run
+(a non-concave run, interior zeros) raises VerificationError: no engine state
+over the accepted densities is one, so it would mean a broken step.  Two
+different operands take the full quadratic log-sum-exp ``_log_convolve_full``,
+the band's oracle.  Both are deterministic.
 
 Precision.  Let u = 2**-53 and x = log2 a_{n,k}.  After n steps the engine's
 value is -inf exactly where a_{n,k} = 0, else within 170 n u x of x on the
@@ -55,7 +57,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import PrecisionError, VerificationError
 
 NEG_INF = float("-inf")
 ACTIVE_KERNEL = "numpy"
@@ -181,13 +183,16 @@ def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
 def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Truncated log-domain convolution of two equal-length log2-coefficient arrays.
 
-    Squares (``g is f``) of a concave leading run take the banded path;
-    everything else takes the full kernel.  Raises PrecisionError if any
-    output is +inf, NaN, or finite above 2**53 in magnitude.
+    A square (``g is f``) takes the banded path, and raises VerificationError
+    unless f is concave along one leading finite run; two different operands
+    take the full kernel.  Raises PrecisionError if any output is +inf, NaN,
+    or finite above 2**53 in magnitude.
     """
-    run = _concave_run(f) if g is f else -1
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the raise below
-        if run >= 0:
+        if g is f:
+            run = _concave_run(f)
+            if run < 0:
+                raise VerificationError("log-domain square of an input not concave along one leading run")
             out = _log_square_banded(np.ascontiguousarray(f[:run]), f.shape[0])
         else:
             out = _log_convolve_full(np.ascontiguousarray(f), np.ascontiguousarray(g))

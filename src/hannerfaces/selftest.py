@@ -44,9 +44,11 @@ from .schedule import DensityParam, StepKind, is_product_step, window_profile
 from .trees import (
     enumerate_trees,
     lower_bound_certificate,
+    lower_bound_histogram,
     preorder_decode,
     preorder_encode,
     tree_sum_check,
+    tree_weight,
 )
 
 HALF = DensityParam.rational(1, 2)
@@ -165,7 +167,11 @@ def _criterion_6():
             where = f"(a={a}, m={m}, k={k})"
             check(2 * cert.jstar <= k, f"jstar above k/2 {where}")
             check(cert.qcount <= k, f"Q(T) above k {where}")
-            check(cert.weight_coeff >= 1, f"certificate weight below 1 {where}")
+            # oracle: the closed-form coefficient against the built weight W(T_m)
+            phi = compose_window(window_profile(a, Q, 0).word)
+            hist = lower_bound_histogram(Q, cert.p, cert.h, m)
+            w = tree_weight(hist, [phi] * m, max(cert.jweight, 1))
+            check(cert.A**cert.typical == w[cert.jweight], f"certificate weight differs from W(T_m) {where}")
             engine_log2 = log2_int(face_numbers(a, n, k, Engine.PAPER_EXACT)[k])
             check(cert.bound_log2 <= engine_log2, f"lower bound exceeds engine value {where}")
     return "2^(L-k) <= a_(Qm,k) with jstar<=k/2, Q(T)<=k at 10 grid points"

@@ -19,7 +19,8 @@ weighs each distinct histogram once.  ``enumerate_trees`` and
 enumeration budget is refused from its count, before anything is composed.
 
 The lower-bound certificate reads the explicit tree T_m through the closed
-form of its histogram alone; T_m is never built.
+form of its histogram alone, and the one coefficient of W(T_m) it needs in
+closed form too; neither T_m nor W(T_m) is built.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
-from .polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
-from .recursion import Engine, check_state_bits, run
+from .polys import IntPoly, convolve_truncated, power_truncated
+from .recursion import Engine, run
 from .schedule import DensityParam, window_profile
 
 Tree = tuple  # recursive: Tree = tuple[Tree, ...]
@@ -249,63 +250,6 @@ def tree_sum_check(
 
 
 # ---------------------------------------------------------------------------
-# per-tree statistics and the level recurrence
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeStats:
-    leaves: int
-    internal: int
-    qcount: int  # vertices of degree != 2^p
-    level_sizes: list[int]  # N_j, j = 0..m
-    level_atypical: list[int]  # Q_j, j = 0..m-1
-    level_recurrence_ok: bool  # N_{j+1} <= 2^p N_j + 2^Q Q_j at every level
-    leaf_bound: int  # iterated bound on L(T)
-    leaf_bound_ok: bool
-
-
-def atypical_count_and_leaf_bound(hist: Histogram, phi: PhiMap) -> TreeStats:
-    """Level statistics, from its degree histogram, of a uniform-height tree
-    against a constant window map."""
-    m = 1 + max((h for h, _ in hist), default=-1)
-    typical = 2**phi.p
-    top = 2**phi.Q
-    n_levels = [0] * (m + 1)
-    q_levels = [0] * max(m, 1)
-    n_levels[0] = 1
-    qcount = 0
-    for (h, deg), count in hist.items():
-        if deg > top:
-            raise UsageError(f"degree {deg} exceeds 2^Q = {top}")
-        if deg != typical:
-            qcount += count
-            q_levels[h] += count
-        n_levels[h + 1] += deg * count
-    rec_ok = all(
-        n_levels[j + 1] <= typical * n_levels[j] + top * q_levels[j] for j in range(m)
-    )
-    k_eff = max(qcount, 1)
-    h = 0
-    while top ** (h + 1) <= k_eff:
-        h += 1
-    h = min(h, m)
-    bound = typical ** (m - h) * n_levels[h] + top * sum(
-        q_levels[i] * typical ** (m - 1 - i) for i in range(h, m)
-    )
-    leaves = n_levels[m]
-    return TreeStats(
-        leaves=leaves,
-        internal=sum(n_levels[:m]),
-        qcount=qcount,
-        level_sizes=n_levels,
-        level_atypical=q_levels,
-        level_recurrence_ok=rec_ok,
-        leaf_bound=bound,
-        leaf_bound_ok=leaves <= bound,
-    )
-
-
-# ---------------------------------------------------------------------------
 # preorder encoding (injectivity certificate)
 # ---------------------------------------------------------------------------
 
@@ -394,9 +338,10 @@ class LowerBoundCertificate:
     jstar: int
     jweight: int  # actual t-degree of W(T_m); the construction's jstar overshoots it
     leaves: int
-    qcount: int
+    qcount: int  # the top vertices, of degree 2^Q
+    typical: int  # the vertices of degree 2^p
+    A: int  # C_(2^p)(0) >= 1, so [t^jweight] W(T_m) = A**typical >= 1
     bound_log2: int  # the certified bound is 2^(L - k)
-    weight_coeff: int  # [t^jweight] W(T_m), verified directly
     certified: bool  # 0 <= k - jweight <= L; the other conditions raise when unmet
     leaves_exceed_2k: bool  # L > 2k at this m (report-only precondition)
 
@@ -406,9 +351,12 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
 
     T_m enters only through its (height, degree) histogram, in closed form
     from its shape (h, jstar); the tree itself is never built or walked.
-    The certificate takes the term j = jweight of the formula: the weight
-    of T_m is A^(#typical) * B^(#top) * t^jweight, so its coefficient
-    there is a positive integer, and the binomial factor is >= 1 whenever
+    The certificate takes the term j = jweight of the formula.  Below height
+    h every vertex has degree 2^Q, and ``tfree_and_top`` asserts C_(2^Q) =
+    t^lam exactly; from h on every vertex has degree 2^p, with C_(2^p)(0) =
+    A >= 1 (p < Q, since lam >= 1).  So W(T_m) = t^jweight * C_(2^p)^typical,
+    its coefficient at t^jweight is A^typical >= 1, held as (A, typical) and
+    never multiplied out, and the binomial factor is >= 1 whenever
     k - jweight <= L.  (The construction's jstar = lam*(2^Q)^h, which is
     also reported, overcounts the top-degree vertices; the weight's true
     t-degree uses their exact count.)  The construction's two conditions,
@@ -420,25 +368,16 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         raise UsageError(
             f"lower-bound construction needs identical window words; a={a}, Q={Q} gives {len(words)}"
         )
-    phi = compose_window(next(iter(words)))
-    A, p, B, lam = tfree_and_top(phi)
+    A, p, _, lam = tfree_and_top(compose_window(next(iter(words))))
     h, jstar = _lower_bound_shape(Q, lam, m, k)
     hist = lower_bound_histogram(Q, p, h, m)
-    jweight = lam * sum(c for (j, _), c in hist.items() if j < h)
-    stats = atypical_count_and_leaf_bound(hist, phi)
-    if stats.qcount > k:
-        raise VerificationError(f"Q(T_m) = {stats.qcount} > k = {k}")
+    qcount = sum(c for (j, _), c in hist.items() if j < h)
+    if qcount > k:
+        raise VerificationError(f"Q(T_m) = {qcount} > k = {k}")
     if 2 * jstar > k:
         raise VerificationError(f"jstar = {jstar} > k/2 = {k / 2}")
-    t_trunc = max(jweight, 1)
-    # every coefficient of W(T_m) is at most W(T_m)(1) = prod C_deg(1)^count
-    width = int(sum(c * log2_int(eval_at_one(phi.terms[deg])) for (_, deg), c in hist.items())) + 1
-    check_state_bits((t_trunc + 1) * width, f"the weight W(T_m) at m={m}, K={t_trunc} is predicted to hold")
-    w = tree_weight(hist, [phi] * m, t_trunc)
-    weight_coeff = w[jweight]
-    if weight_coeff < 1:
-        raise VerificationError(f"[t^{jweight}] W(T_m) = {weight_coeff} < 1")
-    L = stats.leaves
+    jweight = lam * qcount
+    L = histogram_leaves(hist)
     return LowerBoundCertificate(
         Q=Q,
         p=p,
@@ -449,9 +388,10 @@ def lower_bound_certificate(a: DensityParam, Q: int, m: int, k: int) -> LowerBou
         jstar=jstar,
         jweight=jweight,
         leaves=L,
-        qcount=stats.qcount,
+        qcount=qcount,
+        typical=sum(hist.values()) - qcount,
+        A=A,
         bound_log2=L - k,
-        weight_coeff=weight_coeff,
         certified=0 <= k - jweight <= L,
         leaves_exceed_2k=L > 2 * k,
     )

@@ -10,6 +10,8 @@ DELETED = (
     "upper_bound_report",
     "UpperBoundReport",
     "iter_nodes",
+    "TreeStats",
+    "atypical_count_and_leaf_bound",
 )
 
 

@@ -233,7 +233,6 @@ class TestTrees:
         keys = [tuple(sorted(hist.items())) for hist in weighed]
         assert len(keys) == len(set(keys)) == 8
         assert set(keys) == {tuple(sorted(hist.items())) for hist, _ in result.tree_classes}
-        assert spies["atypical_count_and_leaf_bound"] == []
         for gone in (
             "guarded",
             "forest",
@@ -318,7 +317,7 @@ class TestTrees:
         assert calls == []
 
 
-_PER_TREE = ("enumerate_trees", "degree_histogram", "tree_weight", "atypical_count_and_leaf_bound")
+_PER_TREE = ("enumerate_trees", "degree_histogram", "tree_weight")
 
 
 class TestLowerBound:
@@ -355,6 +354,36 @@ class TestLowerBound:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, Q, m, k)]
 
+    # sha256 of stdout off the criterion-6 grid, recorded while the certificate
+    # still built the weight W(T_m): the log engine (k > 1024), CSV output, and
+    # Q = 5 with no top vertex (h = 0) and with one (h = 1).
+    GOLDEN_OFF_GRID = {
+        ("--a", "1/2", "--Q", "2", "--m", "5", "--k", "1025"):
+            "b733dbd2749cc13521c129af315fdc83a34aa8315cfcc9ecdfbf7289b3cc8b1f",
+        ("--a", "1/3", "--Q", "3", "--m", "4", "--k", "64", "--format", "csv"):
+            "4ce8c7a2cb9c0955c4b59f93b83e50a3784c50088aaa62c246e115fe0e878a6b",
+        ("--a", "2/5", "--Q", "5", "--m", "2", "--k", "32"):
+            "fa068323027bce3e143efbd9d1bbe32f9e75f52ee507728eff284097728b55db",
+        ("--a", "2/5", "--Q", "5", "--m", "2", "--k", "704"):
+            "585b9b0514ca83b83c31b9a46071d22251c8faebf98e0c1f7580efaab5f48b5a",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_OFF_GRID))
+    def test_off_grid_output_bytes_pinned(self, run, argv):
+        code, out, err = run("lower-bound", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_OFF_GRID[argv]
+
+    def test_certifies_where_the_weight_was_refused(self, run):
+        # The weight W(T_m) here would hold 710.6 Mbit; the certificate reads
+        # its one coefficient in closed form, so the input certifies.
+        start = time.monotonic()
+        code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "13", "--k", "8192")
+        assert time.monotonic() - start < 2.0
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["L_gt_2k"] and data["certified_chain"] and data["bound_holds"]
+
     def test_zero_windows_refused_by_name(self, run, monkeypatch):
         monkeypatch.setattr(trees, "window_profile", lambda *args: pytest.fail("window profiled"))
         code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "0", "--k", "8")
@@ -368,7 +397,7 @@ class TestLowerBound:
         assert err == "error: the lower-bound tree needs m >= 1 windows, got m=-1\n"
 
     def test_oversize_engine_run_refused_before_the_certificate(self, run, monkeypatch):
-        # the certificate's weight holds a 2^(m+1)-bit integer, so it must not come first
+        # the engine run is sized, and refused, before any part of the certificate runs
         monkeypatch.setattr(cli, "lower_bound_certificate", lambda *args: pytest.fail("certificate built"))
         code, out, err = run("lower-bound", "--a", "1/2", "--Q", "2", "--m", "24", "--k", "8")
         assert code == 3
@@ -413,8 +442,6 @@ class TestRefusedUpFront:
             (("fvector", "--a", "1/2", "--n", "49", "--kmax", "1", "--engine", "paper"), "Mbit"),
             (("phi", "--a", "1/2", "--Q", "12", "--m", "0"), "feasibility cap 11"),
             (("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "21", "--engine", "paper"), "Mbit"),
-            # the engine run is admitted; the certificate's weight (710.6 Mbit) is not
-            (("lower-bound", "--a", "1/2", "--Q", "2", "--m", "13", "--k", "8192"), "W(T_m) at m=13"),
         ],
     )
     def test_exits_3_without_an_exact_step(self, run, monkeypatch, argv, reason):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hannerfaces import _kernels, polys, selftest
 from hannerfaces.asymptotics import floor_d_delta, scan
-from hannerfaces.errors import PrecisionError
+from hannerfaces.errors import PrecisionError, VerificationError
 from hannerfaces.polys import DecimalPoly, log2_int
 from hannerfaces.recursion import Engine, run, trajectory
 from hannerfaces.schedule import DensityParam
@@ -199,10 +199,13 @@ class TestBandedSquare:
             st.one_of(st.floats(-200, 200), st.just(-np.inf)), min_size=3, max_size=120
         ).filter(lambda xs: _kernels._concave_run(np.array(xs)) < 0)
     )
-    def test_non_concave_input_takes_the_full_path(self, xs):
+    def test_non_concave_square_raises(self, xs):
         f = np.array(xs)
+        with pytest.raises(VerificationError, match="not concave along one leading run"):
+            _kernels.log_convolve(f, f)
+        # the same values as two operands still take the full kernel
         assert np.array_equal(
-            _kernels.log_convolve(f, f), _kernels._log_convolve_full(f, f), equal_nan=True
+            _kernels.log_convolve(f, f.copy()), _kernels._log_convolve_full(f, f), equal_nan=True
         )
 
     def test_classifies_runs(self):

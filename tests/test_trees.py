@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hannerfaces import recursion, trees
+from hannerfaces import trees
 from hannerfaces.asymptotics import floor_d_delta
 from hannerfaces.errors import BudgetExceededError, UsageError
 from hannerfaces.phimap import compose_window, tfree_and_top, window_phis
@@ -13,7 +13,6 @@ from hannerfaces.polys import IntPoly, eval_at_one, log2_int
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
-    atypical_count_and_leaf_bound,
     count_trees,
     degree_histogram,
     enumerate_trees,
@@ -252,20 +251,6 @@ class TestTreeSumCheck:
 
 
 class TestAtypicalStats:
-    def test_full_typical_tree(self):
-        t, _, _ = lower_bound_tree(2, 1, 1, 3, 2)  # h=0: full binary
-        stats = atypical_count_and_leaf_bound(degree_histogram(t), PHI_SR)
-        assert stats.qcount == 0
-        assert stats.level_sizes == [1, 2, 4, 8]
-        assert stats.level_recurrence_ok and stats.leaf_bound_ok
-
-    def test_full_top_degree_tree(self):
-        t = tuple(((), (), (), ()) for _ in range(4))  # full 4-ary, height 2
-        stats = atypical_count_and_leaf_bound(degree_histogram(t), PHI_SR)
-        assert stats.qcount == (4**2 - 1) // (4 - 1)
-        assert stats.leaves == 16
-        assert stats.level_recurrence_ok and stats.leaf_bound_ok
-
     def test_leaf_count_identity(self):
         def nodes(tree):
             yield tree
@@ -278,13 +263,6 @@ class TestAtypicalStats:
             hist = degree_histogram(t)
             assert histogram_leaves(hist) == leaf_count(t)
             assert sum(hist.values()) == internal_count(t)
-
-    def test_level_identities(self):
-        for t in enumerate_trees(2, {2, 3, 4}):
-            stats = atypical_count_and_leaf_bound(degree_histogram(t), compose_window((S, S, R)))
-            assert stats.level_sizes[0] == 1
-            assert stats.level_sizes[-1] == stats.leaves
-            assert sum(stats.level_atypical) == stats.qcount
 
 
 class TestPreorder:
@@ -388,7 +366,7 @@ class TestLowerBoundCertificate:
         cert = lower_bound_certificate(HALF, 2, 3, 8)
         assert cert.jweight == 1  # one degree-4 vertex (the root), lam = 1
         assert cert.jweight < cert.jstar
-        assert cert.weight_coeff >= 1
+        assert cert.A >= 1
 
     def test_minimal_height_bound_below_one(self):
         cert = lower_bound_certificate(THIRD, 3, 2, 8)
@@ -410,19 +388,38 @@ class TestLowerBoundCertificate:
             cert = lower_bound_certificate(HALF, 2, m, 2**m)
             assert cert.leaves_exceed_2k and cert.certified
 
-    @pytest.mark.parametrize(("a", "Q", "m", "k"), [(HALF, 2, 7, 128), (HALF, 2, 9, 512), (THIRD, 3, 4, 128)])
-    def test_weight_size_prediction_bounds_the_weight(self, monkeypatch, a, Q, m, k):
-        weights, predicted, real_weight = [], [], trees.tree_weight
-        monkeypatch.setattr(trees, "tree_weight", lambda *args: weights.append(real_weight(*args)) or weights[-1])
-        monkeypatch.setattr(trees, "check_state_bits", lambda bits, what: predicted.append(bits))
-        lower_bound_certificate(a, Q, m, k)
-        (w,), (bits,) = weights, predicted
-        assert (w.kmax + 1) * max(c.bit_length() for c in w.coeffs) <= bits
-        monkeypatch.setattr(trees, "check_state_bits", recursion.check_state_bits)
-        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits - 1)
-        with pytest.raises(UsageError, match=f"at m={m}, K={w.kmax} is predicted to hold"):
-            lower_bound_certificate(a, Q, m, k)
-        assert len(weights) == 1  # refused before the weight
+
+class TestClosedFormWeight:
+    """The certificate reads [t^jweight] W(T_m) as A^typical, and L and qcount
+    from the closed-form histogram; here each is checked against the weight
+    ``tree_weight`` builds from the walk of the reference tree."""
+
+    @pytest.mark.parametrize(
+        "a", [HALF, THIRD, TWO_THIRDS, DensityParam.rational(2, 5), DensityParam.rational(3, 7)]
+    )
+    def test_every_certificate_matches_the_built_weight(self, a):
+        walked = {}  # (Q, m, h) -> L, qcount and [t^jweight] W(T_m), from the tree
+        certified = 0
+        for Q in range(1, 6):
+            phi = compose_window(window_profile(a, Q, 0).word)
+            _, p, _, lam = tfree_and_top(phi)
+            for m in range(1, 7):
+                for k in range(1, 257):
+                    try:
+                        cert = lower_bound_certificate(a, Q, m, k)
+                    except UsageError:
+                        continue
+                    tree, h, _ = lower_bound_tree(Q, p, lam, m, k)
+                    if (Q, m, h) not in walked:
+                        hist = degree_histogram(tree)
+                        qcount = sum(c for (_, d), c in hist.items() if d != 2**p)
+                        w = tree_weight(hist, [phi] * m, max(lam * qcount, 1))
+                        walked[Q, m, h] = leaf_count(tree), qcount, w[lam * qcount]
+                    L, qcount, coeff = walked[Q, m, h]
+                    assert (cert.leaves, cert.qcount, cert.jweight) == (L, qcount, lam * qcount)
+                    assert cert.A**cert.typical == coeff, (Q, m, k)
+                    certified += 1
+        assert certified > 0
 
 
 class TestAtypicalFilter:
@@ -440,7 +437,7 @@ class TestAtypicalFilter:
             w = tree_weight(hist, [phi, phi], kmax)
             term = convolve_truncated(w, power_truncated(seg, leaf_count(t)))
             full = full + term
-            if atypical_count_and_leaf_bound(hist, phi).qcount <= k:
+            if sum(c for (_, d), c in hist.items() if d != 2**phi.p) <= k:
                 filtered = filtered + term
         assert full.coeffs[: k + 1] == filtered.coeffs[: k + 1]
 
