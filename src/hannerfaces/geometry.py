@@ -14,12 +14,18 @@ because the face lattice is graded and each cover is one intersection.
 
 Every coordinate is an integer: the segment is [-1, 1] with facet normals
 +-1, and both steps only concatenate and zero-pad coordinates, so every
-vertex and every facet normal lies in {-1, 0, 1}^d.
+vertex and every facet normal lies in {-1, 0, 1}^d.  The incidences are
+read from one exact integer product of the normals with the vertices
+(int8, since d <= 16), and each generator's mask is packed from its row of
+it.  The same product validates every polytope the oracle builds, at every
+dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import UsageError, VerificationError
 from .recursion import Engine, face_numbers, proper_f_vector
@@ -47,10 +53,33 @@ class VPolytope:
         for v in self.vertices:
             if tuple(-c for c in v) not in vs:
                 raise VerificationError("vertex set is not centrally symmetric")
-        for v in self.vertices:
-            for u in self.normals:
-                if _dot(u, v) > 1:
-                    raise VerificationError("vertex outside a facet halfspace")
+        if (_incidences(self) > 1).any():
+            raise VerificationError("vertex outside a facet halfspace")
+
+
+def _incidences(poly: VPolytope) -> np.ndarray:
+    """u . v for every facet normal u (rows) and vertex v (columns), as one
+    integer product.  With at most 16 coordinates, each in {-1, 0, 1},
+    |u . v| <= 16, so int8 holds every entry and partial sum exactly; any
+    other polytope is refused rather than wrapped."""
+    normals = np.array(poly.normals, dtype=np.int8)
+    vertices = np.array(poly.vertices, dtype=np.int8)
+    for coords in (normals, vertices):
+        if coords.shape[1] > _MAX_DIM or coords.min() < -1 or coords.max() > 1:
+            raise UsageError(
+                f"incidences need at most {_MAX_DIM} coordinates, each in {{-1, 0, 1}}"
+            )
+    return normals @ vertices.T
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """A boolean matrix row by row as little-endian bytes: bit i of row r is
+    ``rows[r, i]``."""
+    return np.packbits(rows, axis=1, bitorder="little")
+
+
+def _masks(packed: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _dot(u: Vector, v: Vector) -> int:
@@ -96,8 +125,7 @@ def build_polytope(a: DensityParam, n: int) -> VPolytope:
                 _pad_union(poly.vertices, poly.vertices, d),
                 _pad_pairs(poly.normals, poly.normals),
             )
-    if poly.dim <= 8:
-        poly.validate()
+    poly.validate()
     return poly
 
 
@@ -142,14 +170,11 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
             f"face lattice guard: 3^{poly.dim} exceeds {_LATTICE_FACE_GUARD} faces"
         )
     nv, nf = len(poly.vertices), len(poly.normals)
-    on = [[_dot(u, v) == 1 for v in poly.vertices] for u in poly.normals]  # on[facet][vertex]
+    on = _incidences(poly) == 1  # on[facet, vertex]
     dual = nf > nv
-    if dual:
-        gens = [_mask(col) for col in zip(*on)]  # vertex co-masks
-        top = (1 << nf) - 1
-    else:
-        gens = [_mask(row) for row in on]  # facet masks
-        top = (1 << nv) - 1
+    packed = _packed(on.T if dual else on)  # vertex co-masks, else facet masks
+    gens = _masks(packed)
+    top = (1 << (nf if dual else nv)) - 1
     depth = {top: 0}
     by_size = [[] for _ in range(top.bit_count() + 1)]
     by_size[-1].append(top)
@@ -167,8 +192,16 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
                         depth[child] = below
     if dual:
         del depth[top]  # the empty face, on every facet
-        # a coface's vertices are those whose co-mask holds all of its facets
-        faces = [(_mask(cof & c == cof for c in gens), dep - 1) for cof, dep in depth.items()]
+        # a coface's vertices are those whose co-mask holds all of its facets,
+        # tested one vertex at a time over the bytes of every coface
+        width = packed.shape[1]
+        cofaces = np.frombuffer(
+            b"".join(cof.to_bytes(width, "little") for cof in depth), dtype=np.uint8
+        ).reshape(len(depth), width)
+        held = np.empty((nv, len(depth)), dtype=bool)
+        for i, comask in enumerate(packed):
+            held[i] = ((cofaces & comask) == cofaces).all(axis=1)
+        faces = [(mask, dep - 1) for mask, dep in zip(_masks(_packed(held.T)), depth.values())]
         faces.append(((1 << nv) - 1, poly.dim))
     else:
         faces = [(mask, poly.dim - dep) for mask, dep in depth.items()]
@@ -176,14 +209,6 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
     if lattice.f_vector()[poly.dim] != 1:
         raise VerificationError("improper face missing or duplicated")
     return lattice
-
-
-def _mask(flags) -> int:
-    mask = 0
-    for i, on in enumerate(flags):
-        if on:
-            mask |= 1 << i
-    return mask
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ of the bound constructions).  Trees are nested tuples; a leaf is ().
 W(T) and L(T) depend on T only through its (height, degree) histogram.  The
 tree sum composes the histograms level by level, in the order
 ``enumerate_trees`` yields the trees, without building or walking a tree, and
-weighs each distinct histogram once.  ``enumerate_trees`` and
-``degree_histogram`` stay as the independent oracle.  A family over the
-enumeration budget is refused from its count, before anything is composed.
+weighs each distinct histogram once.  The weights share one table of factor
+powers C_deg^count per call, keyed by (height, degree, count), and the
+classes of one leaf count L are summed, count times W, before the one product
+with (2+t)^L.  ``enumerate_trees`` and ``degree_histogram`` stay as the
+independent oracle.  A family over the enumeration budget is refused from its
+count, before anything is composed.
 
 The lower-bound certificate reads the explicit tree T_m through the closed
 form of its histogram alone, and the one coefficient of W(T_m) it needs in
@@ -159,10 +162,21 @@ def histogram_leaves(hist: Histogram) -> int:
     return 1 + sum((deg - 1) * count for (_, deg), count in hist.items())
 
 
-def tree_weight(hist: Histogram, phis_by_height: Sequence[PhiMap], t_trunc: int) -> IntPoly:
+def tree_weight(
+    hist: Histogram,
+    phis_by_height: Sequence[PhiMap],
+    t_trunc: int,
+    powers: dict[tuple[int, int, int], IntPoly] | None = None,
+) -> IntPoly:
     """W(T) = product of C_deg(v) over internal vertices, truncated, from the
     tree's degree histogram; a vertex at height h takes its factor from
-    ``phis_by_height[h]`` (the root is height 0)."""
+    ``phis_by_height[h]`` (the root is height 0).
+
+    ``powers`` maps (height, degree, count) to C_deg^count; a power missing
+    from it is built and added, so calls that share one table, over the same
+    ``phis_by_height`` and ``t_trunc``, build each power once."""
+    if powers is None:
+        powers = {}
     out = IntPoly.one(t_trunc)
     for (h, deg), count in sorted(hist.items()):
         if h >= len(phis_by_height):
@@ -172,7 +186,10 @@ def tree_weight(hist: Histogram, phis_by_height: Sequence[PhiMap], t_trunc: int)
             raise UsageError(
                 f"degree {deg} at height {h} outside the window support {phis_by_height[h].support}"
             )
-        out = convolve_truncated(out, power_truncated(ck.truncate(t_trunc), count))
+        key = (h, deg, count)
+        if key not in powers:
+            powers[key] = power_truncated(ck.truncate(t_trunc), count)
+        out = convolve_truncated(out, powers[key])
     return out
 
 
@@ -209,36 +226,38 @@ def tree_sum_check(
     so an input either refuses is refused before any histogram is composed.
     W(T) and L(T) depend only on the tree's (height, degree) histogram, which
     ``histogram_codes`` composes level by level without building the tree;
-    each distinct histogram is weighed once and its terms are counted once per
-    tree in its class.
+    each distinct histogram is weighed once, from factor powers built once per
+    call, and the weights of one leaf count L are summed, each times its class
+    size, before the one product with (2+t)^L; the coefficient formula reads
+    the same per-L sums.
     """
     _check_budget(budget)
     by_height = window_phis(a, Q, m)[::-1]  # the root takes the last window
     per_level = _admit(m, [phi.support for phi in by_height], budget)
     engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
     codes, unpack = histogram_codes(per_level)
-    multiplicity = Counter(codes)
+    powers: dict[tuple[int, int, int], IntPoly] = {}
     classes: dict[int, tuple[Histogram, IntPoly]] = {}
-    for code in multiplicity:
+    by_leaves: dict[int, IntPoly] = {}  # L -> sum of count * W over its classes
+    for code, count in Counter(codes).items():
         hist = unpack(code)
-        classes[code] = (hist, tree_weight(hist, by_height, kmax))
+        w = tree_weight(hist, by_height, kmax, powers)
+        classes[code] = (hist, w)
+        L = histogram_leaves(hist)
+        by_leaves[L] = by_leaves.get(L, IntPoly.zero(kmax)) + w.scale(count)
     tree_classes = list(map(classes.__getitem__, codes))
     seg = IntPoly.from_coeffs([2, 1], kmax)
     total = IntPoly.zero(kmax)
     coeff_sums = [0] * (kmax + 1)
-    for code, (hist, w) in classes.items():
-        count = multiplicity[code]
-        L = histogram_leaves(hist)
-        total = total + convolve_truncated(w, power_truncated(seg, L)).scale(count)
+    for L, w in by_leaves.items():
+        total = total + convolve_truncated(w, power_truncated(seg, L))
         for k in range(kmax + 1):
-            s = 0
             for j in range(k + 1):
                 wj = w[j]
                 if wj:
                     binom = math.comb(L, k - j)
                     if binom:
-                        s += wj * binom * 2 ** (L - (k - j))
-            coeff_sums[k] += count * s
+                        coeff_sums[k] += wj * binom * 2 ** (L - (k - j))
     for k in range(kmax + 1):
         for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
             if got != engine_poly[k]:

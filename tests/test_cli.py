@@ -636,6 +636,57 @@ class TestOracle:
         assert data["face_total"] is None
         assert data["ratio_sq"] == "16"
 
+    # sha256 of stdout, recorded while the incidences were read by one Python
+    # dot product per vertex-facet pair.  At n=3 the words are PHP (1/2), PHH
+    # (1/3), PPH (2/3) and PPP (3/4); at n=4, a=1/4 and a=4/5 build the
+    # largest polytopes (32 x 65,536 and 65,536 x 32) and no lattice.  Every
+    # call exited 0.
+    GOLDEN = {
+        ("1/2", "0", "json"): "8ce709028c4dbc7b6ac9ed09bd9f21d1db9f6e667edba3fc243662eebd53fcd6",
+        ("1/2", "0", "csv"): "c45184300a70375c0c8a2aa71e91af7a2e9cee95c65246790991da62c9aeef7e",
+        ("1/2", "1", "json"): "dca72379a827f6fa7bfb7f1a5c73c587681a42c138ec88e291339538d2f3097e",
+        ("1/2", "1", "csv"): "936c4bbeaf3984c11c92aff7422307f23ad12f888ff28af40d56bdb5c16fa79f",
+        ("1/2", "2", "json"): "3e820e159be9435eb10738bc858de24b6b16f354692957047cb2ef548a3b8cda",
+        ("1/2", "2", "csv"): "70c9a69aff2ee20fef1b6c09080b47e43d35de054e525cfcdd5409a4f5d80074",
+        ("1/2", "3", "json"): "63d2171a7f9da08e1a87055a0c0dcbc53eedfa53223037f325d1a63a4b1b8294",
+        ("1/2", "3", "csv"): "92635a4fcf4439df0b4ee501ed41b4528aecccd82726dddf68b0f0fc846937b4",
+        ("1/3", "0", "json"): "bd530c2f70909ef816454c9b117f51024904dab8e0491aa41bfcb83d2c42b8da",
+        ("1/3", "0", "csv"): "68f642ebd0b09b4ee86d35c007fe1d33a74883a24a0aadc72373fd33956beb6c",
+        ("1/3", "1", "json"): "f1021ec84cf9c898c4afc0de8278c1a79a8ac880c350e085f5a4f1e3ecf82cb3",
+        ("1/3", "1", "csv"): "643f640df5a07e1911fdf3ca9f8cd3735e2ca500ed7ad95cba6fe61e70d5f8f1",
+        ("1/3", "2", "json"): "6e1ab7350e6b0d18e839a234d5b42400e285e3c4c957de27aea40cc30797aaa7",
+        ("1/3", "2", "csv"): "11adaa43a0b418fe6eab225ee1332f32f6f7ba1b0b74c62ccc8f15f9368854b2",
+        ("1/3", "3", "json"): "a223eb707e6fef717e3510fc3b0d66d343cc611b94aa190e2eeb0951d6dcf8e4",
+        ("1/3", "3", "csv"): "8d1e4c6c7d8d3ac1970d7731e309053c954ce969b3ca06ba99b4632b2a32b1e0",
+        ("2/3", "0", "json"): "4420a4ac68341338c277c868cfe71106498e0d417b04c7083e13fbca5b12bfff",
+        ("2/3", "0", "csv"): "66b0758fa2f196a40fc642303b8c6329370505baf70a0609065e3de3e9f4a218",
+        ("2/3", "1", "json"): "23f4d93d782eb342e6923a1802ab3bfa7bc69ce7ceef83ed7c85536229f01940",
+        ("2/3", "1", "csv"): "0538f725ee7971616b047ddafe7eb4b9b6e074bc38fc5587d0197d5acb7ab6ef",
+        ("2/3", "2", "json"): "798bcd611744cd6659cea5817b080846d40538665e7ff4034724957fc43f7709",
+        ("2/3", "2", "csv"): "43100729b489034d42d0844ed87d73b13cfed55d6138e975b911d08fb7a41e5c",
+        ("2/3", "3", "json"): "d47ed424e5f2ffcc4f6b855c696fd2abe3a4c5da7a5e3175c50c35ab22bd3576",
+        ("2/3", "3", "csv"): "1c4f58fc7932506c893d20714cda3ed373775a3e2cb1e7a80d7c050980974c8f",
+        ("3/4", "0", "json"): "970b3cf6830ba4801ca452180d1c831b30e30d5322a1b7443258d9e9d4d5186f",
+        ("3/4", "0", "csv"): "2bf5882477053e1f74691e862b54ea8715b720cb9dc5bdeee5144904cda201c2",
+        ("3/4", "1", "json"): "88bbe53c5e5e2f38b52aebd5b3224d5cba7800a9b21128b3af97fd14bb86e632",
+        ("3/4", "1", "csv"): "e04a47f420695ddf68e5d0ea7b53d34a24e9bbcb1cd41a77f36602d899307a74",
+        ("3/4", "2", "json"): "9b71b456b9e4f65ea056e93ceb410a6ceeda9ae259686c4882ef35252faefa0a",
+        ("3/4", "2", "csv"): "3215c405a727e4be14b6bdf12a769f4b228a1ac732774000828e5595c78cd748",
+        ("3/4", "3", "json"): "39d523ebaca6c3ab045d314cc615cd60369ed5f14d6dca5c878bb7e67d9b3fbd",
+        ("3/4", "3", "csv"): "34886a02c9de150ffef74e77c4c6d9191bcd04147f61e11dbf29bc77074f4956",
+        ("1/4", "4", "json"): "4d4cdf6ad224eab2eb2da94c1c59208c260176757fb08c581559ab53985130c6",
+        ("1/4", "4", "csv"): "4875cba548ffb263f7c48b01e1b6d110f3da0ec5ac74411b1379a10d5a609f60",
+        ("4/5", "4", "json"): "04d4396301cdaa531a554d845c6e87ac0b38a94964ef23037b8ed3ae047b8731",
+        ("4/5", "4", "csv"): "d9db867f7e40cc7299c8b798bb3200720daa2e41e6f3f8016096814d5d34e92a",
+    }
+
+    @pytest.mark.parametrize(("a", "n", "fmt"), sorted(GOLDEN))
+    def test_output_bytes_pinned(self, run, a, n, fmt):
+        lattice = ("--full-lattice",) if n == "3" else ()
+        code, out, err = run("oracle", "--a", a, "--n", n, *lattice, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, n, fmt)]
+
 
 class TestFlmReport:
     def test_desk_scale(self, run):

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from hannerfaces.errors import UsageError
+from hannerfaces import geometry
+from hannerfaces.errors import UsageError, VerificationError
 from hannerfaces.geometry import (
     RadiiState,
     VPolytope,
@@ -59,6 +62,134 @@ def _affine_rank(points: list[tuple[int, ...]]) -> int:
 
 def _on(u, v) -> bool:
     return sum(a * b for a, b in zip(u, v)) == 1
+
+
+def _pairs(xs):
+    return tuple(x + y for x in xs for y in xs)
+
+
+def _union(xs):
+    zero = (0,) * len(xs[0])
+    return tuple(x + zero for x in xs) + tuple(zero + x for x in xs)
+
+
+def _word_polytope(word: str) -> VPolytope:
+    """The polytope of a P/H step word, built from the segment as
+    ``build_polytope`` builds it; H-first words, which no density reaches,
+    included."""
+    vertices = normals = ((1,), (-1,))
+    for step in word:
+        if step == "P":
+            vertices, normals = _pairs(vertices), _union(normals)
+        else:
+            vertices, normals = _union(vertices), _pairs(normals)
+    return VPolytope(len(vertices[0]), vertices, normals)
+
+
+WORDS = ["".join(w) for length in (1, 2, 3) for w in product("PH", repeat=length)]
+
+
+# The lattice as it was read from one Python dot product per vertex-facet
+# pair, kept as the oracle of the integer-product incidences.
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _mask(flags) -> int:
+    mask = 0
+    for i, on in enumerate(flags):
+        if on:
+            mask |= 1 << i
+    return mask
+
+
+def _reference_faces(poly: VPolytope) -> tuple[tuple[int, int], ...]:
+    nv, nf = len(poly.vertices), len(poly.normals)
+    on = [[_dot(u, v) == 1 for v in poly.vertices] for u in poly.normals]  # on[facet][vertex]
+    dual = nf > nv
+    if dual:
+        gens = [_mask(col) for col in zip(*on)]  # vertex co-masks
+        top = (1 << nf) - 1
+    else:
+        gens = [_mask(row) for row in on]  # facet masks
+        top = (1 << nv) - 1
+    depth = {top: 0}
+    by_size = [[] for _ in range(top.bit_count() + 1)]
+    by_size[-1].append(top)
+    for size in range(len(by_size) - 1, 0, -1):
+        for cur in by_size[size]:
+            below = depth[cur] + 1
+            for g in gens:
+                child = cur & g
+                if child and child != cur:
+                    known = depth.get(child)
+                    if known is None:
+                        by_size[child.bit_count()].append(child)
+                        depth[child] = below
+                    elif known < below:
+                        depth[child] = below
+    if dual:
+        del depth[top]  # the empty face, on every facet
+        # a coface's vertices are those whose co-mask holds all of its facets
+        faces = [(_mask(cof & c == cof for c in gens), dep - 1) for cof, dep in depth.items()]
+        faces.append(((1 << nv) - 1, poly.dim))
+    else:
+        faces = [(mask, poly.dim - dep) for mask, dep in depth.items()]
+    return tuple(sorted(faces))
+
+
+class TestReferenceLattice:
+    def test_words_cover_both_sides(self):
+        assert len(WORDS) == 14
+        sides = {len(p.normals) > len(p.vertices) for p in map(_word_polytope, WORDS)}
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_faces_match_the_per_pair_reference(self, word):
+        poly = _word_polytope(word)
+        poly.validate()
+        assert face_lattice(poly).faces == _reference_faces(poly)
+
+    @pytest.mark.parametrize(("a", "word"), [(HALF, "PHP"), (THIRD, "PHH")])
+    def test_word_helper_builds_the_density_polytope(self, a, word):
+        assert _word_polytope(word) == build_polytope(a, 3)
+
+
+class TestValidate:
+    def test_vertex_outside_a_facet_is_refused(self):
+        # the octahedron plus the symmetric pair +-(1, 1, 0), which lies one
+        # unit past its facets through (1, 1, 1) and (-1, -1, -1)
+        poly = VPolytope(3, CROSS3.vertices + ((1, 1, 0), (-1, -1, 0)), CROSS3.normals)
+        with pytest.raises(VerificationError, match="vertex outside a facet halfspace"):
+            poly.validate()
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            VPolytope(1, ((2,), (-2,)), ((1,), (-1,))),
+            VPolytope(17, ((1,) * 17, (-1,) * 17), ((1,) + (0,) * 16, (-1,) + (0,) * 16)),
+        ],
+        ids=["coordinate-2", "dimension-17"],
+    )
+    def test_incidences_outside_the_int8_range_are_refused(self, poly):
+        with pytest.raises(UsageError, match="incidences need at most 16 coordinates"):
+            poly.validate()
+
+    def test_asymmetric_vertex_set_is_refused(self):
+        poly = VPolytope(3, CUBE3.vertices[1:], CUBE3.normals)
+        with pytest.raises(VerificationError, match="not centrally symmetric"):
+            poly.validate()
+
+    @pytest.mark.parametrize("a", [HALF, DensityParam.rational(1, 4), DensityParam.rational(4, 5)])
+    @pytest.mark.parametrize("n", [0, 3, 4])
+    def test_every_built_polytope_is_validated(self, monkeypatch, a, n):
+        checked = []
+        real = VPolytope.validate
+        monkeypatch.setattr(geometry.VPolytope, "validate", lambda self: checked.append(real(self)))
+        build_polytope(a, n)
+        assert len(checked) == 1
 
 
 class TestBuildPolytope:

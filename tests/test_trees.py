@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -9,7 +11,7 @@ from hannerfaces import trees
 from hannerfaces.asymptotics import floor_d_delta
 from hannerfaces.errors import BudgetExceededError, UsageError
 from hannerfaces.phimap import compose_window, tfree_and_top, window_phis
-from hannerfaces.polys import IntPoly, eval_at_one, log2_int
+from hannerfaces.polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
@@ -248,6 +250,92 @@ class TestTreeSumCheck:
         # height-indexed weights must still reproduce the recursion.
         res = tree_sum_check(THIRD, 2, 2, 12)
         assert res.match
+
+
+def _reference_weight(hist, phis_by_height, t_trunc):
+    """W(T) with every factor power built anew, one histogram at a time."""
+    out = IntPoly.one(t_trunc)
+    for (h, deg), count in sorted(hist.items()):
+        ck = phis_by_height[h].terms[deg]
+        out = convolve_truncated(out, power_truncated(ck.truncate(t_trunc), count))
+    return out
+
+
+def _reference_tree_sum(a, Q, m, kmax):
+    """(total, engine_poly, tree_classes) by the per-class loop: each class
+    weighed on its own and multiplied by its own (2+t)^L."""
+    by_height = window_phis(a, Q, m)[::-1]
+    per_level = [sorted(phi.support) for phi in by_height]
+    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
+    codes, unpack = histogram_codes(per_level)
+    multiplicity = Counter(codes)
+    classes = {}
+    for code in multiplicity:
+        hist = unpack(code)
+        classes[code] = (hist, _reference_weight(hist, by_height, kmax))
+    tree_classes = list(map(classes.__getitem__, codes))
+    seg = IntPoly.from_coeffs([2, 1], kmax)
+    total = IntPoly.zero(kmax)
+    coeff_sums = [0] * (kmax + 1)
+    for code, (hist, w) in classes.items():
+        count = multiplicity[code]
+        L = histogram_leaves(hist)
+        total = total + convolve_truncated(w, power_truncated(seg, L)).scale(count)
+        for k in range(kmax + 1):
+            s = 0
+            for j in range(k + 1):
+                wj = w[j]
+                if wj:
+                    binom = math.comb(L, k - j)
+                    if binom:
+                        s += wj * binom * 2 ** (L - (k - j))
+            coeff_sums[k] += count * s
+    assert list(total.coeffs) == coeff_sums
+    return total, engine_poly, tree_classes
+
+
+class TestSharedPowers:
+    """The tree sum builds each factor power and each (2+t)^L once per call."""
+
+    @pytest.mark.parametrize("kmax", [1, 4, 16])
+    @pytest.mark.parametrize("Qm", [(Q, m) for Q in (1, 2, 3) for m in (0, 1, 2)])
+    @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS])
+    def test_equals_the_per_class_loop(self, a, Qm, kmax):
+        Q, m = Qm
+        res = tree_sum_check(a, Q, m, kmax)
+        assert (res.total, res.engine_poly, res.tree_classes) == _reference_tree_sum(a, Q, m, kmax)
+
+    def test_heights_with_distinct_window_words(self):
+        # a=1/3, Q=2: the two windows differ, so one (degree, count) takes
+        # different factors at the two heights
+        phis = window_phis(THIRD, 2, 2)
+        assert phis[0].word != phis[1].word
+        assert set(phis[0].terms) & set(phis[1].terms)
+        res = tree_sum_check(THIRD, 2, 2, 12)
+        assert (res.total, res.engine_poly, res.tree_classes) == _reference_tree_sum(THIRD, 2, 2, 12)
+
+    @pytest.mark.parametrize(("a", "Q", "m", "kmax"), [(THIRD, 2, 2, 12), (HALF, 3, 2, 4)])
+    def test_one_power_per_factor_and_per_leaf_count(self, monkeypatch, a, Q, m, kmax):
+        calls = []
+
+        def spy(f, e):
+            calls.append((f, e))
+            return power_truncated(f, e)
+
+        monkeypatch.setattr(trees, "power_truncated", spy)
+        for _ in range(2):  # no table outlives its call
+            calls.clear()
+            res = tree_sum_check(a, Q, m, kmax)
+            hists = {tuple(sorted(hist.items())) for hist, _ in res.tree_classes}
+            factors = {(h, deg, count) for hist in hists for (h, deg), count in hist}
+            leaf_counts = {histogram_leaves(dict(hist)) for hist in hists}
+            assert len(calls) == len(factors) + len(leaf_counts)
+
+    def test_a_shared_table_gives_the_fresh_weight(self):
+        phis = window_phis(THIRD, 2, 2)[::-1]
+        powers = {}
+        for hist, _ in tree_sum_check(THIRD, 2, 2, 12).tree_classes:
+            assert tree_weight(hist, phis, 12, powers) == _reference_weight(hist, phis, 12)
 
 
 class TestAtypicalStats:
