@@ -4,11 +4,31 @@
 step squares the state, whose log2 a_{n,k} is concave in k along one leading
 run of finite entries, so each output's pair terms fall monotonically away
 from its center and ``_log_square_banded`` sums a band of them, dropping a
-mass below 2**-53 of every output.  A square whose input is not such a run
-(a non-concave run, interior zeros) raises VerificationError: no engine state
-over the accepted densities is one, so it would mean a broken step.  Two
-different operands take the full quadratic log-sum-exp ``_log_convolve_full``,
-the band's oracle.  Both are deterministic.
+mass below 2**-53 of every output.  The stored values are rounded, so where
+log2 a_{n,k} is nearly linear in k a second difference can come out a few
+ulps above zero (one ulp at k = 171 of state 84 of a = 1/2, K = 181).  A pair
+term's rise from d to d + 1 is a difference of two first differences, at most
+the sum S+ of the positive second differences, so no term beyond a row's
+first dropped pair rises above it by more than the defect V = (run - 1)/2 S+.
+Such a square widens its cutoff by ceil(V) + 1 (the 1 for the rounding of the
+differences themselves), which keeps the dropped mass under 2**-53; a run
+with no positive second difference keeps its cutoff, and so its bytes.
+
+How far above zero an engine state's second difference can come follows from
+the precision bound below.  Its values are within 170 n u x of the concave
+log2 a_{n,k}, so a second difference of them is above the true one, <= 0, by
+at most 680 n u M, M the largest of its three inputs, and its own two
+subtractions add 8u M.  log2 a_{n,0} >= n + 1 (a Product step doubles it, a
+Hull step adds 1), so n < 1.03 h_0 for the stored h_0 while n < 2**40: the
+sum is under 2**-43 max(h_0, 1) M.  A square whose input has a second
+difference past that, or interior zeros, raises VerificationError, since no
+engine state is one: it would mean a broken step.  The limit is loose where
+h_0 is large (a second difference is at most 4M, so it takes every finite
+run from h_0 = 2**45 on); there a broken step goes unseen by this check, and
+the widened cutoff still keeps the square within its bound, at up to the
+cost of whole rows.  Two different operands take the full quadratic
+log-sum-exp ``_log_convolve_full``, the band's oracle.  Both are
+deterministic.
 
 Precision.  Let u = 2**-53 and x = log2 a_{n,k}.  After n steps the engine's
 value is -inf exactly where a_{n,k} = 0, else within 170 n u x of x on the
@@ -89,14 +109,25 @@ def _log_convolve_full(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _concave_run(f: np.ndarray) -> int:
-    """Length of f's leading run of finite entries when f is -inf after it
-    and concave along it (second differences <= 0), else -1."""
+def _run_and_defect(f: np.ndarray) -> tuple[int, float]:
+    """f's leading run of finite entries and its concavity defect: the run's
+    length when f is -inf after it and each second difference along it is at
+    most 2**-43 max(f[0], 1) times its largest input (the rounding an engine
+    state can show), else -1; and (length - 1) / 2 times the sum of the
+    positive second differences."""
     finite = np.isfinite(f)
     run = f.shape[0] if finite.all() else int(finite.argmin())
-    if not np.isneginf(f[run:]).all() or not (np.diff(f[:run], 2) <= 0).all():
-        return -1
-    return run
+    if not np.isneginf(f[run:]).all():
+        return -1, 0.0
+    h = f[:run]
+    d2 = np.diff(h, 2)
+    up = np.flatnonzero(d2 > 0)
+    if not up.size:
+        return run, 0.0
+    inputs = np.abs(np.stack((h[up], h[up + 1], h[up + 2])))
+    if (d2[up] > 2.0**-43 * max(h[0], 1.0) * inputs.max(axis=0)).any():
+        return -1, 0.0
+    return run, (run - 1) / 2 * float(d2[up].sum())
 
 
 def _band(x: np.ndarray, start: int, shape: tuple[int, ...], steps: tuple[int, ...]) -> np.ndarray:
@@ -111,9 +142,9 @@ def _band(x: np.ndarray, start: int, shape: tuple[int, ...], steps: tuple[int, .
     return np.ndarray(shape, x.dtype, buffer=x, offset=start * unit, strides=strides)
 
 
-def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
-    """First n outputs of the log-domain square of a concave finite run h
-    (all coefficients above the run are zero).
+def _log_square_banded(h: np.ndarray, n: int, defect: float = 0.0) -> np.ndarray:
+    """First n outputs of the log-domain square of a finite run h, concave up
+    to ``defect`` (all coefficients above the run are zero).
 
     Row 2c + p (p = 0 or 1) pairs h[c - d] with h[c + p + d] and peaks at
     d = 0 with top h[c] + h[c + p].  Its centers c go in blocks of
@@ -131,7 +162,8 @@ def _log_square_banded(h: np.ndarray, n: int) -> np.ndarray:
     centers, n_odd = (rows + 1) // 2, rows // 2
     starts = range(0, centers, _BAND_BLOCK)
     blocks = len(starts)
-    cutoff = 53 + math.ceil(math.log2(n + 1))  # a row drops <= n + 1 terms, each <= 2**-cutoff of it
+    # a row drops <= n + 1 terms, each <= 2**-cutoff of it once the defect is made up
+    cutoff = 53 + math.ceil(math.log2(n + 1)) + (math.ceil(defect) + 1 if defect else 0)
     # hp[pad + i] is h[i], -inf outside the run; the pad covers every index a
     # block's search and band can reach.  hcat holds hp reversed, then hp, so
     # both members of a row's edge pair sit at hcat indices that grow with w.
@@ -184,16 +216,17 @@ def log_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Truncated log-domain convolution of two equal-length log2-coefficient arrays.
 
     A square (``g is f``) takes the banded path, and raises VerificationError
-    unless f is concave along one leading finite run; two different operands
+    unless f is concave along one leading finite run up to rounding
+    (``_run_and_defect``); two different operands
     take the full kernel.  Raises PrecisionError if any output is +inf, NaN,
     or finite above 2**53 in magnitude.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the raise below
         if g is f:
-            run = _concave_run(f)
+            run, defect = _run_and_defect(f)
             if run < 0:
                 raise VerificationError("log-domain square of an input not concave along one leading run")
-            out = _log_square_banded(np.ascontiguousarray(f[:run]), f.shape[0])
+            out = _log_square_banded(np.ascontiguousarray(f[:run]), f.shape[0], defect)
         else:
             out = _log_convolve_full(np.ascontiguousarray(f), np.ascontiguousarray(g))
     if not (np.isneginf(out) | (np.abs(out) <= _LOG2_LIMIT)).all():

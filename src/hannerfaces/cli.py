@@ -381,7 +381,7 @@ def build_parser() -> _Parser:
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.set_defaults(func=_cmd_flm_report)
 
-    s = subs.add_parser("selftest", help="run the acceptance criteria and invariant checks (about 15 s)")
+    s = subs.add_parser("selftest", help="run the acceptance criteria and invariant checks (about 4 s)")
     s.set_defaults(func=_cmd_selftest)
 
     return parser

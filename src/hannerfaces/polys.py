@@ -222,15 +222,15 @@ def power_truncated(f: IntPoly, e: int) -> IntPoly:
     """
     if e < 0:
         raise UsageError("exponent must be nonnegative")
-    result = IntPoly.one(f.kmax)
+    result = None
     base = f
     while e:
         if e & 1:
-            result = convolve_truncated(result, base)
+            result = base if result is None else convolve_truncated(result, base)
         e >>= 1
         if e:
             base = convolve_truncated(base, base)
-    return result
+    return IntPoly.one(f.kmax) if result is None else result
 
 
 class LogPoly:

@@ -19,7 +19,9 @@ one arithmetic, so ``step`` is one formula for the printed recursion on
 either, and only the free-sum Hull step has a branch of its own.  Every
 exact read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
 ``verify_growth_bounds``) gives ints.  ``trajectory`` is the one driver:
-runs, scans and the log pass that sizes an exact run all step through it.
+runs and scans step through it, after one saddle-point bound on the widest
+coefficient (``widest_log2_bound``, floats from the step formula alone) has
+sized the run for every engine.
 A read of single coefficients (``log2_face_numbers``: scans and
 ``log2_face_number``) stops an exact trajectory one state short and takes
 the last step's coefficients alone by ``step_coefficient``, which ``step``
@@ -29,20 +31,22 @@ serves as oracle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice, pairwise
 from typing import Iterator, Union
 
 from . import _kernels
-from .errors import UsageError, VerificationError
+from .errors import PrecisionError, UsageError, VerificationError
 from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int, square_coefficient
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
-# STATE_BITS_CAP bits: K+1 slots of its widest coefficient, 64 bits a slot in the
-# log engine (so K <= 2,097,151).  README gives the timings at a = 1/2: the exact
-# run to n=20/K=1024 holds 109.8 Mbit (n=21/K=1448: 257.5), the log run to n=41 94.9.
+# STATE_BITS_CAP bits: K+1 slots of its widest coefficient's bound, 64 bits a slot
+# in the log engine (so K <= 2,097,151).  README gives the timings at a = 1/2: the
+# exact run to n=20/K=1024 is predicted at 109.8 Mbit (n=21/K=1448: 257.5), the log
+# run to n=41 at 94.9.
 EXACT_KMAX_CAP = 1024
 STATE_BITS_CAP = 2**27
 
@@ -157,56 +161,122 @@ def step_coefficient(state: RecursionState, kind: StepKind, k: int) -> int:
     return _kernels._digits_to_int(str(c), {})
 
 
-def _widest_log2(a: DensityParam, n_max: int, kmax: int) -> list[float]:
-    """log2 of the widest coefficient of the printed recursion at (a, kmax)
-    after 0, 1, ... steps, from one log trajectory to ``n_max``; it bounds both
-    exact engines coefficientwise.  The pass stops after the first state over
-    STATE_BITS_CAP, whose run ``trajectory`` refuses."""
-    out = []
-    for state in trajectory(a, n_max, kmax, Engine.PAPER_LOG):
-        out.append(float(state.poly.log2_coeffs.max()))
-        if (kmax + 1) * (int(out[-1]) + 1) > STATE_BITS_CAP:
-            break
-    return out
+def _log2_generating(kinds: list[StepKind], s: float) -> tuple[float, float]:
+    """log2 F(r) of the untruncated printed recursion after the steps ``kinds``
+    from the segment, at r = 2**s, and the mean degree r F'(r) / F(r), which is
+    its derivative in s; (inf, inf) once either leaves the float range."""
+    r = 2.0**s
+    L, D = math.log2(2.0 + r), r / (2.0 + r)
+    for kind in kinds:
+        if kind is StepKind.PRODUCT:
+            L, D = 2.0 * L, 2.0 * D
+        else:
+            # log2(t F**2 + 2 F): logaddexp2 of x and y, w the share of t F**2
+            x, y = 2.0 * L + s, L + 1.0
+            e = 2.0 ** -abs(x - y)
+            w = 1.0 / (1.0 + e) if x >= y else e / (1.0 + e)
+            L, D = max(x, y) + math.log2(1.0 + e), D + w * (D + 1.0)
+        if not (L < math.inf and D < math.inf):
+            return math.inf, math.inf
+    return L, D
 
 
-def check_state_bits(bits: int, what: str) -> None:
-    """Raise UsageError if ``bits`` pass STATE_BITS_CAP, with ``what`` (the
-    object and its verb, "... is predicted to hold") before the sizes."""
+def widest_log2_bound(a: DensityParam, n_max: int, kmax: int, limit: float) -> float:
+    """An upper bound on log2 a_{n,k} for every n <= ``n_max`` and k <= ``kmax``
+    of every engine's run, from the step formula alone.
+
+    Every coefficient is nonnegative, so a_{n,k} <= F_n(r) r**-K for 0 < r <= 1
+    and k <= K (the saddle-point bound; Flajolet & Sedgewick, *Analytic
+    Combinatorics*, 2009, VIII.2).  Truncation only lowers coefficients and the
+    free-sum engine stays below the printed one coefficientwise, so the
+    untruncated printed F_n bounds both exact engines and the log engine's
+    values.  F_n(r) >= 2 and a step maps F to F**2 or t F**2 + 2 F, both >= F,
+    so the bound at ``n_max`` covers every earlier state.
+
+    Any r gives a bound, so the search stops at the first one <= ``limit``
+    and otherwise returns the smallest it saw (inf where every walk leaves the
+    float range).  It takes r = 1 first, then minimises the convex
+    g(s) = log2 F_n(2**s) - K s, whose derivative is (mean degree - K), by
+    bisection on v in s = 1 - 2**v over [0, 1023]: about 60 walks reach every
+    float s down to -2**1023, whatever the scale of the minimum.
+
+    Rounding margin.  Let u = 2**-53, L = log2 F_n(r) and D the mean degree. A
+    Hull step's roundings (2L + s and L + 1 by u of L', |x - y| by u |x - y| at
+    a slope <= 2**-|x - y|, powers of 2 and log2 within 8u, 1 + e by u, the
+    final sum by u L') move L' by at most 3u L' + 16u <= 16u (L' + 1); a
+    Product step doubles exactly, and log2(2 + r) is within 18u.  A rounding
+    made at step j reaches step n scaled by dL_n/dL_j, the mean F_j-degree of
+    F_n as a polynomial in F_j, and an undershoot by no more, since L_n is
+    convex in L_j.  Each term of that polynomial, t**m 2**h F_j**e, is at most
+    F_n, so e L_j <= L_n + m |s|, and the mean of m is at most D: the step adds
+    at most 32u (L_n + |s| D).  With the final -K s and sum, L_n - K s is low
+    by at most 34u (n + 1)(L_n + |s| max(D, K)).  The margin added is 2**-47
+    (that is 64u) times the same, which also covers, to first order in u as in
+    ``_kernels``, the rounding of L and D where they enter the margin.  The
+    margin is needed: the bound can meet a coefficient near a power of two, and
+    at a = 1/2, n = 14, K = 1 the unmargined bound is 508.0 while a_{14,1} =
+    2**508 (1 + 2**-40 or less) has 509 bits.
+    """
+    kinds = [is_product_step(j, a) for j in range(n_max)]
+
+    def bound(s: float) -> tuple[float, float]:
+        L, D = _log2_generating(kinds, s)
+        if L == math.inf:
+            return L, D
+        return L - kmax * s + 2.0**-47 * (n_max + 1) * (L + abs(s) * max(D, kmax)), D
+
+    best, D = bound(0.0)
+    if D <= kmax:
+        return best
+    # s = 1 - 2**v covers every float s >= -2**1023 as v runs over [0, 1023];
+    # the mean degree is above K at v = lo and falls as v grows
+    lo, hi = 0.0, 1023.0
+    v = 0.5 * (lo + hi)
+    while best > limit and lo < v < hi:
+        b, D = bound(1.0 - 2.0**v)
+        best = min(best, b)
+        if D <= kmax:
+            hi = v
+        else:
+            lo = v
+        v = 0.5 * (lo + hi)
+    return best
+
+
+def check_state_bits(bits: int | float, what: str) -> None:
+    """Raise UsageError if ``bits`` (an int, or inf past the float range) pass
+    STATE_BITS_CAP, with ``what`` (the object and its verb, "... is predicted
+    to hold") before the sizes, which are exact at any size."""
     if bits > STATE_BITS_CAP:
+        mbit = "inf" if bits == math.inf else f"{Decimal(f'{bits}e-6'):.1f}"
         raise UsageError(
-            f"{what} {bits / 1e6:.1f} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed "
+            f"{what} {mbit} Mbit, over the {STATE_BITS_CAP / 1e6:.1f} Mbit allowed "
             f"({bits:,} > {STATE_BITS_CAP:,} bits)"
         )
 
 
 def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
-    """Raise UsageError if a state of the run is predicted to pass STATE_BITS_CAP.
+    """Raise UsageError if the run's state at ``n_max`` is predicted to pass
+    STATE_BITS_CAP, or, in the log engine, its range of 2**53.
 
-    A log state holds 64 bits a slot.  An exact coefficient after n steps is
-    below 4**(2**n): F_0(1) = 3, and a step maps F(1) to at most F(1)**2 +
-    2 F(1) < (F(1) + 1)**2 (the free-sum engine stays below the printed one
-    coefficientwise).  So an exact run to n with (K+1) * 2**(n+1) bits under
-    the cap is admitted as it stands; past that bound a log pass, which bounds
-    both exact engines coefficientwise, sizes each state.
+    One bound sizes every engine (``widest_log2_bound``), and the state at
+    ``n_max`` is the largest.  An exact state holds K+1 slots of
+    floor(bound) + 1 bits, a log state 64 bits a slot; a log run's size is
+    checked before its range.
     """
+    what = f"the {engine.value} engine state at n={n_max}, K={kmax} is predicted to"
     if engine.is_log:
-        widths = [(n_max, 64)]
+        check_state_bits((kmax + 1) * 64, f"{what} hold")
+        bound = widest_log2_bound(a, n_max, kmax, _kernels._LOG2_LIMIT)
+        if bound > _kernels._LOG2_LIMIT:
+            raise PrecisionError(
+                f"{what} leave the log engine's range: log2 a_{{n,k}} up to {bound:.4g}, over 2**53"
+            )
     else:
-        check_state_bits(
-            (kmax + 1) * 64,
-            f"the {engine.value} engine run to n={n_max}, K={kmax} cannot be sized: "
-            "its log pass would hold",
-        )
-        # the shift only while it can come out under the cap
-        if n_max < STATE_BITS_CAP.bit_length() and (kmax + 1) << (n_max + 1) <= STATE_BITS_CAP:
-            return
-        widths = enumerate(int(x) + 1 for x in _widest_log2(a, n_max, kmax))
-    for n, width in widths:
-        check_state_bits(
-            (kmax + 1) * width,
-            f"the {engine.value} engine state at n={n}, K={kmax} is predicted to hold",
-        )
+        width = STATE_BITS_CAP // (kmax + 1)  # the widest coefficient admitted, in bits
+        bound = widest_log2_bound(a, n_max, kmax, width - 1)
+        bits = (kmax + 1) * (math.floor(bound) + 1) if bound < math.inf else math.inf
+        check_state_bits(bits, f"{what} hold")
 
 
 def trajectory(
@@ -218,8 +288,8 @@ def trajectory(
     one before, so the state after n steps agrees up to any k <= ``kmax``
     with a run to n at truncation bound k.
 
-    A run predicted to pass STATE_BITS_CAP is refused before the first step
-    (``_admit``).
+    A run predicted to pass STATE_BITS_CAP, or a log run predicted to leave
+    the log engine's range, is refused before the first step (``_admit``).
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")

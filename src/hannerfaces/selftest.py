@@ -6,8 +6,8 @@ cross-validation invariants that no criterion covers.  Each entry is a
 ``(name, check)`` pair; the check raises on failure and returns a one-line
 detail.  Two consumers run the whole table: the ``selftest`` subcommand
 (``run_selftest``) and the pytest acceptance gate
-(``tests/test_acceptance.py``).  The table takes about 15 s on one core,
-well under five minutes.
+(``tests/test_acceptance.py``).  The table takes about 4 s on one core
+(3.8-4.3 s as a child process on a 2-CPU Xeon VM), well under five minutes.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def _check_preorder():
 
 def _check_log_kernel_band():
     f = run(THIRD, 16, 256, Engine.PAPER_LOG).poly.log2_coeffs
-    check(_kernels._concave_run(f) == f.shape[0], "engine state fails the band's concavity check")
+    check(_kernels._run_and_defect(f)[0] == f.shape[0], "engine state fails the band's concavity check")
     band = _kernels.log_convolve(f, f)
     full = _kernels._log_convolve_full(f, f)
     err = max(abs(x - y) / max(abs(y), 1.0) for x, y in zip(band, full))

@@ -177,7 +177,7 @@ def tree_weight(
     ``phis_by_height`` and ``t_trunc``, build each power once."""
     if powers is None:
         powers = {}
-    out = IntPoly.one(t_trunc)
+    out = None
     for (h, deg), count in sorted(hist.items()):
         if h >= len(phis_by_height):
             raise UsageError(f"tree has internal vertex at height {h} beyond the window stack")
@@ -189,8 +189,8 @@ def tree_weight(
         key = (h, deg, count)
         if key not in powers:
             powers[key] = power_truncated(ck.truncate(t_trunc), count)
-        out = convolve_truncated(out, powers[key])
-    return out
+        out = powers[key] if out is None else convolve_truncated(out, powers[key])
+    return IntPoly.one(t_trunc) if out is None else out
 
 
 # ---------------------------------------------------------------------------

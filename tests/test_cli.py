@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hannerfaces import cli, recursion, selftest, trees
+from hannerfaces import _kernels, cli, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
 from hannerfaces.recursion import Engine
@@ -459,35 +459,61 @@ class TestRefusedUpFront:
         assert code == 3
         assert out == ""
         assert reason in err
-        assert set(engines) <= {Engine.PAPER_LOG}
-        assert bool(engines) == (reason != "feasibility cap 11")  # the log pass ran, seen by the spy
+        assert engines == []  # sized from the step formula: no engine steps
 
     def test_refusal_names_the_requested_engine(self, run):
-        # K = 2^21: the log pass that sizes the exact run would itself pass the ceiling
+        # K = 2^21: the refusal names the engine asked for and the state at n_max
         argv = ("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "42", "--engine", "paper")
         code, out, err = run(*argv)
         assert (code, out) == (3, "")
-        assert "the paper engine run to n=42, K=2097152" in err
-        assert "(134,217,792 > 134,217,728 bits)" in err
+        assert "the paper engine state at n=42, K=2097152 is predicted to hold" in err
+        assert "cannot be sized" not in err
 
-    def test_log_pass_only_past_the_closed_form(self, run, monkeypatch):
-        log_steps = []
-        real_step = recursion.step
+    def test_no_log_step_past_the_closed_form(self, run, monkeypatch):
+        log_work = []
+        real_step, real_convolve = recursion.step, _kernels.log_convolve
 
         def spy(state, kind):
             if state.engine.is_log:
-                log_steps.append(state.n)
+                log_work.append(state.n)
             return real_step(state, kind)
 
         monkeypatch.setattr(recursion, "step", spy)
-        # 65 * 2^13 bits bound every state: admitted with no log step
+        monkeypatch.setattr(_kernels, "log_convolve", lambda f, g: log_work.append(f) or real_convolve(f, g))
+        # 65 * 2^13 bits bound every state: admitted at r = 1
         code, _, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "64", "--engine", "paper")
         assert code == 0
-        assert log_steps == []
-        # 1025 * 2^21 bits is over the ceiling: one log pass sizes the run, before any exact step
+        # 1025 * 2^21 bits is over the ceiling: the bound's search admits the run
         states = recursion.trajectory(DensityParam.rational(1, 2), 20, 1024, Engine.PAPER_EXACT)
         assert next(states).n == 0
-        assert log_steps == list(range(20))
+        assert log_work == []
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (("fvector", "--a", "1/2", "--n", "100000", "--kmax", "1", "--engine", "paper"),
+             "the paper engine state at n=100000, K=1 is predicted to hold inf Mbit"),
+            (("fvector", "--a", "1/2", "--n", "100000", "--kmax", "1", "--engine", "log"),
+             "the log engine state at n=100000, K=1 is predicted to leave the log engine's range"),
+            (("asymptotics", "--a", "1/2", "--delta", "1/2000", "--nmax", "15000", "--engine", "log"),
+             "the log engine state at n=15000, K=181 is predicted to leave the log engine's range"),
+        ],
+    )
+    def test_absurd_sizes_refused_cleanly(self, run, monkeypatch, argv, named):
+        steps = []
+        monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
+        start = time.monotonic()
+        code, out, err = run(*argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out, steps) == (3, "", [])
+        assert err.startswith(f"error: {named}") and "Traceback" not in err
+
+    def test_log_run_past_the_range_refused_before_its_first_step(self, run, monkeypatch):
+        steps = []
+        monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
+        code, out, err = run("fvector", "--a", "1/2", "--n", "120", "--kmax", "4", "--engine", "log")
+        assert (code, out, steps) == (3, "", [])
+        assert "the log engine state at n=120, K=4 is predicted to leave the log engine's range" in err
 
     def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
         steps = []

@@ -145,7 +145,7 @@ class TestBandedSquare:
     @given(concave_runs())
     def test_band_matches_full_on_concave_runs(self, case):
         f, run_len = case
-        assert _kernels._concave_run(f) == run_len
+        assert _kernels._run_and_defect(f)[0] == run_len
         assert_log_close(_kernels.log_convolve(f, f), _kernels._log_convolve_full(f, f))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -180,9 +180,10 @@ class TestBandedSquare:
         squared = []
         banded = _kernels._log_square_banded
 
-        def record(h, n):
+        def record(h, n, defect):
+            assert defect == 0.0  # these states are concave in float64: the band keeps its cutoff
             squared.append((h.copy(), n))
-            return banded(h, n)
+            return banded(h, n, defect)
 
         monkeypatch.setattr(_kernels, "_log_square_banded", record)
         kmax = floor_d_delta(nmax, Fraction(1, 2))
@@ -197,7 +198,7 @@ class TestBandedSquare:
     @given(
         st.lists(
             st.one_of(st.floats(-200, 200), st.just(-np.inf)), min_size=3, max_size=120
-        ).filter(lambda xs: _kernels._concave_run(np.array(xs)) < 0)
+        ).filter(lambda xs: _kernels._run_and_defect(np.array(xs))[0] < 0)
     )
     def test_non_concave_square_raises(self, xs):
         f = np.array(xs)
@@ -208,13 +209,39 @@ class TestBandedSquare:
             _kernels.log_convolve(f, f.copy()), _kernels._log_convolve_full(f, f), equal_nan=True
         )
 
+    def test_rounded_states_take_the_band(self):
+        # State 84 of (1/2, K=181) has a second difference one ulp above zero
+        # at k=171, where log2 a_{n,k} is about 2^47.5 and nearly linear in k.
+        # The check accepts it as rounding, the band widens its cutoff by the
+        # defect, and the trajectory runs on to the last state the range admits.
+        states = list(trajectory(DensityParam.rational(1, 2), 94, 181, Engine.PAPER_LOG))
+        f = states[84].poly.log2_coeffs
+        d2 = np.diff(f, 2)
+        assert d2[170] == np.spacing(f[171]) and (d2 > 0).sum() == 1
+        run_len, defect = _kernels._run_and_defect(f)
+        assert run_len == 182 and defect == 90.5 * d2[170]
+        sq = _kernels.log_convolve(f, f)
+        assert_log_close(sq, _kernels._log_convolve_full(f, f))
+        assert_log_close(sq, states[85].poly.log2_coeffs)  # a Product step
+
+    def test_second_difference_past_rounding_raises(self):
+        # linear from h_0 = 16, so the limit at k = 19 (inputs up to 37) is
+        # 2^-43 * 16 * 37, about 2^-33.8
+        line = np.arange(40, dtype=np.float64) + 16.0
+        bumped = line.copy()
+        bumped[20] += 2.0**-30  # second differences of +2^-30 at k = 19 and 21
+        with pytest.raises(VerificationError, match="not concave along one leading run"):
+            _kernels.log_convolve(bumped, bumped)
+        bumped[20] = line[20] + 2.0**-36  # within what rounding can show
+        assert _kernels._run_and_defect(bumped) == (40, 19.5 * 2.0**-35)
+
     def test_classifies_runs(self):
         inf = np.inf
-        assert _kernels._concave_run(np.array([1.0, 3.0, 4.0, 4.0, -inf])) == 4
-        assert _kernels._concave_run(np.array([1.0, 3.0, 6.0])) == -1  # convex
-        assert _kernels._concave_run(np.array([1.0, -inf, 1.0])) == -1  # interior zero
-        assert _kernels._concave_run(np.array([-inf, 1.0, 0.0])) == -1  # not leading
-        assert _kernels._concave_run(np.array([-inf, -inf])) == 0
+        assert _kernels._run_and_defect(np.array([1.0, 3.0, 4.0, 4.0, -inf])) == (4, 0.0)
+        assert _kernels._run_and_defect(np.array([1.0, 3.0, 6.0]))[0] == -1  # convex
+        assert _kernels._run_and_defect(np.array([1.0, -inf, 1.0]))[0] == -1  # interior zero
+        assert _kernels._run_and_defect(np.array([-inf, 1.0, 0.0]))[0] == -1  # not leading
+        assert _kernels._run_and_defect(np.array([-inf, -inf])) == (0, 0.0)
 
     def test_tiny_and_empty_inputs(self):
         empty = np.array([], dtype=np.float64)
@@ -248,7 +275,7 @@ class TestBandedSquare:
         monkeypatch.setattr(_kernels, "_log_convolve_full", no_fallback)
         kmax = floor_d_delta(nmax, Fraction(1, 2))
         for state in trajectory(a, nmax, kmax, Engine.PAPER_LOG):
-            assert _kernels._concave_run(state.poly.log2_coeffs) >= 0, state.n
+            assert _kernels._run_and_defect(state.poly.log2_coeffs)[0] >= 0, state.n
 
     def test_band_matches_full_on_an_engine_state(self):
         f = run(THIRD, 18, 600, Engine.PAPER_LOG).poly.log2_coeffs
@@ -457,9 +484,8 @@ class TestExactScanStaysDecimal:
         monkeypatch.setattr(_kernels, "_mul_bigint", refuse)
         monkeypatch.setattr(_kernels, "_digits_to_int", refuse)
         monkeypatch.setattr(_kernels, "_mul_decimal", square)
+        monkeypatch.setattr(polys.IntPoly, "__post_init__", int_poly)
         for state in trajectory(a, 16, 256, Engine.PAPER_EXACT):
             assert type(state.poly) is DecimalPoly
-            # patched only now: the sizing log pass starts from an IntPoly
-            monkeypatch.setattr(polys.IntPoly, "__post_init__", int_poly)
         assert squares == [True] * 16
         assert int_polys == []

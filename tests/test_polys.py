@@ -253,6 +253,14 @@ class TestHelpers:
                 y = int_nth_root(x, r)
                 assert y**r <= x < (y + 1) ** r
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 2**24), st.integers(3, 2000), st.integers(-2, 2))
+    def test_int_nth_root_at_and_near_exact_powers(self, y, r, offset):
+        # small roots: the float estimate decides only where it is certain
+        x = y**r + offset
+        root = int_nth_root(x, r)
+        assert root**r <= x < (root + 1) ** r
+
     def test_shift_and_min_degree(self):
         f = P([0, 0, 5, 1], 5)
         assert f.min_degree() == 2

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hannerfaces import recursion, selftest
+from hannerfaces import _kernels, recursion, selftest
 from hannerfaces._kernels import _EXACT, convolve_schoolbook, log_convolve
 from hannerfaces.asymptotics import scan
-from hannerfaces.errors import UsageError
-from hannerfaces.polys import DecimalPoly, IntPoly, convolve_truncated, eval_at_one, log2_int
+from hannerfaces.errors import PrecisionError, UsageError
+from hannerfaces.polys import DecimalPoly, IntPoly, LogPoly, convolve_truncated, eval_at_one, log2_int
 from hannerfaces.trees import tree_sum_check
 from hannerfaces.recursion import (
     EXACT_KMAX_CAP,
@@ -62,6 +62,19 @@ def literal_recursion(a: DensityParam, n: int) -> dict[int, int]:
     return {k: (1 if k == d else vals.get(k, 0)) for k in range(d + 1)}
 
 
+def _widest_log2(a: DensityParam, n_max: int, kmax: int) -> list[float]:
+    """log2 of the widest coefficient of the printed recursion at (a, kmax)
+    after 0, 1, ... steps, from one log trajectory to ``n_max``; stops after
+    the first state over STATE_BITS_CAP.  This was the log pass that sized an
+    exact run; it is now the oracle of ``widest_log2_bound``."""
+    out = []
+    for state in trajectory(a, n_max, kmax, Engine.PAPER_LOG):
+        out.append(float(state.poly.log2_coeffs.max()))
+        if (kmax + 1) * (int(out[-1]) + 1) > recursion.STATE_BITS_CAP:
+            break
+    return out
+
+
 def first_hull_index(a: DensityParam) -> int:
     j = 0
     while is_product_step(j, a) is StepKind.PRODUCT:
@@ -104,13 +117,11 @@ class TestStep:
     def test_one_square_per_step(self, monkeypatch, engine):
         # at K=64 the free-sum Hull step both removes the improper face (d <= 64)
         # and takes the printed formula (d > 64) within ten steps
-        # the sizing log pass squares LogPolys through the same entry
         squares = []
         real = recursion.convolve_truncated
 
         def spy(f, g):
-            if isinstance(f, DecimalPoly):
-                squares.append(f)
+            squares.append(f)
             return real(f, g)
 
         monkeypatch.setattr(recursion, "convolve_truncated", spy)
@@ -199,6 +210,24 @@ class TestStateAdmission:
         monkeypatch.setattr(recursion, "step", spy)
         return seen
 
+    @pytest.fixture
+    def no_log_work(self, monkeypatch):
+        # every log-engine square and every LogPoly built, by any caller
+        calls = []
+        real_convolve, real_init = _kernels.log_convolve, LogPoly.__init__
+
+        def convolve(f, g):
+            calls.append("log_convolve")
+            return real_convolve(f, g)
+
+        def init(self, *args):
+            calls.append("LogPoly")
+            real_init(self, *args)
+
+        monkeypatch.setattr(_kernels, "log_convolve", convolve)
+        monkeypatch.setattr(LogPoly, "__init__", init)
+        return calls
+
     def test_admits_n20_k1024(self, exact_steps):
         # delta = 1/2 at n = 20: 109.8 Mbit, the 404 s run
         assert next(trajectory(HALF, 20, 1024, Engine.PAPER_EXACT)).n == 0
@@ -213,42 +242,65 @@ class TestStateAdmission:
 
     @pytest.mark.parametrize(("a", "n", "kmax"), [(HALF, 12, 64), (THIRD, 13, 100), (TWO_THIRDS, 10, 32)])
     def test_prediction_is_the_exact_state(self, monkeypatch, a, n, kmax):
+        # The prediction is the bound's, at or above the exact state's bits and
+        # within 1% of them (3.4 log2 units over at (1/2, 12, 64)); a cap at the
+        # prediction admits the run and a cap one bit under it refuses.
         coeffs = run(a, n, kmax, Engine.PAPER_EXACT).poly.to_intpoly().coeffs
-        bits = (kmax + 1) * max(c.bit_length() for c in coeffs)
-        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits)
+        widest = max(c.bit_length() for c in coeffs)
+        bound = recursion.widest_log2_bound(a, n, kmax, -math.inf)
+        predicted = (kmax + 1) * (math.floor(bound) + 1)
+        assert (kmax + 1) * widest <= predicted <= (kmax + 1) * widest * 1.01
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", predicted)
         assert run(a, n, kmax, Engine.PAPER_EXACT).poly.to_intpoly().coeffs == coeffs
-        monkeypatch.setattr(recursion, "STATE_BITS_CAP", bits - 1)
-        with pytest.raises(UsageError, match=f"n={n}, K={kmax}"):
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", predicted - 1)
+        with pytest.raises(UsageError, match=f"n={n}, K={kmax} is predicted to hold"):
             run(a, n, kmax, Engine.PAPER_EXACT)
 
     @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
     def test_refusal_names_the_engine_and_exact_sizes(self, exact_steps, engine):
-        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=20, K=1448 .*"
+        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=21, K=1448 .*"
                            r"\(\d{3},\d{3},\d{3} > 134,217,728 bits\)"):
             next(trajectory(HALF, 21, 1448, engine))
-        # K = 2^21: the sizing log pass holds (K+1) * 64 bits, 64 over the ceiling
-        with pytest.raises(UsageError, match=rf"the {engine.value} engine run to n=42, K=2097152 "
-                           r"cannot be sized: .*\(134,217,792 > 134,217,728 bits\)"):
+        # K = 2^21: the state at n_max is named, as for every run
+        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=42, K=2097152 "
+                           r"is predicted to hold [\d.]+ Mbit") as refused:
             next(trajectory(HALF, 42, 2**21, engine))
+        assert "cannot be sized" not in str(refused.value)
         assert exact_steps == []
 
-    def test_sizing_pass_stops_after_the_first_state_over_the_ceiling(self, monkeypatch):
-        full = recursion._widest_log2(HALF, 12, 64)
-        first_over = next(j for j, x in enumerate(full) if int(x) + 1 > 100)
-        assert 0 < first_over < 12
-        monkeypatch.setattr(recursion, "STATE_BITS_CAP", 65 * 100)
-        assert recursion._widest_log2(HALF, 12, 64) == full[: first_over + 1]
+    def test_refused_sizes_stay_exact_past_the_float_range(self, exact_steps):
+        # at n = 2025 the bound is about 2^1021.6, so the state's bits are an
+        # int past the float range; past n = 2030 the bound is inf
+        bound = recursion.widest_log2_bound(HALF, 2025, 65536, -math.inf)
+        bits = 65537 * (math.floor(bound) + 1)
+        assert 2**1021 < bound < math.inf and bits > 2**1024
+        with pytest.raises(UsageError) as refused:
+            next(trajectory(HALF, 2025, 65536, Engine.PAPER_EXACT))
+        tenths = (bits + 50_000) // 100_000  # no tie: bits end in 57,985
+        assert f" {tenths // 10}.{tenths % 10} Mbit" in str(refused.value)
+        assert f"({bits:,} > 134,217,728 bits)" in str(refused.value)
+        with pytest.raises(UsageError, match=r"hold inf Mbit, .* \(inf > 134,217,728 bits\)"):
+            next(trajectory(HALF, 2100, 1, Engine.PAPER_EXACT))
+        assert exact_steps == []
 
     @pytest.mark.parametrize("n", [6, 12, 20, 25])
-    def test_closed_form_admits_without_a_log_pass(self, monkeypatch, n):
-        passes = []
-        monkeypatch.setattr(recursion, "_widest_log2", lambda *args: passes.append(args) or [])
-        kmax = (recursion.STATE_BITS_CAP >> (n + 1)) - 1  # (K+1) * 2^(n+1) is the ceiling
+    def test_closed_form_admits_without_a_log_pass(self, no_log_work, n):
+        # every run whose (K+1) * 2^(n+1) bits fit under the ceiling is still admitted
+        kmax = (recursion.STATE_BITS_CAP >> (n + 1)) - 1
         for engine in EXACT_ENGINES:
             recursion._admit(HALF, n, kmax, engine)
-        assert passes == []
-        recursion._admit(HALF, n, kmax + 1, Engine.PAPER_EXACT)
-        assert passes == [(HALF, n, kmax + 1)]
+        assert no_log_work == []
+
+    @pytest.mark.parametrize(("n", "kmax", "admitted"), [(20, 1024, True), (21, 1448, False), (42, 2**21, False)])
+    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    def test_no_log_step_sizes_an_exact_run(self, no_log_work, exact_steps, n, kmax, admitted, engine):
+        states = trajectory(HALF, n, kmax, engine)
+        if admitted:
+            assert next(states).n == 0
+        else:
+            with pytest.raises(UsageError, match=f"state at n={n}, K={kmax} is predicted to hold"):
+                next(states)
+        assert no_log_work == [] and exact_steps == []
 
     @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
     def test_closed_form_bounds_every_state(self, a):
@@ -257,15 +309,83 @@ class TestStateAdmission:
             for state in trajectory(a, 13, 64, engine):
                 widest = max(c.bit_length() for c in state.poly.to_intpoly().coeffs)
                 assert widest <= 2 ** (state.n + 1)
-        # and so is every width the log pass predicts
-        widths = [int(x) + 1 for x in recursion._widest_log2(a, 20, 1024)]
+        # and so is every width the log loop finds, and the bound at r = 1
+        widths = [int(x) + 1 for x in _widest_log2(a, 20, 1024)]
         assert all(w <= 2 ** (n + 1) for n, w in enumerate(widths))
+        for n in range(21):
+            assert recursion.widest_log2_bound(a, n, 1024, math.inf) < 2 ** (n + 1)
 
     def test_log_state_is_64_bits_a_slot(self, monkeypatch):
         monkeypatch.setattr(recursion, "STATE_BITS_CAP", 64 * 9)
         assert run(HALF, 6, 8, Engine.PAPER_LOG).n == 6
         with pytest.raises(UsageError, match="log engine state at n=6, K=9"):
             run(HALF, 6, 9, Engine.PAPER_LOG)
+
+
+# 16 densities: the benchmark's pools, a few more rationals and one irrational
+BOUND_DENSITIES = [
+    DensityParam.rational(p, q)
+    for p, q in [(1, 2), (1, 3), (2, 3), (2, 5), (1, 4), (3, 4), (3, 5), (3, 7),
+                 (4, 9), (5, 11), (7, 15), (4, 13), (5, 16), (3, 10), (1, 5)]
+] + [DensityParam.real("0.6180339887498948482045868343656381177", 128)]
+
+
+class TestSaddlePointBound:
+    """``widest_log2_bound`` is at or above log2 of the widest coefficient of
+    every state it sizes, with the exact ints and the log loop as oracles."""
+
+    def test_no_sizing_log_pass_is_left(self):
+        assert not hasattr(recursion, "_widest_log2")
+
+    @pytest.mark.parametrize("a", BOUND_DENSITIES, ids=str)
+    def test_bounds_every_exact_state(self, a):
+        for kmax in (1, 8, 64):
+            for engine in EXACT_ENGINES:
+                for state in trajectory(a, 20 if kmax < 64 else 16, kmax, engine):
+                    widest = max(state.poly.to_intpoly().coeffs)
+                    bound = recursion.widest_log2_bound(a, state.n, kmax, -math.inf)
+                    assert log2_int(widest) <= bound, (engine, kmax, state.n)
+
+    @pytest.mark.parametrize("a", BOUND_DENSITIES, ids=str)
+    def test_bounds_every_log_state(self, a, monkeypatch):
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", 2**40)  # the loop runs to n_max
+        for kmax, n_max in ((1, 50), (8, 50), (362, 50), (1024, 50), (8192, 30)):
+            for n, x in enumerate(_widest_log2(a, n_max, kmax)):
+                # the log loop is within 170 n u x of the widest coefficient
+                assert x * (1 - 170 * n * 2.0**-53) <= recursion.widest_log2_bound(a, n, kmax, -math.inf)
+
+    def test_margin_covers_a_power_of_two(self):
+        # a_{14,1}, the widest coefficient at K = 1, is 2^508 to within 2^-40 of
+        # a bit, and the unmargined bound meets it: the margin keeps the width
+        # at its 509 bits
+        coeffs = run(HALF, 14, 1, Engine.PAPER_EXACT).poly.to_intpoly().coeffs
+        assert coeffs[1] >> 468 == 2**40 and coeffs[0] < coeffs[1]
+        bound = recursion.widest_log2_bound(HALF, 14, 1, -math.inf)
+        assert 508 < bound < 508 + 2**-20
+        assert math.floor(bound) + 1 == coeffs[1].bit_length()
+
+    def test_bound_at_r_1_is_below_the_closed_form(self):
+        # log2 F_16(1) = 108,616.6 against 2^17 = 131,072 bits a slot
+        assert 108_616 < recursion.widest_log2_bound(HALF, 16, 256, math.inf) < 108_617
+
+    def test_stops_at_the_first_bound_under_the_limit(self):
+        tight = recursion.widest_log2_bound(HALF, 20, 1024, -math.inf)
+        assert 107_115 < tight < 107_116
+        assert recursion.widest_log2_bound(HALF, 20, 1024, 2**21) > 2 * tight  # r = 1 admits
+        assert tight <= recursion.widest_log2_bound(HALF, 20, 1024, 107_200) <= 107_200
+
+    @pytest.mark.parametrize("n", [2100, 15_000, 100_000])
+    def test_past_the_float_range_the_bound_is_inf(self, n):
+        assert recursion.widest_log2_bound(HALF, n, 1, -math.inf) == math.inf
+
+    def test_undecidable_schedule_raises_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
+        coarse = DensityParam.real("0.6180339887498948482045868343656381177", 16)
+        for engine in Engine:
+            with pytest.raises(PrecisionError, match="precision bits are insufficient for step 9"):
+                next(trajectory(coarse, 12, 4, engine))
+        assert steps == []
 
 
 class TestStepCoefficient:
