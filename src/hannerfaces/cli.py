@@ -4,16 +4,19 @@ One executable, one subcommand per pipeline, uniform output discipline:
 CSV or JSON on stdout, big integers serialized as decimal strings, and
 exit codes 0 (success), 1 (internal error), 2 (verification or tolerance
 failure), 3 (usage or precondition error).  Identical invocations produce
-byte-identical output.
+byte-identical output.  Tables stream out as their rows are formatted, after
+every check has passed, so a run that fails prints nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from ._kernels import _EXACT
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 3
+_ROWS_PER_WRITE = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,17 +74,38 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} must be NUM/DEN, got {text!r}") from exc
 
 
-def _emit_rows(args, header: list[str], rows: Iterable[Sequence[str]], path: str | None = None):
+def _emit_rows(args, header: list[str], rows: Iterable[Sequence[str]], path=None, head=(), key=None):
+    """Write a table, one str cell per header name, to ``path``, else stdout, as CSV
+    or as JSON byte for byte what ``json.dumps([dict(zip(header, row)) ...], indent=2)`` gives.
+    The (name, value) pairs of ``head`` lead it: a "name: value" line each in
+    CSV, and in JSON the object ``{**dict(head), key: [...]}`` holds the rows.
+    Rows are formatted as they are written, ``_ROWS_PER_WRITE`` to a write, so
+    they must come from results already computed.
+    """
     if getattr(args, "format", "csv") == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        enc = json.encoder.encode_basestring_ascii
+        pad = "  " if head else ""  # the rows nest one level deeper under a head
+        fields = ",\n".join(f"{pad}    {enc(h).replace('%', '%%')}: %s" for h in header)
+        record = f"{pad}  {{\n{fields}\n{pad}  }}" if header else f"{pad}  {{}}"
+        texts = (record % tuple(map(enc, row)) for row in rows)
+        members = "".join(f"  {enc(k)}: {enc(v)},\n" for k, v in head)
+        start = f"{{\n{members}  {enc(key)}: [" if head else "["
+        sep, empty, close, end = ",\n", "]", f"\n{pad}]", "\n}\n" if head else "\n"
     else:
-        text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        texts = map(",".join, rows)
+        start = "".join(f"{k}: {v}\n" for k, v in head) + ",".join(header)
+        sep, empty, close, end = "\n", "", "", "\n"
+    try:
+        out = open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    with out as fh:
+        fh.write(start)
+        lead, tail = "\n", empty  # the first row is led by a newline, the others by sep
+        for chunk in iter(lambda: list(islice(texts, _ROWS_PER_WRITE)), []):
+            fh.write(lead + sep.join(chunk))
+            lead, tail = sep, close
+        fh.write(tail + end)
 
 
 def _emit_object(args, obj: dict):
@@ -99,30 +124,20 @@ def _cmd_schedule(args) -> int:
     a = _parse_density(args)
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    rows = [[str(n), is_product_step(n, a).value] for n in range(args.steps)]
-    _emit_rows(args, ["n", "kind"], rows)
+    kinds = [is_product_step(n, a).value for n in range(args.steps)]  # every step decided first
+    _emit_rows(args, ["n", "kind"], ([str(n), kind] for n, kind in enumerate(kinds)))
     return EXIT_OK
-
-
-# An output limit, not a state limit (2-CPU Xeon VM): `fvector --engine log
-# --format json` peaked at 1.0 GiB RSS at K=10^6 and 2.1 GiB at K=2,097,151.
-_FVECTOR_KMAX_CAP = 65536
 
 
 def _cmd_fvector(args) -> int:
     a = _parse_density(args)
     engine = Engine.parse(args.engine)
-    if args.kmax > _FVECTOR_KMAX_CAP:
-        raise UsageError(
-            f"--kmax {args.kmax} exceeds the desk-scale cap {_FVECTOR_KMAX_CAP}"
-        )
     poly = run(a, args.n, args.kmax, engine).poly
     if engine.is_log:
-        texts = [_fmt_float(float(v)) for v in poly.log2_coeffs]
+        texts = map(_fmt_float, map(float, poly.log2_coeffs))
     else:  # an integral Decimal's str() is its digits, in linear time
-        texts = [str(c) for c in poly.decimals]
-    rows = [[str(k), text] for k, text in enumerate(texts)]
-    _emit_rows(args, ["k", "coefficient"], rows)
+        texts = map(str, poly.decimals)
+    _emit_rows(args, ["k", "coefficient"], ([str(k), text] for k, text in enumerate(texts)))
     return EXIT_OK
 
 
@@ -164,25 +179,15 @@ def _cmd_trees(args) -> int:
     windows = [window_profile(a, args.Q, j) for j in range(args.m)]
     # qcount is defined against one window map, so only for a constant stack
     typical = 2 ** windows[0].p if len({win.word for win in windows}) == 1 else None
-    header = ["tree", "leaves", "internal", "weight_at_1", "qcount"]
-    cells = {}  # per class record: its row after the tree index, formatted once
+    cells = {}  # per class: its cells after the tree index, formatted once
     for hist, w in result.tree_classes:
         if id(hist) not in cells:
             qcount = "" if typical is None else sum(c for (_, d), c in hist.items() if d != typical)
             values = (histogram_leaves(hist), sum(hist.values()), eval_at_one(w), qcount)
-            cells[id(hist)] = [str(v) for v in values]
-    verdict = f"exact-match over {result.n_trees} trees"
-    if args.format == "json":
-        records = {key: dict(zip(header[1:], row)) for key, row in cells.items()}
-        listed = [{"tree": str(i), **records[id(h)]} for i, (h, _) in enumerate(result.tree_classes)]
-        _emit_object(args, {"verdict": verdict, "trees": listed})
-    else:
-        # A row is the tree index, then its class's text, joined once per
-        # class; the rows are made one at a time as they are written.
-        texts = {key: ",".join(row) for key, row in cells.items()}
-        rows = ((str(i), texts[id(h)]) for i, (h, _) in enumerate(result.tree_classes))
-        sys.stdout.write(f"verdict: {verdict}\n")
-        _emit_rows(args, header, rows)
+            cells[id(hist)] = tuple(str(v) for v in values)
+    rows = ((str(i), *cells[id(h)]) for i, (h, _) in enumerate(result.tree_classes))
+    verdict = [("verdict", f"exact-match over {result.n_trees} trees")]
+    _emit_rows(args, ["tree", "leaves", "internal", "weight_at_1", "qcount"], rows, head=verdict, key="trees")
     return EXIT_OK
 
 
@@ -224,26 +229,17 @@ def _cmd_asymptotics(args) -> int:
     if args.csv and args.format == "json":  # before the scan, which may take seconds
         raise UsageError("--csv writes CSV; give --format csv or leave --csv out")
     _, _, rows = _scan(args)
-    # d = 2**n prints from a Decimal doubled row by row (rows come in rising n):
-    # str(int) is quadratic in the digits and refuses past int_max_str_digits.
-    d, at = Decimal(1), 0
-    out = []
-    for r in rows:
-        while at < r.n:
-            d, at = _EXACT.add(d, d), at + 1
-        out.append(
-            [
-                str(r.n),
-                str(d),
-                str(r.k),
-                str(r.Q),
-                str(r.m),
-                str(r.p),
-                _fmt_float(r.log2_coeff),
-                _fmt_float(r.rho),
-            ]
-        )
-    _emit_rows(args, ["n", "d", "k", "Q", "m", "p", "log2_coeff", "rho"], out, args.csv)
+
+    def cells():
+        # d = 2**n prints from a Decimal doubled row by row (rows come in rising n):
+        # str(int) is quadratic in the digits and refuses past int_max_str_digits.
+        d, at = Decimal(1), 0
+        for r in rows:
+            while at < r.n:
+                d, at = _EXACT.add(d, d), at + 1
+            yield [*map(str, (r.n, d, r.k, r.Q, r.m, r.p)), _fmt_float(r.log2_coeff), _fmt_float(r.rho)]
+
+    _emit_rows(args, ["n", "d", "k", "Q", "m", "p", "log2_coeff", "rho"], cells(), args.csv)
     return EXIT_OK
 
 

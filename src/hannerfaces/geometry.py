@@ -18,12 +18,13 @@ vertex and every facet normal lies in {-1, 0, 1}^d.  The incidences are
 read from one exact integer product of the normals with the vertices
 (int8, since d <= 16), and each generator's mask is packed from its row of
 it.  The same product validates every polytope the oracle builds, at every
-dimension.
+dimension, and the same int8 arrays give its central symmetry and radii.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,28 +49,30 @@ class VPolytope:
     vertices: tuple[Vector, ...]
     normals: tuple[Vector, ...]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(normals, vertices) as int8 arrays, built once.  With at most 16
+        coordinates, each in {-1, 0, 1}, int8 holds every entry and partial sum
+        of their products exactly; any other polytope is refused, not wrapped."""
+        normals = np.array(self.normals, dtype=np.int8)
+        vertices = np.array(self.vertices, dtype=np.int8)
+        for coords in (normals, vertices):
+            if coords.shape[1] > _MAX_DIM or coords.min() < -1 or coords.max() > 1:
+                raise UsageError(
+                    f"incidences need at most {_MAX_DIM} coordinates, each in {{-1, 0, 1}}"
+                )
+        return normals, vertices
+
     def validate(self):
-        vs = set(self.vertices)
-        for v in self.vertices:
-            if tuple(-c for c in v) not in vs:
-                raise VerificationError("vertex set is not centrally symmetric")
-        if (_incidences(self) > 1).any():
+        normals, vertices = self.arrays
+        keys = np.zeros(len(vertices), dtype=np.int64)
+        for column in vertices.T:  # balanced ternary: v has its own key, -v its negative
+            keys = 3 * keys + column
+        keys = set(keys.tolist())
+        if keys != {-key for key in keys}:
+            raise VerificationError("vertex set is not centrally symmetric")
+        if (normals @ vertices.T > 1).any():  # u . v for every facet normal u and vertex v
             raise VerificationError("vertex outside a facet halfspace")
-
-
-def _incidences(poly: VPolytope) -> np.ndarray:
-    """u . v for every facet normal u (rows) and vertex v (columns), as one
-    integer product.  With at most 16 coordinates, each in {-1, 0, 1},
-    |u . v| <= 16, so int8 holds every entry and partial sum exactly; any
-    other polytope is refused rather than wrapped."""
-    normals = np.array(poly.normals, dtype=np.int8)
-    vertices = np.array(poly.vertices, dtype=np.int8)
-    for coords in (normals, vertices):
-        if coords.shape[1] > _MAX_DIM or coords.min() < -1 or coords.max() > 1:
-            raise UsageError(
-                f"incidences need at most {_MAX_DIM} coordinates, each in {{-1, 0, 1}}"
-            )
-    return normals @ vertices.T
 
 
 def _packed(rows: np.ndarray) -> np.ndarray:
@@ -80,10 +83,6 @@ def _packed(rows: np.ndarray) -> np.ndarray:
 
 def _masks(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _dot(u: Vector, v: Vector) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _segment() -> VPolytope:
@@ -170,7 +169,8 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
             f"face lattice guard: 3^{poly.dim} exceeds {_LATTICE_FACE_GUARD} faces"
         )
     nv, nf = len(poly.vertices), len(poly.normals)
-    on = _incidences(poly) == 1  # on[facet, vertex]
+    normals, vertices = poly.arrays
+    on = normals @ vertices.T == 1  # on[facet, vertex]
     dual = nf > nv
     packed = _packed(on.T if dual else on)  # vertex co-masks, else facet masks
     gens = _masks(packed)
@@ -259,8 +259,8 @@ class RadiiState:
 
 def radii(poly: VPolytope) -> tuple[int, int]:
     """(R^2, 1/r^2): largest squared vertex norm and largest squared facet normal."""
-    r_sq = max(_dot(v, v) for v in poly.vertices)
-    r_inv_sq = max(_dot(u, u) for u in poly.normals)
+    # every entry is -1, 0 or 1, so a squared norm counts the nonzero coordinates
+    r_inv_sq, r_sq = (int(np.count_nonzero(x, axis=1).max()) for x in poly.arrays)
     return r_sq, r_inv_sq
 
 

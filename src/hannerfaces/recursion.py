@@ -43,10 +43,9 @@ from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int, square_co
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
-# STATE_BITS_CAP bits: K+1 slots of its widest coefficient's bound, 64 bits a slot
-# in the log engine (so K <= 2,097,151).  README gives the timings at a = 1/2: the
-# exact run to n=20/K=1024 is predicted at 109.8 Mbit (n=21/K=1448: 257.5), the log
-# run to n=41 at 94.9.
+# STATE_BITS_CAP bits: K+1 slots of its widest coefficient's bound, at least 64 bits
+# a slot (so K <= 2,097,151).  README gives the timings at a = 1/2: the exact run to
+# n=20/K=1024 is predicted at 109.8 Mbit (n=21/K=1448: 257.5), the log run to n=41 at 94.9.
 EXACT_KMAX_CAP = 1024
 STATE_BITS_CAP = 2**27
 
@@ -92,10 +91,14 @@ class RecursionState:
         return self.poly.kmax
 
 
-def initial_state(kmax: int, engine: Engine) -> RecursionState:
-    """The segment: 2 vertices plus the improper face, i.e. 2 + t."""
+def _check_kmax(kmax: int) -> None:
     if kmax < 1:
         raise UsageError(f"kmax must be >= 1, got {kmax}")
+
+
+def initial_state(kmax: int, engine: Engine) -> RecursionState:
+    """The segment: 2 vertices plus the improper face, i.e. 2 + t."""
+    _check_kmax(kmax)
     cls = LogPoly if engine.is_log else DecimalPoly
     poly: Poly = cls.monomial(2, 0, kmax) + cls.monomial(1, 1, kmax)
     return RecursionState(poly=poly, n=0, engine=engine)
@@ -260,9 +263,10 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     STATE_BITS_CAP, or, in the log engine, its range of 2**53.
 
     One bound sizes every engine (``widest_log2_bound``), and the state at
-    ``n_max`` is the largest.  An exact state holds K+1 slots of
-    floor(bound) + 1 bits, a log state 64 bits a slot; a log run's size is
-    checked before its range.
+    ``n_max`` is the largest.  A state holds K+1 slots: 64 bits each in the log
+    engine, max(floor(bound) + 1, 64) in an exact one, whose slot is an object
+    however few bits it holds, so every engine refuses K > 2,097,151.  A log
+    run's size is checked before its range.
     """
     what = f"the {engine.value} engine state at n={n_max}, K={kmax} is predicted to"
     if engine.is_log:
@@ -275,7 +279,7 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     else:
         width = STATE_BITS_CAP // (kmax + 1)  # the widest coefficient admitted, in bits
         bound = widest_log2_bound(a, n_max, kmax, width - 1)
-        bits = (kmax + 1) * (math.floor(bound) + 1) if bound < math.inf else math.inf
+        bits = (kmax + 1) * max(math.floor(bound) + 1, 64) if bound < math.inf else math.inf
         check_state_bits(bits, f"{what} hold")
 
 
@@ -293,6 +297,7 @@ def trajectory(
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")
+    _check_kmax(kmax)  # before the size bound, which needs K >= 1
     _admit(a, n_max, kmax, engine)
     state = initial_state(kmax, engine)
     yield state

@@ -251,13 +251,11 @@ def tree_sum_check(
     coeff_sums = [0] * (kmax + 1)
     for L, w in by_leaves.items():
         total = total + convolve_truncated(w, power_truncated(seg, L))
-        for k in range(kmax + 1):
-            for j in range(k + 1):
-                wj = w[j]
-                if wj:
-                    binom = math.comb(L, k - j)
-                    if binom:
-                        coeff_sums[k] += wj * binom * 2 ** (L - (k - j))
+        # the nonzero terms only: w_j != 0 and 0 <= k - j <= L
+        for j, wj in enumerate(w.coeffs):
+            if wj:
+                for k in range(j, min(kmax, j + L) + 1):
+                    coeff_sums[k] += wj * math.comb(L, k - j) * 2 ** (L - (k - j))
     for k in range(kmax + 1):
         for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
             if got != engine_poly[k]:

@@ -1,11 +1,17 @@
+import argparse
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import re
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hannerfaces import _kernels, cli, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
@@ -39,6 +45,65 @@ class TestSchedule:
         code, out, _ = run("schedule", "--a", "1/2", "--steps", "2", "--format", "json")
         assert code == 0
         assert json.loads(out) == [{"n": "0", "kind": "P"}, {"n": "1", "kind": "H"}]
+
+    def test_a_failure_at_a_late_step_prints_nothing(self, run):
+        # step 5 needs 13 bits: every step is decided before the first byte
+        code, out, err = run("schedule", "--a-real", "0.6180339887:12", "--steps", "20")
+        assert (code, out) == (3, "")
+        assert "insufficient for step 5" in err
+
+
+# cells that JSON must escape or that a %-template would misread
+_CELL = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\x7f\u00e9\u2028\ud800\udfff%,')),
+    max_size=6,
+)
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(_CELL, unique=True, max_size=4))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(header), max_size=len(header)), max_size=7))
+    return header, rows
+
+
+class TestEmitRows:
+    """``_emit_rows`` streams a table byte for byte as the whole-output forms:
+    ``json.dumps(..., indent=2)`` and one CSV join."""
+
+    @staticmethod
+    def _written(fmt, chunk, header, rows, head=(), key=None):
+        args = argparse.Namespace(format=fmt)
+        with mock.patch.object(cli, "_ROWS_PER_WRITE", chunk), contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit_rows(args, header, iter(rows), head=head, key=key)
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables(), st.integers(1, 3))
+    def test_bare_table(self, table, chunk):
+        header, rows = table
+        listed = [dict(zip(header, row)) for row in rows]
+        assert self._written("json", chunk, header, rows) == json.dumps(listed, indent=2) + "\n"
+        csv = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+        assert self._written("csv", chunk, header, rows) == csv
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables(), st.integers(1, 3), st.dictionaries(_CELL, _CELL, min_size=1, max_size=2), _CELL)
+    def test_table_under_a_head(self, table, chunk, head, key):
+        header, rows = table
+        listed = [dict(zip(header, row)) for row in rows]
+        assume(key not in head)
+        got = self._written("json", chunk, header, rows, list(head.items()), key)
+        assert got == json.dumps({**head, key: listed}, indent=2) + "\n"
+        csv = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+        lines = "".join(f"{k}: {v}\n" for k, v in head.items())
+        assert self._written("csv", chunk, header, rows, list(head.items()), key) == lines + csv
+
+    def test_empty_tables(self):
+        assert self._written("json", 2, ["n"], []) == "[]\n"
+        assert self._written("csv", 2, ["n"], []) == "n\n"
+        got = self._written("json", 2, ["n"], [], [("verdict", "v")], "trees")
+        assert got == json.dumps({"verdict": "v", "trees": []}, indent=2) + "\n"
 
 
 class TestFvector:
@@ -497,6 +562,18 @@ class TestRefusedUpFront:
              "the log engine state at n=100000, K=1 is predicted to leave the log engine's range"),
             (("asymptotics", "--a", "1/2", "--delta", "1/2000", "--nmax", "15000", "--engine", "log"),
              "the log engine state at n=15000, K=181 is predicted to leave the log engine's range"),
+            # K + 1 slots of at least 64 bits each in every engine: K = 2^21 is one slot over
+            *(
+                (("fvector", "--a", "1/2", "--n", "3", "--kmax", "2097152", "--engine", engine),
+                 f"the {engine} engine state at n=3, K=2097152 is predicted to hold 134.2 Mbit, "
+                 "over the 134.2 Mbit allowed (134,217,792 > 134,217,728 bits)\n")
+                for engine in ("paper", "geometric", "log")
+            ),
+            # small coefficients in 30M slots, which would be built one Decimal each
+            (("fvector", "--a", "1/2", "--n", "1", "--kmax", "30000000", "--engine", "paper"),
+             "the paper engine state at n=1, K=30000000 is predicted to hold 1920.0 Mbit"),
+            (("trees", "--a", "1/2", "--Q", "1", "--m", "1", "--kmax", "30000000"),
+             "the paper engine state at n=1, K=30000000 is predicted to hold 1920.0 Mbit"),
         ],
     )
     def test_absurd_sizes_refused_cleanly(self, run, monkeypatch, argv, named):
@@ -514,6 +591,20 @@ class TestRefusedUpFront:
         code, out, err = run("fvector", "--a", "1/2", "--n", "120", "--kmax", "4", "--engine", "log")
         assert (code, out, steps) == (3, "", [])
         assert "the log engine state at n=120, K=4 is predicted to leave the log engine's range" in err
+
+    @pytest.mark.parametrize("engine", ["paper", "geometric", "log"])
+    @pytest.mark.parametrize("kmax", ["-1", "-5"])
+    def test_kmax_below_one_refused_before_it_is_sized(self, run, monkeypatch, engine, kmax):
+        monkeypatch.setattr(recursion, "widest_log2_bound", lambda *args: pytest.fail("sized"))
+        code, out, err = run("fvector", "--a", "1/2", "--n", "3", "--kmax", kmax, "--engine", engine)
+        assert (code, out) == (3, "")
+        assert err == f"error: kmax must be >= 1, got {kmax}\n"
+
+    def test_log_fvector_is_bounded_by_its_state_alone(self, run):
+        # no limit of its own on K: 70,001 rows, past 2^16
+        code, out, _ = run("fvector", "--a", "1/2", "--n", "2", "--kmax", "70000", "--engine", "log")
+        assert code == 0
+        assert len(out.splitlines()) == 70002
 
     def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
         steps = []
@@ -559,6 +650,13 @@ class TestAsymptotics:
         assert (code, out) == (3, "")
         assert err == "error: --csv writes CSV; give --format csv or leave --csv out\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("target", ["missing/rows.csv", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_csv_path_is_a_usage_error(self, run, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run("asymptotics", "--a", "1/2", "--delta", "1/2", "--nmax", "4", "--csv", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_bad_delta(self, run):
         code, _, err = run("asymptotics", "--a", "1/2", "--delta", "3/2", "--nmax", "4")

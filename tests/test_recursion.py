@@ -256,6 +256,16 @@ class TestStateAdmission:
         with pytest.raises(UsageError, match=f"n={n}, K={kmax} is predicted to hold"):
             run(a, n, kmax, Engine.PAPER_EXACT)
 
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_every_slot_counts_at_least_64_bits(self, engine):
+        # at n = 1 every coefficient has a few bits, so only the slots bind:
+        # 2^21 slots of 64 bits meet the cap, one slot more passes it
+        recursion._admit(HALF, 1, 2**21 - 1, engine)
+        with pytest.raises(UsageError, match=r"K=2097152 .*\(134,217,792 > 134,217,728 bits\)$"):
+            recursion._admit(HALF, 1, 2**21, engine)
+        with pytest.raises(UsageError, match=r"K=30000000 is predicted to hold 1920.0 Mbit"):
+            recursion._admit(HALF, 1, 30_000_000, engine)
+
     @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
     def test_refusal_names_the_engine_and_exact_sizes(self, exact_steps, engine):
         with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=21, K=1448 .*"

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator
@@ -244,6 +245,14 @@ class TestTreeSumCheck:
         assert len(keys) == len(set(keys)) == 8
         for hist, w in records:
             assert w == tree_weight(hist, phis, 8)
+
+    def test_coefficient_formula_takes_only_nonzero_terms(self):
+        # the formula's nonzero terms, w_j != 0 and 0 <= k - j <= L, are a
+        # small share of every (k, j <= k) at K = 8000
+        start = time.monotonic()
+        res = tree_sum_check(HALF, 1, 2, 8000)
+        assert time.monotonic() - start < 5.0
+        assert res.match and res.n_trees == 2
 
     def test_varying_window_words(self):
         # a=1/3 with Q=2 has distinct consecutive window words; the
