@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -108,12 +109,55 @@ def _emit_rows(args, header: list[str], rows: Iterable[Sequence[str]], path=None
         fh.write(tail + end)
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, ``pad`` deep: dicts with
+    str keys, lists, tuples, str, int, float (NaN and infinities included), bool
+    and None.  Strings go through the same C escaper as ``_emit_rows``, where
+    ``indent`` would send ``json.dumps`` down its pure-Python encoder."""
+    enc = json.encoder.encode_basestring_ascii
+    if isinstance(value, str):
+        return enc(value)
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(value, dict):
+            opener, closer = "{", "}"
+            items = (f"{enc(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        else:  # str cells, the bulk of a long list, are encoded without a call each
+            opener, closer = "[", "]"
+            items = (enc(v) if type(v) is str else _json_text(v, inner) for v in value)
+        return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closer}"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as the csv module's minimal quoting quotes a field."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit_object(args, obj: dict):
+    """Write ``obj`` as JSON, or as CSV rows of (key, value) with nested values in
+    compact JSON, quoted so that every row reads back as two fields."""
     if getattr(args, "format", "json") == "csv":
-        rows = [[k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)] for k, v in obj.items()]
-        _emit_rows(args, ["key", "value"], rows)
+        cells = [[k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)] for k, v in obj.items()]
+        _emit_rows(args, ["key", "value"], [[_csv_cell(k), _csv_cell(v)] for k, v in cells])
     else:
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(_json_text(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------

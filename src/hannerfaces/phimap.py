@@ -15,17 +15,26 @@ t-free term at x^(2^p), monic monomial top term).
 
 Each C_k(t) is nonzero only on a narrow band of t-degrees [lo_k, hi_k] that
 moves up with k, so the composition carries every term as a band: the
-offset lo_k and the coefficients from t^lo_k to t^hi_k.  A letter packs each
-band into binary slots of one int, multiplies the bands pairwise and adds
-each product lo_i + lo_j slots up into key k_i + k_j.  Before the last
-square of SRSRSRSRS the 121 terms span 5,357 t-slots from t^0 to their tops,
-and their bands hold only the 1,428 nonzero ones.  Composing that word
-multiplies 36.6 Mbit of operands as bands, against 152.0 Mbit as lists
-packed from t^0.
+offset lo_k and the coefficients from t^lo_k to t^hi_k.
+
+The letters are substituted from the outside in: psi = x, then psi(w(x))
+for w from the outermost (last) letter to the innermost (first).  The
+inner series is always S or R, so substituting it has a closed form and no
+band ever multiplies another:
+
+- psi(S(x)) = psi(x^2) moves key k to key 2k and does no arithmetic;
+- psi(R(x)) = sum_k C_k(t) * x^k * (t*x + 2)^k adds C(k, j) * 2**(k - j) *
+  t^j * C_k(t) into key k + j for j = 0..k: one packed band times one int.
+
+Composed from the inside out, every letter would square the whole map so
+far: SRSRSRSRS took 9,599 multiplies of two packed bands (36.6 Mbit of
+operands), 7,381 of them in its last square.  From the outside in it takes
+4,458 multiplies of a band by a scalar of at most 200 bits (5.0 Mbit).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _kernels
@@ -33,9 +42,11 @@ from .errors import UsageError, VerificationError
 from .polys import IntPoly, convolve_truncated, power_truncated
 from .schedule import DensityParam, StepKind, window_profile
 
-# Composition cost grows 20-40x per letter: 4x the x-pairs, each multiply
-# wider.  The word of a = 1/2 took 0.1 s at Q=9, 3.8 s at Q=10 and 88 s at
-# Q=11 (2-CPU Xeon VM, CPython 3.11 ints).
+# The innermost letter is substituted into a map of up to 2^(Q-1) keys, and
+# key k costs k + 1 scalar multiplies, so the last Hull letter alone makes
+# O(4^Q) of them, each on a wider band.  Composing the word of a = 1/2 took
+# 0.02 s at Q=9, 0.1 s at Q=10, 2.2 s at Q=11 and 30 s at 199 MiB at Q=12 (in
+# process, 2-CPU Xeon VM, CPython 3.11 ints), so the cap stays at 11 letters.
 _MAX_WORD_LEN = 11
 
 
@@ -81,48 +92,41 @@ class PhiMap:
 Band = tuple[int, list[int]]
 
 
-def _apply_letter(terms: dict[int, Band], hull: bool) -> dict[int, Band]:
-    """phi^2 (Product) or t*phi^2 + 2*phi (Hull) of phi = sum_k C_k(t) x^k, on bands.
+def _compose_hull(terms: dict[int, Band]) -> dict[int, Band]:
+    """psi(R(x)) = sum_k C_k(t) * x^k * (t*x + 2)^k of psi = sum_k C_k(t) x^k, on bands.
 
-    Each band is Kronecker-packed once, from its lowest slot, and each x-pair
-    costs one big multiply of two packed bands.  The product adds into key
-    ki + kj, lo_i + lo_j slots up (one more for the Hull's t); the Hull's
-    2*phi adds into the same packed sums, and each sum is unpacked once.
+    Key k adds C(k, j) * 2**(k - j) * t^j * C_k(t) into key k + j for j = 0..k.
+    Each band is Kronecker-packed once, from its lowest slot; each (k, j) costs
+    one multiply of that packed band by the int scalar, added lo_k + j slots
+    up into key k + j's packed sum, and each sum is unpacked once.
 
-    Slot width: a slot of key K sums c_a * c_b over the ordered pairs
-    (i, j) with i + j = K, at most one per i, and over a + b fixed, at most
-    the widest band's width per pair; the Hull adds one 2 * c.  Each term is
-    below 2**(2 * bits), bits being the widest coefficient's length, so the
-    at most ``count`` terms sum below 2**(2 * bits + bit_length(count)) and
-    no slot carries into the next.
+    Slot width: slot s of key K sums the terms with j = K - k over the keys
+    k, at most one per k.  Each term is below 2**(bits + scalar_bits), bits
+    being the widest coefficient's length and scalar_bits the widest
+    scalar's (the row of the largest key holds it, as C(k, j) * 2**(k - j)
+    grows with k), so the at most ``len(terms)`` terms sum below
+    2**(bits + scalar_bits + bit_length(len(terms))) and no slot carries
+    into the next.
     """
-    degs = sorted(terms)
-    los = [terms[k][0] for k in degs]
-    widest = max(len(c) for _, c in terms.values())
+    top = max(terms)
     bits = max(v.bit_length() for _, c in terms.values() for v in c)
-    count = len(degs) * widest + hull
-    slot_bytes = (2 * bits + count.bit_length() + 7) // 8
+    scalar_bits = max(math.comb(top, j) << (top - j) for j in range(top + 1)).bit_length()
+    slot_bytes = (bits + scalar_bits + len(terms).bit_length() + 7) // 8
     slot_bits = 8 * slot_bytes
-    packed = [_kernels._pack(terms[k][1], slot_bytes) for k in degs]
     sums: dict[int, list[int]] = {}  # key -> [lowest slot, packed sum from that slot up]
-
-    def add(key: int, lo: int, value: int):
-        entry = sums.get(key)
-        if entry is None:
-            sums[key] = [lo, value]
-        elif lo >= entry[0]:
-            entry[1] += value << (lo - entry[0]) * slot_bits
-        else:
-            entry[1] = value + (entry[1] << (entry[0] - lo) * slot_bits)
-            entry[0] = lo
-
-    for i, ki in enumerate(degs):
-        for j in range(i, len(degs)):
-            prod = _kernels._mul_bigint(packed[i], packed[j])
-            add(ki + degs[j], los[i] + los[j] + hull, prod if j == i else prod << 1)
-    if hull:
-        for k, lo, value in zip(degs, los, packed):
-            add(k, lo, value << 1)
+    for k, (lo, coeffs) in terms.items():
+        packed = _kernels._pack(coeffs, slot_bytes)
+        for j in range(k + 1):
+            key, at = k + j, lo + j
+            value = _kernels._mul_bigint(packed, math.comb(k, j) << (k - j))
+            entry = sums.get(key)
+            if entry is None:
+                sums[key] = [at, value]
+            elif at >= entry[0]:
+                entry[1] += value << (at - entry[0]) * slot_bits
+            else:
+                entry[1] = value + (entry[1] << (entry[0] - at) * slot_bits)
+                entry[0] = at
     # Only the slots up to a sum's highest bit are read.
     return {
         key: (lo, _kernels._unpack(value, slot_bytes, -(-value.bit_length() // slot_bits)))
@@ -133,20 +137,22 @@ def _apply_letter(terms: dict[int, Band], hull: bool) -> dict[int, Band]:
 def compose_window(word) -> PhiMap:
     """Exact expansion of the window composition for ``word``.
 
-    The t-polynomials are truncated at 2**len(word); every t-degree
-    reachable by a word of that length stays strictly below it, so nothing
-    is ever actually cut off.
+    The letters are substituted from the outermost in, starting from
+    psi = x: psi(S(x)) = psi(x^2) moves key k to key 2k, and psi(R(x)) is
+    ``_compose_hull``.  The t-polynomials are truncated at 2**len(word);
+    every t-degree reachable by a word of that length stays strictly below
+    it, so nothing is ever actually cut off.
     """
     word = tuple(word)
     if not word:
         raise UsageError("window word must be nonempty")
     if len(word) > _MAX_WORD_LEN:
         raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
-    cur: dict[int, Band] = {1: (0, [1])}  # phi = x
-    for letter in word:
-        cur = _apply_letter(cur, letter is StepKind.HULL)
+    cur: dict[int, Band] = {1: (0, [1])}  # psi = x
+    for letter in reversed(word):
+        cur = _compose_hull(cur) if letter is StepKind.HULL else {2 * k: band for k, band in cur.items()}
     t_truncation = 2 ** len(word)
-    terms = {k: IntPoly.from_coeffs([0] * lo + c, t_truncation) for k, (lo, c) in cur.items()}
+    terms = {k: IntPoly.from_coeffs([0] * lo + c, t_truncation) for k, (lo, c) in sorted(cur.items())}
     return PhiMap(word=word, terms=terms, t_trunc=t_truncation)
 
 

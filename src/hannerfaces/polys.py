@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress
 
 import numpy as np
 
@@ -92,17 +93,11 @@ class IntPoly:
 
     def degree(self) -> int:
         """Largest index with a nonzero coefficient, or -1 for the zero polynomial."""
-        for k in range(self.kmax, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return -1
+        return next(compress(range(self.kmax, -1, -1), reversed(self.coeffs)), -1)
 
     def min_degree(self) -> int:
         """Smallest index with a nonzero coefficient, or -1 for the zero polynomial."""
-        for k in range(self.kmax + 1):
-            if self.coeffs[k]:
-                return k
-        return -1
+        return next(compress(range(self.kmax + 1), self.coeffs), -1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import decimal
 import hashlib
 import io
@@ -106,6 +107,72 @@ class TestEmitRows:
         assert got == json.dumps({"verdict": "v", "trees": []}, indent=2) + "\n"
 
 
+# JSON values as the CLI's objects hold them, nested, with strings JSON must escape
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\,\r\n\u00e9\u2028')), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        _JSON_TEXT,
+        st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEmitObject:
+    """``_emit_object`` writes JSON byte for byte as ``json.dumps(..., indent=2)``,
+    and CSV that the csv module reads back as one (key, value) pair per row."""
+
+    @staticmethod
+    def _written(fmt, obj):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit_object(argparse.Namespace(format=fmt), obj)
+        return out.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5))
+    def test_json_bytes_and_csv_fields(self, obj):
+        assert self._written("json", obj) == json.dumps(obj, indent=2) + "\n"
+        rows = list(csv.reader(io.StringIO(self._written("csv", obj), newline="")))
+        assert rows[0] == ["key", "value"]
+        cells = [[k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)] for k, v in obj.items()]
+        assert rows[1:] == cells
+
+    def test_empty_containers_and_special_floats(self):
+        obj = {"a": [], "b": {}, "c": [[], {}], "d": [float("nan"), float("inf"), -float("inf"), -0.0]}
+        assert self._written("json", obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError):
+            self._written("json", {"a": decimal.Decimal(1)})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi", "--word", "SRR"),
+            ("lower-bound", "--a", "1/2", "--Q", "2", "--m", "3", "--k", "8"),
+            ("oracle", "--a", "1/2", "--n", "2"),
+            ("flm-report", "--a", "1/2", "--delta", "1/2", "--nmax", "8", "--engine", "paper"),
+        ],
+        ids=["phi", "lower-bound", "oracle", "flm-report"],
+    )
+    def test_every_object_csv_row_reads_as_two_fields(self, run, argv):
+        code, out, err = run(*argv, "--format", "csv")
+        assert code in (0, 2) and err == ""
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [len(row) for row in rows] == [2] * len(rows)
+        _, json_out, _ = run(*argv, "--format", "json")
+        cells = dict(rows[1:])
+        for key, value in json.loads(json_out).items():
+            if isinstance(value, (dict, list)):
+                assert json.loads(cells[key]) == value
+            else:
+                assert cells[key] == str(value)
+
+
 class TestFvector:
     def test_paper_row(self, run):
         code, out, _ = run("fvector", "--a", "1/2", "--n", "2", "--kmax", "5")
@@ -190,12 +257,13 @@ class TestPhi:
         code, out, _ = run("--config", str(cfg), "phi")
         assert code == 0 and '"word": "RSR"' in out
 
-    # sha256 of stdout, recorded before the composer packed bands.
+    # sha256 of stdout, recorded before the composer packed bands; the CSV one
+    # again once the object CSV quoted its nested cells, which alone changed.
     GOLDEN = {
         ("1/2", "json"): "69cf2bb0033b995bc04cdefadcdc48c5ddb1c2d9c754d528986ada730548cbc6",
         ("3/7", "json"): "2383782b1e896b5e18e11ecb3055569f46bdc3536fb915d9bd32dde34b2d5981",
         ("4/9", "json"): "ed352c3cc7dd51986b487bac7812c372b473e0a748f6e46a2c74829d952749a6",
-        ("1/2", "csv"): "c29d23b1237ff7454d60d1868ff7c5b145fc611b5b57be95a0f40fa09134662a",
+        ("1/2", "csv"): "da2e8ce6851284b2513f6806ff312fb42f104226bafe437e81f10fc87941eebb",
     }
 
     @pytest.mark.parametrize(("a", "fmt"), sorted(GOLDEN))
@@ -764,44 +832,45 @@ class TestOracle:
     # dot product per vertex-facet pair.  At n=3 the words are PHP (1/2), PHH
     # (1/3), PPH (2/3) and PPP (3/4); at n=4, a=1/4 and a=4/5 build the
     # largest polytopes (32 x 65,536 and 65,536 x 32) and no lattice.  Every
-    # call exited 0.
+    # call exited 0.  The CSV ones were recorded again once the object CSV
+    # quoted its nested cells, which alone changed.
     GOLDEN = {
         ("1/2", "0", "json"): "8ce709028c4dbc7b6ac9ed09bd9f21d1db9f6e667edba3fc243662eebd53fcd6",
-        ("1/2", "0", "csv"): "c45184300a70375c0c8a2aa71e91af7a2e9cee95c65246790991da62c9aeef7e",
+        ("1/2", "0", "csv"): "f7c5cddbc50c214593a6d0dc35b2b4ffd556e21410d4a6da9b2e71301097105f",
         ("1/2", "1", "json"): "dca72379a827f6fa7bfb7f1a5c73c587681a42c138ec88e291339538d2f3097e",
-        ("1/2", "1", "csv"): "936c4bbeaf3984c11c92aff7422307f23ad12f888ff28af40d56bdb5c16fa79f",
+        ("1/2", "1", "csv"): "d81a235efdec56e8ae9c579d35ccdb3d4e5d5c0505643dbba7e24d103daebee3",
         ("1/2", "2", "json"): "3e820e159be9435eb10738bc858de24b6b16f354692957047cb2ef548a3b8cda",
-        ("1/2", "2", "csv"): "70c9a69aff2ee20fef1b6c09080b47e43d35de054e525cfcdd5409a4f5d80074",
+        ("1/2", "2", "csv"): "4da0f928fd0df58b54de825285ed34b775a522a325436b8484290d24cd6e8193",
         ("1/2", "3", "json"): "63d2171a7f9da08e1a87055a0c0dcbc53eedfa53223037f325d1a63a4b1b8294",
-        ("1/2", "3", "csv"): "92635a4fcf4439df0b4ee501ed41b4528aecccd82726dddf68b0f0fc846937b4",
+        ("1/2", "3", "csv"): "15c36e60bf3aa40a936a49b717c946a89d7c4c43365b9f15f7d38fc7768b6e5e",
         ("1/3", "0", "json"): "bd530c2f70909ef816454c9b117f51024904dab8e0491aa41bfcb83d2c42b8da",
-        ("1/3", "0", "csv"): "68f642ebd0b09b4ee86d35c007fe1d33a74883a24a0aadc72373fd33956beb6c",
+        ("1/3", "0", "csv"): "cbf0100f6aede6399e439964519d89508d1771207444144bb958803e0292119c",
         ("1/3", "1", "json"): "f1021ec84cf9c898c4afc0de8278c1a79a8ac880c350e085f5a4f1e3ecf82cb3",
-        ("1/3", "1", "csv"): "643f640df5a07e1911fdf3ca9f8cd3735e2ca500ed7ad95cba6fe61e70d5f8f1",
+        ("1/3", "1", "csv"): "9e3fb5fa1648816196eedacc4158a4f6d1ea3e95114ca16d500522958d82d03e",
         ("1/3", "2", "json"): "6e1ab7350e6b0d18e839a234d5b42400e285e3c4c957de27aea40cc30797aaa7",
-        ("1/3", "2", "csv"): "11adaa43a0b418fe6eab225ee1332f32f6f7ba1b0b74c62ccc8f15f9368854b2",
+        ("1/3", "2", "csv"): "44992aad5d8c904bf0d692019d134d4b083657b19a8fda8d37351b6e42bb28f7",
         ("1/3", "3", "json"): "a223eb707e6fef717e3510fc3b0d66d343cc611b94aa190e2eeb0951d6dcf8e4",
-        ("1/3", "3", "csv"): "8d1e4c6c7d8d3ac1970d7731e309053c954ce969b3ca06ba99b4632b2a32b1e0",
+        ("1/3", "3", "csv"): "0b780dd306d71c2d5aacab508615235e81c66c00d83342d39c961e99d2d42262",
         ("2/3", "0", "json"): "4420a4ac68341338c277c868cfe71106498e0d417b04c7083e13fbca5b12bfff",
-        ("2/3", "0", "csv"): "66b0758fa2f196a40fc642303b8c6329370505baf70a0609065e3de3e9f4a218",
+        ("2/3", "0", "csv"): "4105de72e988443cf5c53b37013c4fcc4e3eec389dc8b427e425226bac32a501",
         ("2/3", "1", "json"): "23f4d93d782eb342e6923a1802ab3bfa7bc69ce7ceef83ed7c85536229f01940",
-        ("2/3", "1", "csv"): "0538f725ee7971616b047ddafe7eb4b9b6e074bc38fc5587d0197d5acb7ab6ef",
+        ("2/3", "1", "csv"): "166462cf989a2047d89e09c4420634c0210a98c96065fe1665664fc8e7e98adf",
         ("2/3", "2", "json"): "798bcd611744cd6659cea5817b080846d40538665e7ff4034724957fc43f7709",
-        ("2/3", "2", "csv"): "43100729b489034d42d0844ed87d73b13cfed55d6138e975b911d08fb7a41e5c",
+        ("2/3", "2", "csv"): "37d41369d09662888efd09f9e6a4480fbaa1ce1cb41b49b36ef0f8da6a2d6472",
         ("2/3", "3", "json"): "d47ed424e5f2ffcc4f6b855c696fd2abe3a4c5da7a5e3175c50c35ab22bd3576",
-        ("2/3", "3", "csv"): "1c4f58fc7932506c893d20714cda3ed373775a3e2cb1e7a80d7c050980974c8f",
+        ("2/3", "3", "csv"): "d358757d7c0253aeaaf18361b408ceaeb2b3636eb0278ea9327a0e51a8a41d80",
         ("3/4", "0", "json"): "970b3cf6830ba4801ca452180d1c831b30e30d5322a1b7443258d9e9d4d5186f",
-        ("3/4", "0", "csv"): "2bf5882477053e1f74691e862b54ea8715b720cb9dc5bdeee5144904cda201c2",
+        ("3/4", "0", "csv"): "9378b532d45789372cdabc5700417c3f0ae99068e754c1c0e21c2f5e36f4e344",
         ("3/4", "1", "json"): "88bbe53c5e5e2f38b52aebd5b3224d5cba7800a9b21128b3af97fd14bb86e632",
-        ("3/4", "1", "csv"): "e04a47f420695ddf68e5d0ea7b53d34a24e9bbcb1cd41a77f36602d899307a74",
+        ("3/4", "1", "csv"): "630290a696a512243bbabb515659f4abc3ab25ff87d9532e0a8af39238721bb3",
         ("3/4", "2", "json"): "9b71b456b9e4f65ea056e93ceb410a6ceeda9ae259686c4882ef35252faefa0a",
-        ("3/4", "2", "csv"): "3215c405a727e4be14b6bdf12a769f4b228a1ac732774000828e5595c78cd748",
+        ("3/4", "2", "csv"): "927da4fb8178ceb268218c58727b6c70c9cdcf7eac0d2ebe0a2a405b602714f3",
         ("3/4", "3", "json"): "39d523ebaca6c3ab045d314cc615cd60369ed5f14d6dca5c878bb7e67d9b3fbd",
-        ("3/4", "3", "csv"): "34886a02c9de150ffef74e77c4c6d9191bcd04147f61e11dbf29bc77074f4956",
+        ("3/4", "3", "csv"): "aa8d21f14f5b96b894c950d970d6767d1ee50cdb64a682f20f39fa78612768cb",
         ("1/4", "4", "json"): "4d4cdf6ad224eab2eb2da94c1c59208c260176757fb08c581559ab53985130c6",
-        ("1/4", "4", "csv"): "4875cba548ffb263f7c48b01e1b6d110f3da0ec5ac74411b1379a10d5a609f60",
+        ("1/4", "4", "csv"): "00c4bcc245ee3c592567b7bc22e65abb8f672d8c3bd86e855472fa554aedc4bf",
         ("4/5", "4", "json"): "04d4396301cdaa531a554d845c6e87ac0b38a94964ef23037b8ed3ae047b8731",
-        ("4/5", "4", "csv"): "d9db867f7e40cc7299c8b798bb3200720daa2e41e6f3f8016096814d5d34e92a",
+        ("4/5", "4", "csv"): "467b307b9678e78a27f39fdaf99e64857e26b3f39fbb1577674318ba552dc984",
     }
 
     @pytest.mark.parametrize(("a", "n", "fmt"), sorted(GOLDEN))

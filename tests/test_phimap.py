@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,8 @@ HALF = DensityParam.rational(1, 2)
 THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
 TWO_FIFTHS = DensityParam.rational(2, 5)
+THREE_SEVENTHS = DensityParam.rational(3, 7)
+FOUR_NINTHS = DensityParam.rational(4, 9)
 
 
 def coeff_map(phi: PhiMap) -> dict[int, tuple[int, ...]]:
@@ -113,31 +116,128 @@ class TestAgainstSchoolbook:
             word = "".join(rng.choice("SR") for _ in range(q))
             assert monomials(compose_window(word_from_string(word))) == schoolbook_compose(word), word
 
-    @pytest.mark.parametrize("letter", ["S", "R"])
-    def test_slots_hold_sums_of_full_width_products(self, letter):
-        # Every coefficient at its bit length's maximum and 256-wide bands: a
-        # slot of x^3 sums 2 * 256 products near 2**16, past 2**24, so the
-        # slot needs the bits for the pair count times the band width.
-        bands = {1: (0, [255] * 256), 2: (3, [255] * 256)}
-        got = phimap._apply_letter(bands, letter == "R")
-        assert band_monomials(got) == schoolbook_letter(band_monomials(bands), letter)
+
+def banded_letter(terms: dict[int, tuple[int, list[int]]], hull: bool) -> dict[int, tuple[int, list[int]]]:
+    """phi^2 (S) or t*phi^2 + 2*phi (R) of phi = sum_k C_k(t) x^k, each C_k(t) a band
+    (lo, [c_0, ..., c_w]) = t^lo * sum_i c_i t^i: the composer that takes the
+    letters from the inside out.  Each band is Kronecker-packed once and each
+    x-pair costs one multiply of two packed bands, added lo_i + lo_j slots up
+    (one more for the Hull's t) into key ki + kj.  A slot sums at most ``count``
+    terms below 2**(2 * bits), so it takes 2 * bits + bit_length(count) bits."""
+    degs = sorted(terms)
+    los = [terms[k][0] for k in degs]
+    widest = max(len(c) for _, c in terms.values())
+    bits = max(v.bit_length() for _, c in terms.values() for v in c)
+    count = len(degs) * widest + hull
+    slot_bytes = (2 * bits + count.bit_length() + 7) // 8
+    slot_bits = 8 * slot_bytes
+    packed = [_kernels._pack(terms[k][1], slot_bytes) for k in degs]
+    sums: dict[int, list[int]] = {}  # key -> [lowest slot, packed sum from that slot up]
+
+    def add(key: int, lo: int, value: int):
+        entry = sums.get(key)
+        if entry is None:
+            sums[key] = [lo, value]
+        elif lo >= entry[0]:
+            entry[1] += value << (lo - entry[0]) * slot_bits
+        else:
+            entry[1] = value + (entry[1] << (entry[0] - lo) * slot_bits)
+            entry[0] = lo
+
+    for i, ki in enumerate(degs):
+        for j in range(i, len(degs)):
+            prod = packed[i] * packed[j]
+            add(ki + degs[j], los[i] + los[j] + hull, prod if j == i else prod << 1)
+    if hull:
+        for k, lo, value in zip(degs, los, packed):
+            add(k, lo, value << 1)
+    return {
+        key: (lo, _kernels._unpack(value, slot_bytes, -(-value.bit_length() // slot_bits)))
+        for key, (lo, value) in sums.items()
+    }
+
+
+def banded_compose(word: str) -> dict[tuple[int, int], int]:
+    """phi of ``word`` (innermost letter first), from phi = x, one letter at a time."""
+    cur = {1: (0, [1])}
+    for letter in word:
+        cur = banded_letter(cur, letter == "R")
+    return band_monomials(cur)
+
+
+class TestAgainstInsideOut:
+    """compose_window against the composer that takes the letters from the
+    inside out, on words too long for the schoolbook oracle."""
+
+    # the benchmark's three phi inputs (Q = 9, m = 0) and two words of ten letters
+    @pytest.mark.parametrize(
+        ("a", "Q"),
+        [(HALF, 9), (THREE_SEVENTHS, 9), (FOUR_NINTHS, 9), (HALF, 10), (THIRD, 10)],
+        ids=["1/2-Q9", "3/7-Q9", "4/9-Q9", "1/2-Q10", "1/3-Q10"],
+    )
+    def test_window_words(self, a, Q):
+        word = window_profile(a, Q, 0).word
+        text = "".join("S" if w is S else "R" for w in word)
+        assert monomials(compose_window(word)) == banded_compose(text), text
+
+    def test_agrees_with_the_schoolbook_oracle(self):
+        for word in ("SRSRSR", "RRSRRS", "RSSRRR"):
+            assert banded_compose(word) == schoolbook_compose(word), word
+
+
+def schoolbook_hull(cur: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """psi(R(x)) of psi = {(x-degree, t-degree): coefficient}, from the powers of
+    R(x) = t*x^2 + 2x built by repeated schoolbook products."""
+    powers = [{(0, 0): 1}]
+    for _ in range(max(x for x, _ in cur)):
+        nxt: dict[tuple[int, int], int] = {}
+        for (x, t), c in powers[-1].items():
+            for key, r in (((x + 2, t + 1), 1), ((x + 1, t), 2)):
+                nxt[key] = nxt.get(key, 0) + c * r
+        powers.append(nxt)
+    out: dict[tuple[int, int], int] = {}
+    for (k, a), c in cur.items():
+        for (x, t), p in powers[k].items():
+            out[(x, t + a)] = out.get((x, t + a), 0) + c * p
+    return out
+
+
+class TestHullSubstitution:
+    """``_compose_hull`` on bands against ``schoolbook_hull``."""
+
+    def test_slots_hold_the_sum_over_every_key(self):
+        # Every coefficient at its bit length's maximum (12 bits), on 64-wide
+        # bands from t^0 at keys 1..14.  The widest scalar, C(14, 5) * 2**9,
+        # takes 20 bits, and a slot of x^18 sums the terms of 8 keys, about
+        # 1.35 * 2**20 * 4095 in all: past 2**32, so the slot needs the bits
+        # of the key count as well.
+        bands = {k: (0, [4095] * 64) for k in range(1, 15)}
+        got = phimap._compose_hull(bands)
+        assert band_monomials(got) == schoolbook_hull(band_monomials(bands))
+        assert max(v for _, cs in got.values() for v in cs) > 2**32
         assert all(cs[0] and cs[-1] for _, cs in got.values())
 
+    def test_bands_at_their_own_offsets(self):
+        bands = {3: (5, [7, 0, 1]), 4: (0, [1]), 6: (2, [255, 255])}
+        assert band_monomials(phimap._compose_hull(bands)) == schoolbook_hull(band_monomials(bands))
 
-def test_band_packing_keeps_multiply_operands_small(monkeypatch):
-    """The squares of SRSRSRSRS multiply bands, not whole t-lists: 36.6 Mbit of
-    operands over 9,599 multiplies (152.0 Mbit when every list was packed from t^0)."""
+
+def test_no_band_multiplies_another(monkeypatch):
+    """SRSRSRSRS multiplies a packed band by one scalar C(k, j) * 2**(k - j) per
+    (k, j): sum_k (k + 1) = 3 + 21 + 273 + 4,161 over its four Hull letters, and
+    no two bands meet in a multiply."""
+    scalars = {math.comb(k, j) << (k - j) for k in range(129) for j in range(k + 1)}
     calls = []
     original = _kernels._mul_bigint
 
     def spy(x, y):
-        calls.append(x.bit_length() + y.bit_length())
+        calls.append(y)
         return original(x, y)
 
     monkeypatch.setattr(_kernels, "_mul_bigint", spy)
     compose_window(word_from_string("SRSRSRSRS"))
-    assert len(calls) == 9599
-    assert sum(calls) < 40_000_000
+    assert len(calls) == 4458
+    assert set(calls) <= scalars
 
 
 class TestTfreeAndTop:
