@@ -197,10 +197,7 @@ def _cmd_phi(args) -> int:
         word = window_profile(a, args.Q, args.m).word
     phi = compose_window(word)
     A, p, B, lam = tfree_and_top(phi)
-    coeff_tables = {
-        str(k): [str(c) for c in phi.terms[k].coeffs[: phi.terms[k].degree() + 1]]
-        for k in phi.support
-    }
+    coeff_tables = {str(k): ["0"] * lo + [str(c) for c in coeffs] for k, (lo, coeffs) in phi.terms.items()}
     _emit_object(
         args,
         {

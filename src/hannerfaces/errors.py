@@ -21,9 +21,11 @@ class VerificationError(AssertionError):
 
 
 class BudgetExceededError(UsageError):
-    """An enumeration would exceed its explicit budget; ``count`` bounds its size from below."""
+    """An enumeration would exceed its explicit budget; ``count`` bounds its size from below.
+    The message shows a count past 64 bits as its power-of-two floor, short at any size."""
 
     def __init__(self, budget: int, count: int):
-        super().__init__(f"enumeration refused: at least {count} items, more than budget {budget}")
+        shown = str(count) if count.bit_length() <= 64 else f"2**{count.bit_length() - 1}"
+        super().__init__(f"enumeration refused: at least {shown} items, more than budget {budget}")
         self.budget = budget
         self.count = count

@@ -14,8 +14,10 @@ test.  Downstream bounds only need the weaker facts asserted here (unique
 t-free term at x^(2^p), monic monomial top term).
 
 Each C_k(t) is nonzero only on a narrow band of t-degrees [lo_k, hi_k] that
-moves up with k, so the composition carries every term as a band: the
-offset lo_k and the coefficients from t^lo_k to t^hi_k.
+moves up with k, so a ``PhiMap`` holds every term as a band: the offset lo_k
+and the coefficients from t^lo_k to t^hi_k, both ends nonzero.  The
+composer builds the bands, and the readers use them as they are; only
+``PhiMap.term_poly`` turns one into an ``IntPoly``, at its caller's bound.
 
 The letters are substituted from the outside in: psi = x, then psi(w(x))
 for w from the outermost (last) letter to the innermost (first).  The
@@ -40,22 +42,32 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import UsageError, VerificationError
 from .polys import IntPoly, convolve_truncated, power_truncated
-from .schedule import DensityParam, StepKind, window_profile
+from .schedule import STEP_LETTERS, DensityParam, StepKind, window_profile, word_letters
 
-# The innermost letter is substituted into a map of up to 2^(Q-1) keys, and
-# key k costs k + 1 scalar multiplies, so the last Hull letter alone makes
-# O(4^Q) of them, each on a wider band.  Composing the word of a = 1/2 took
-# 0.02 s at Q=9, 0.1 s at Q=10, 2.2 s at Q=11 and 30 s at 199 MiB at Q=12 (in
-# process, 2-CPU Xeon VM, CPython 3.11 ints), so the cap stays at 11 letters.
+# The innermost letter is substituted last, into a map of up to 2^(Q-1) keys,
+# and key k costs k + 1 scalar multiplies, so an innermost Hull letter alone
+# makes O(4^Q) of them, each on a wider band: the innermost letters set the
+# cost.  Composing the word of a = 1/2 took 0.02 s at Q=9, 0.1 s at Q=10 and
+# 30 s at 199 MiB at Q=12.  Words of 11 letters spread widely: SSRSRSRSRSR
+# took 0.06 s, SRSRSRSRSRS 2.1 s, R^11 6.5 s, RSRSRSRSRSR 24 s at 198 MiB and
+# RRSRSRSRSRS 93 s at 170 MiB (in process, 2-CPU Xeon VM, CPython 3.11 ints).
+# The cap stays at 11 letters.
 _MAX_WORD_LEN = 11
 
 
 def word_from_string(s: str) -> tuple[StepKind, ...]:
     """Parse a word like "SRR" (innermost letter first)."""
+    kinds = {letter: kind for kind, letter in STEP_LETTERS.items()}
     try:
-        return tuple(StepKind.PRODUCT if c == "S" else {"R": StepKind.HULL}[c] for c in s.upper())
+        return tuple(kinds[c] for c in s.upper())
     except KeyError as exc:
         raise UsageError(f"word letters must be S or R, got {s!r}") from exc
+
+
+# A term C_k(t) as a band (lo, (c_0, ..., c_w)): C_k(t) = t^lo * sum_i c_i t^i with
+# c_0 and c_w nonzero.  No coefficient is negative, so no sum of terms cancels
+# and every band's ends stay nonzero through the composition.
+Band = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,7 @@ class PhiMap:
     """Exact expansion of a window composition."""
 
     word: tuple[StepKind, ...]
-    terms: dict[int, IntPoly]  # x-degree -> C_k(t)
-    t_trunc: int
+    terms: dict[int, Band]  # x-degree -> C_k(t), in ascending x-degree
 
     @property
     def Q(self) -> int:
@@ -80,16 +91,12 @@ class PhiMap:
 
     @property
     def word_str(self) -> str:
-        return "".join("S" if w is StepKind.PRODUCT else "R" for w in self.word)
+        return word_letters(self.word)
 
-    def coefficient(self, k: int) -> IntPoly:
-        return self.terms.get(k, IntPoly.zero(self.t_trunc))
-
-
-# A term C_k(t) as a band (lo, [c_0, ..., c_w]): C_k(t) = t^lo * sum_i c_i t^i with
-# c_0 and c_w nonzero.  No coefficient is negative, so no sum of terms cancels
-# and every band's ends stay nonzero through the composition.
-Band = tuple[int, list[int]]
+    def term_poly(self, k: int, kmax: int) -> IntPoly:
+        """C_k(t) as an IntPoly truncated at ``kmax``; k must be in the support."""
+        lo, coeffs = self.terms[k]
+        return IntPoly.from_coeffs((0,) * lo + coeffs, kmax)
 
 
 def _compose_hull(terms: dict[int, Band]) -> dict[int, Band]:
@@ -129,7 +136,7 @@ def _compose_hull(terms: dict[int, Band]) -> dict[int, Band]:
                 entry[0] = at
     # Only the slots up to a sum's highest bit are read.
     return {
-        key: (lo, _kernels._unpack(value, slot_bytes, -(-value.bit_length() // slot_bits)))
+        key: (lo, tuple(_kernels._unpack(value, slot_bytes, -(-value.bit_length() // slot_bits))))
         for key, (lo, value) in sums.items()
     }
 
@@ -139,58 +146,52 @@ def compose_window(word) -> PhiMap:
 
     The letters are substituted from the outermost in, starting from
     psi = x: psi(S(x)) = psi(x^2) moves key k to key 2k, and psi(R(x)) is
-    ``_compose_hull``.  The t-polynomials are truncated at 2**len(word);
-    every t-degree reachable by a word of that length stays strictly below
-    it, so nothing is ever actually cut off.
+    ``_compose_hull``.  The terms are the bands it builds, in ascending key
+    order; nothing is truncated.
     """
     word = tuple(word)
     if not word:
         raise UsageError("window word must be nonempty")
     if len(word) > _MAX_WORD_LEN:
         raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
-    cur: dict[int, Band] = {1: (0, [1])}  # psi = x
+    cur: dict[int, Band] = {1: (0, (1,))}  # psi = x
     for letter in reversed(word):
         cur = _compose_hull(cur) if letter is StepKind.HULL else {2 * k: band for k, band in cur.items()}
-    t_truncation = 2 ** len(word)
-    terms = {k: IntPoly.from_coeffs([0] * lo + c, t_truncation) for k, (lo, c) in sorted(cur.items())}
-    return PhiMap(word=word, terms=terms, t_trunc=t_truncation)
+    return PhiMap(word=word, terms=dict(sorted(cur.items())))
 
 
 def tfree_and_top(phi: PhiMap) -> tuple[int, int, int, int]:
     """(A, p, B, lambda): the t-free term A*x^(2^p) and the top term B*t^lambda*x^(2^Q).
 
-    Asserts the facts the bound proofs rely on: the t-free x-monomial is
-    unique and sits at x^(2^p), and the top coefficient is a monomial with
-    B = 1.  A violation would falsify the composer, so it raises.
+    Asserts the facts the bound proofs rely on, from the band ends: the only
+    band starting at t^0 is the one at x^(2^p), and the top band is the
+    monomial t^lambda, so B = 1.  A violation would falsify the composer, so
+    it raises.
     """
     p = phi.p
     expected_tfree = 2**p
-    A = phi.coefficient(expected_tfree)[0]
-    if A <= 0:
+    tfree = phi.terms.get(expected_tfree)
+    if tfree is None or tfree[0] != 0:
         raise VerificationError(f"C_(2^p) has no t-free part for word {phi.word_str}")
-    for k, c in phi.terms.items():
-        if k != expected_tfree and c[0] != 0:
+    for k, (lo, _) in phi.terms.items():
+        if k != expected_tfree and lo < 1:
             raise VerificationError(
                 f"unexpected t-free term at x^{k} for word {phi.word_str}"
             )
-    top = phi.coefficient(2**phi.Q)
-    lam = top.degree()
-    if lam < 0 or top.min_degree() != lam or top[lam] != 1:
+    top = phi.terms.get(2**phi.Q)
+    if top is None or top[1] != (1,):
         raise VerificationError(
-            f"top coefficient is not a monic monomial for word {phi.word_str}: {top.coeffs}"
+            f"top coefficient is not a monic monomial for word {phi.word_str}: {top}"
         )
-    return A, p, top[lam], lam
+    return tfree[1][0], p, 1, top[0]
 
 
 def apply_phi(phi: PhiMap, f: IntPoly) -> IntPoly:
     """sum_k C_k(t) * f(t)^k, truncated at f's bound."""
     kmax = f.kmax
     out = IntPoly.zero(kmax)
-    powers: dict[int, IntPoly] = {}
-    for k in phi.support:
-        powers[k] = power_truncated(f, k)
-    for k, ck in phi.terms.items():
-        out = out + convolve_truncated(ck.truncate(kmax), powers[k])
+    for k in phi.terms:
+        out = out + convolve_truncated(phi.term_poly(k, kmax), power_truncated(f, k))
     return out
 
 

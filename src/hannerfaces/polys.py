@@ -17,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import compress
 
 import numpy as np
 
@@ -87,17 +86,6 @@ class IntPoly:
     def shift(self, d: int) -> "IntPoly":
         """Multiply by t**d, truncating."""
         return IntPoly.from_coeffs([0] * d + list(self.coeffs), self.kmax)
-
-    def truncate(self, kmax: int) -> "IntPoly":
-        return IntPoly.from_coeffs(self.coeffs, kmax)
-
-    def degree(self) -> int:
-        """Largest index with a nonzero coefficient, or -1 for the zero polynomial."""
-        return next(compress(range(self.kmax, -1, -1), reversed(self.coeffs)), -1)
-
-    def min_degree(self) -> int:
-        """Smallest index with a nonzero coefficient, or -1 for the zero polynomial."""
-        return next(compress(range(self.kmax + 1), self.coeffs), -1)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,16 @@ class StepKind(enum.Enum):
         return self.value
 
 
+# The letter of each step kind in a window word: S(x) = x^2 for a Product
+# step, R(x) = t*x^2 + 2x for a Hull step.
+STEP_LETTERS = {StepKind.PRODUCT: "S", StepKind.HULL: "R"}
+
+
+def word_letters(word) -> str:
+    """A word of step kinds as its S/R letters, innermost first."""
+    return "".join(map(STEP_LETTERS.__getitem__, word))
+
+
 @dataclass(frozen=True)
 class DensityParam:
     """The density parameter ``a``, either exact-rational or high-precision real.
@@ -130,7 +140,7 @@ class Window:
 
     @property
     def word_str(self) -> str:
-        return "".join("S" if k is StepKind.PRODUCT else "R" for k in self.word)
+        return word_letters(self.word)
 
 
 def window_profile(a: DensityParam, Q: int, m: int) -> Window:

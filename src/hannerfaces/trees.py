@@ -181,14 +181,12 @@ def tree_weight(
     for (h, deg), count in sorted(hist.items()):
         if h >= len(phis_by_height):
             raise UsageError(f"tree has internal vertex at height {h} beyond the window stack")
-        ck = phis_by_height[h].terms.get(deg)
-        if ck is None:
-            raise UsageError(
-                f"degree {deg} at height {h} outside the window support {phis_by_height[h].support}"
-            )
+        phi = phis_by_height[h]
+        if deg not in phi.terms:
+            raise UsageError(f"degree {deg} at height {h} outside the window support {phi.support}")
         key = (h, deg, count)
         if key not in powers:
-            powers[key] = power_truncated(ck.truncate(t_trunc), count)
+            powers[key] = power_truncated(phi.term_poly(deg, t_trunc), count)
         out = powers[key] if out is None else convolve_truncated(out, powers[key])
     return IntPoly.one(t_trunc) if out is None else out
 

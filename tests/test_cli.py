@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hannerfaces import _kernels, cli, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
+from hannerfaces.polys import IntPoly
 from hannerfaces.recursion import Engine
 from hannerfaces.schedule import DensityParam, StepKind, is_product_step
 
@@ -272,6 +273,21 @@ class TestPhi:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[(a, fmt)]
 
+    def test_prints_the_bands_without_building_an_intpoly(self, run, monkeypatch):
+        built = []
+        original = IntPoly.__post_init__
+
+        def spy(self):
+            built.append(self.kmax)
+            original(self)
+
+        monkeypatch.setattr(IntPoly, "__post_init__", spy)
+        IntPoly.zero(3)  # the spy sees every IntPoly built
+        assert built == [3]
+        code, _, _ = run("phi", "--a", "1/2", "--Q", "9", "--m", "0")
+        assert code == 0
+        assert built == [3]
+
 
 class TestTrees:
     def test_verdict_and_stats(self, run):
@@ -429,6 +445,14 @@ class TestTrees:
         else:
             assert out == ""
             assert err == "error: enumeration refused: at least 20 items, more than budget 19\n"
+
+    def test_refusal_of_a_huge_count_is_short(self, run):
+        # the windows of a=1/2 at Q=10 have 497 degrees each, so the root
+        # level counts more than 2^9172 trees: 2,762 digits in full
+        code, out, err = run("trees", "--a", "1/2", "--Q", "10", "--m", "2", "--kmax", "4")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: enumeration refused: at least 2\*\*\d+ items, more than budget \d+\n", err)
+        assert len(err.encode()) < 200
 
     def test_budget_exceeded_exits_3(self, run):
         code, _, err = run(

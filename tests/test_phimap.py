@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hannerfaces import _kernels, phimap
-from hannerfaces.errors import UsageError
+from hannerfaces.errors import UsageError, VerificationError
 from hannerfaces.phimap import (
     PhiMap,
     apply_phi,
@@ -16,7 +16,7 @@ from hannerfaces.phimap import (
 )
 from hannerfaces.polys import IntPoly, eval_at_one
 from hannerfaces.recursion import Engine, run
-from hannerfaces.schedule import DensityParam, StepKind, window_profile
+from hannerfaces.schedule import DensityParam, StepKind, window_profile, word_letters
 
 S, R = StepKind.PRODUCT, StepKind.HULL
 
@@ -29,7 +29,7 @@ FOUR_NINTHS = DensityParam.rational(4, 9)
 
 
 def coeff_map(phi: PhiMap) -> dict[int, tuple[int, ...]]:
-    return {k: tuple(c.coeffs[: c.degree() + 1]) for k, c in phi.terms.items()}
+    return {k: (0,) * lo + coeffs for k, (lo, coeffs) in phi.terms.items()}
 
 
 class TestComposeWindow:
@@ -49,12 +49,16 @@ class TestComposeWindow:
     def test_rsr_counterexample_to_monomial_form(self):
         # C_4 of the word (R,S,R) is 16t + 2t^2: coefficients need not be monomials.
         phi = compose_window((R, S, R))
-        assert tuple(phi.coefficient(4).coeffs[:3]) == (0, 16, 2)
+        assert phi.terms[4] == (1, (16, 2))
 
     def test_word_from_string(self):
         assert word_from_string("srr") == (S, R, R)
         with pytest.raises(UsageError):
             word_from_string("SXR")
+        # one letter table parses and prints every word
+        for word in itertools.product((S, R), repeat=3):
+            assert word_from_string(word_letters(word)) == word
+            assert compose_window(word).word_str == word_letters(word)
 
     def test_empty_word_rejected(self):
         with pytest.raises(UsageError):
@@ -86,12 +90,22 @@ def schoolbook_compose(word: str) -> dict[tuple[int, int], int]:
     return cur
 
 
-def monomials(phi: PhiMap) -> dict[tuple[int, int], int]:
-    return {(k, d): c for k, poly in phi.terms.items() for d, c in enumerate(poly.coeffs) if c}
-
-
 def band_monomials(bands) -> dict[tuple[int, int], int]:
     return {(k, lo + i): c for k, (lo, cs) in bands.items() for i, c in enumerate(cs) if c}
+
+
+def monomials(phi: PhiMap) -> dict[tuple[int, int], int]:
+    return band_monomials(phi.terms)
+
+
+def assert_bands_fit(phi: PhiMap, school: dict[tuple[int, int], int]):
+    """Each band of ``phi`` is a tuple whose ends are nonzero, spanning exactly
+    the t-degrees from the lowest to the highest nonzero one of the
+    schoolbook's C_k(t)."""
+    for k, (lo, coeffs) in phi.terms.items():
+        degrees = [t for x, t in school if x == k]
+        assert type(coeffs) is tuple and coeffs[0] and coeffs[-1], (k, lo, coeffs)
+        assert (lo, lo + len(coeffs) - 1) == (min(degrees), max(degrees)), k
 
 
 class TestAgainstSchoolbook:
@@ -103,9 +117,11 @@ class TestAgainstSchoolbook:
         lowest = []
         for word in self.WORDS:
             phi = compose_window(word_from_string(word))
-            assert monomials(phi) == schoolbook_compose(word), word
-            assert all(c.coeffs[-1] == 0 for c in phi.terms.values())  # below t^(2^Q)
-            lowest.append(max(c.min_degree() for c in phi.terms.values()))
+            school = schoolbook_compose(word)
+            assert monomials(phi) == school, word
+            assert_bands_fit(phi, school)
+            assert all(lo + len(cs) <= 2 ** len(word) for lo, cs in phi.terms.values())  # below t^(2^Q)
+            lowest.append(max(lo for lo, _ in phi.terms.values()))
         # bands start well above t^0: RRRRRR's top term is t^63 x^64
         assert max(lowest) == 63
 
@@ -114,7 +130,9 @@ class TestAgainstSchoolbook:
         rng = random.Random(seed)
         for q in (7, 8):
             word = "".join(rng.choice("SR") for _ in range(q))
-            assert monomials(compose_window(word_from_string(word))) == schoolbook_compose(word), word
+            phi, school = compose_window(word_from_string(word)), schoolbook_compose(word)
+            assert monomials(phi) == school, word
+            assert_bands_fit(phi, school)
 
 
 def banded_letter(terms: dict[int, tuple[int, list[int]]], hull: bool) -> dict[int, tuple[int, list[int]]]:
@@ -177,7 +195,7 @@ class TestAgainstInsideOut:
     )
     def test_window_words(self, a, Q):
         word = window_profile(a, Q, 0).word
-        text = "".join("S" if w is S else "R" for w in word)
+        text = word_letters(word)
         assert monomials(compose_window(word)) == banded_compose(text), text
 
     def test_agrees_with_the_schoolbook_oracle(self):
@@ -240,6 +258,29 @@ def test_no_band_multiplies_another(monkeypatch):
     assert set(calls) <= scalars
 
 
+class TestTermPoly:
+    """``PhiMap.term_poly`` against the term padded to 2^Q + 1 slots and then
+    truncated, the form every term took before the map kept its bands."""
+
+    @pytest.mark.parametrize("word", ["R", "SR", "RSR", "RRSRS", "SRSRSRS"])
+    def test_equals_the_padded_and_truncated_term(self, word):
+        phi = compose_window(word_from_string(word))
+        t_trunc = 2 ** len(word)
+        seen = set()
+        for k, (lo, coeffs) in phi.terms.items():
+            top = lo + len(coeffs) - 1
+            padded = IntPoly.from_coeffs([0] * lo + list(coeffs), t_trunc)
+            for kmax in {max(lo - 1, 0), lo, (lo + top) // 2, top, top + 1, t_trunc, t_trunc + 3}:
+                old = IntPoly.from_coeffs(padded.coeffs, kmax)
+                assert phi.term_poly(k, kmax) == old, (k, kmax)
+                seen.add("below" if kmax < lo else "above" if kmax > top else "inside")
+        assert seen == {"below", "inside", "above"}
+
+    def test_outside_the_support_raises(self):
+        with pytest.raises(KeyError):
+            compose_window((S, R)).term_poly(3, 8)
+
+
 class TestTfreeAndTop:
     def test_sr(self):
         assert tfree_and_top(compose_window((S, R))) == (2, 1, 1, 1)
@@ -249,6 +290,25 @@ class TestTfreeAndTop:
 
     def test_ss(self):
         assert tfree_and_top(compose_window((S, S))) == (1, 2, 1, 0)
+
+    # maps claimed for the word RR (p = 0, Q = 2), whose true terms are
+    # {1: (0, (4,)), 2: (1, (6,)), 3: (2, (4,)), 4: (3, (1,))}
+    @pytest.mark.parametrize(
+        ("terms", "message"),
+        [
+            ({1: (1, (4,)), 4: (3, (1,))}, "no t-free part"),
+            ({2: (0, (4,)), 4: (3, (1,))}, "no t-free part"),
+            ({1: (0, (4,)), 3: (0, (4,)), 4: (3, (1,))}, r"unexpected t-free term at x\^3"),
+            ({1: (0, (4,)), 4: (3, (2,))}, "not a monic monomial"),
+            ({1: (0, (4,)), 4: (3, (1, 1))}, "not a monic monomial"),
+            ({1: (0, (4,)), 3: (2, (1,))}, "not a monic monomial"),
+        ],
+        ids=["tfree-band-above-t0", "tfree-key-missing", "second-tfree-band", "top-not-monic",
+             "top-not-monomial", "top-key-missing"],
+    )
+    def test_band_ends_that_break_a_fact_raise(self, terms, message):
+        with pytest.raises(VerificationError, match=message):
+            tfree_and_top(PhiMap(word=(R, R), terms=terms))
 
     def test_t_free_coefficient_follows_fold(self):
         # Tracking the t-free branch: S squares the coefficient, R doubles it.
@@ -275,12 +335,12 @@ class TestRandomWordInvariants:
             p = sum(1 for w in word if w is S)
             assert max(phi.support) == 2**q
             assert min(phi.support) == 2**p
-            tfree = [k for k, c in phi.terms.items() if c[0] != 0]
+            tfree = [k for k, (lo, _) in phi.terms.items() if lo == 0]
             assert tfree == [2**p]
             # every other coefficient has positive minimum t-degree
-            for k, c in phi.terms.items():
+            for k, (lo, _) in phi.terms.items():
                 if k != 2**p:
-                    assert c.min_degree() >= 1
+                    assert lo >= 1
             # top coefficient: monic monomial, t-degree positive iff an R occurs
             _, _, B, lam = tfree_and_top(phi)
             assert B == 1
@@ -331,5 +391,5 @@ class TestScaleSanity:
         # phi(1,1) applied to 3 must equal F_Q(1) for the same word's schedule.
         for word, a in (((S, R), HALF), ((S, R, R), THIRD)):
             phi = compose_window(word)
-            total = sum(eval_at_one(c) * 3**k for k, c in phi.terms.items())
+            total = sum(sum(coeffs) * 3**k for k, (_, coeffs) in phi.terms.items())
             assert total == eval_at_one(run(a, len(word), 2 ** (len(word) + 1), Engine.PAPER_EXACT).poly.to_intpoly())

@@ -115,6 +115,25 @@ class TestEnumeration:
             enumerate_trees(3, set(range(2, 9)), budget=100)
         assert ei.value.count == sum(7**k for k in range(2, 9))
 
+    def test_refusal_of_a_huge_count_has_a_short_message(self):
+        # 2048 trees of height 1, then sum 2048^k (k = 1..2048) at the root:
+        # past 2^22528, more digits than str() of an int may print
+        with pytest.raises(BudgetExceededError) as ei:
+            enumerate_trees(2, range(1, 2049), budget=10**4)
+        count = sum(2048**k for k in range(1, 2049))
+        assert ei.value.count == count
+        assert str(ei.value) == "enumeration refused: at least 2**22528 items, more than budget 10000"
+        assert len(str(ei.value).encode()) < 200
+
+    @pytest.mark.parametrize(
+        ("count", "shown"),
+        [(2**64 - 1, str(2**64 - 1)), (2**64, "2**64"), (2**65 - 1, "2**64"), (3 * 2**70, "2**71")],
+    )
+    def test_message_prints_64_bits_exactly_and_more_as_a_power_of_two(self, count, shown):
+        err = BudgetExceededError(5, count)
+        assert str(err) == f"enumeration refused: at least {shown} items, more than budget 5"
+        assert err.count == count
+
     def test_budget_equal_to_count_is_allowed(self):
         assert len(list(enumerate_trees(2, {2, 4}, budget=20))) == 20
 
@@ -265,8 +284,9 @@ def _reference_weight(hist, phis_by_height, t_trunc):
     """W(T) with every factor power built anew, one histogram at a time."""
     out = IntPoly.one(t_trunc)
     for (h, deg), count in sorted(hist.items()):
-        ck = phis_by_height[h].terms[deg]
-        out = convolve_truncated(out, power_truncated(ck.truncate(t_trunc), count))
+        lo, coeffs = phis_by_height[h].terms[deg]
+        ck = IntPoly.from_coeffs([0] * lo + list(coeffs), t_trunc)
+        out = convolve_truncated(out, power_truncated(ck, count))
     return out
 
 
