@@ -21,12 +21,12 @@ from .geometry import (
     RadiiState,
     VPolytope,
     build_polytope,
-    f_vector_crosscheck,
     face_lattice,
+    oracle_report,
     radii,
     radii_recursion,
 )
-from .phimap import PhiMap, apply_phi, compose_window, tfree_and_top, window_phis, word_from_string
+from .phimap import PhiMap, apply_phi, compose_window, tfree_and_top, window_support, word_from_string
 from .polys import (
     DecimalPoly,
     IntPoly,
@@ -88,7 +88,6 @@ __all__ = [
     "count_trees",
     "enumerate_trees",
     "eval_at_one",
-    "f_vector_crosscheck",
     "face_lattice",
     "face_numbers",
     "fit_exponent",
@@ -97,6 +96,7 @@ __all__ = [
     "initial_state",
     "is_product_step",
     "lower_bound_certificate",
+    "oracle_report",
     "power_truncated",
     "preorder_decode",
     "preorder_encode",
@@ -109,7 +109,7 @@ __all__ = [
     "tree_sum_check",
     "tree_weight",
     "verify_growth_bounds",
-    "window_phis",
     "window_profile",
+    "window_support",
     "word_from_string",
 ]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polys import int_nth_root
-from .recursion import Engine, _admit, log2_face_numbers
+from .recursion import Engine, log2_face_numbers, trajectory
 from .schedule import DensityParam, choose_window, window_profile
 
 # Recorded after the first full runs; the growth bounds hide an unpinned
@@ -61,17 +61,17 @@ def scan(
     One trajectory at the largest k, admitted by its state size, serves all rows
     (``log2_face_numbers``; an exact scan's last n is read by coefficient); they
     agree with per-n runs at their own k, as coefficient k needs only lower ones.
-    The last row's k sizes the run before the other rows' k are taken, so a
-    refused scan takes one root.
+    The trajectory is made, and so sized once, from the last row's k before the
+    other rows' k are taken, so a refused scan takes one root.
     """
     ns = sorted(n_range)
     if not ns:
         return []
     if ns[0] < 0:
         raise UsageError("scan indices must be nonnegative")
-    _admit(a, ns[-1], max(1, floor_d_delta(ns[-1], delta)), engine)
+    states = trajectory(a, ns[-1], max(1, floor_d_delta(ns[-1], delta)), engine)
     ks = [floor_d_delta(n, delta) for n in ns]
-    values = log2_face_numbers(a, list(zip(ns, ks)), engine)
+    values = log2_face_numbers(a, states, list(zip(ns, ks)))
     rows = []
     products = {}  # (Q, m) -> p; rows of one window share it
     for n, k, log2_coeff in zip(ns, ks, values):

@@ -23,10 +23,10 @@ from typing import Iterable, Sequence
 from ._kernels import _EXACT
 from .asymptotics import check_fit_tol, flm_report, scan
 from .errors import UsageError, VerificationError
-from .geometry import build_polytope, face_lattice, radii, radii_recursion
+from .geometry import oracle_report
 from .phimap import compose_window, tfree_and_top, word_from_string
 from .polys import eval_at_one
-from .recursion import Engine, log2_face_number, proper_f_vector, run
+from .recursion import Engine, log2_face_number, run
 from .schedule import DensityParam, is_product_step, window_profile
 from .trees import DEFAULT_BUDGET, check_windows, histogram_leaves, lower_bound_certificate, tree_sum_check
 
@@ -285,40 +285,9 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    a = _parse_density(args)
-    poly = build_polytope(a, args.n)
-    r_sq, r_inv_sq = radii(poly)
-    rec = radii_recursion(a, args.n)
-    d = 2**args.n
-    obj = {
-        "a": str(a),
-        "n": args.n,
-        "dim": d,
-        "R2": str(r_sq),
-        "r_inv_sq": str(r_inv_sq),
-        "ratio_sq": str(r_sq * r_inv_sq),
-    }
-    failures = []
-    if (r_sq, r_inv_sq) != (rec.R_sq, rec.r_inv_sq):
-        failures.append("radii oracle disagrees with radii recursion")
-    if r_sq * r_inv_sq != d:
-        failures.append("(R/r)^2 != dimension")
-    want_lattice = args.full_lattice or d <= 8
-    if want_lattice:
-        lattice = face_lattice(poly)
-        fv = lattice.proper_f_vector()
-        obj["f_vector"] = [str(x) for x in fv]
-        obj["face_total"] = lattice.total
-        if fv != proper_f_vector(a, args.n):
-            failures.append("lattice f-vector disagrees with geometric engine")
-        if lattice.total != 3**d:
-            failures.append("face total differs from 3^dim")
-    else:
-        obj["f_vector"] = [str(x) for x in proper_f_vector(a, args.n)]
-        obj["face_total"] = None
-    obj["crosscheck_failures"] = failures
-    _emit_object(args, obj)
-    return EXIT_VERIFICATION if failures else EXIT_OK
+    report = oracle_report(_parse_density(args), args.n, args.full_lattice)
+    _emit_object(args, report)
+    return EXIT_VERIFICATION if report["crosscheck_failures"] else EXIT_OK
 
 
 def _cmd_flm_report(args) -> int:

@@ -3,7 +3,8 @@
 Builds exact vertex/facet representations of the recursive family,
 enumerates the full face lattice, and computes exact circumradius /
 inradius data.  This is the oracle the coefficient engines are validated
-against.
+against, and ``oracle_report`` is its one verdict: the ``oracle`` subcommand
+prints it and ``selftest`` checks it.
 
 The lattice is closed under intersection from the vertex-facet incidences
 on the smaller side: facet masks over the vertices when there are no more
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError, VerificationError
-from .recursion import Engine, face_numbers, proper_f_vector
+from .recursion import proper_f_vector
 from .schedule import DensityParam, StepKind, is_product_step
 
 Vector = tuple[int, ...]
@@ -212,46 +213,6 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
 
 
 @dataclass(frozen=True)
-class CrosscheckResult:
-    n: int
-    lattice_f: list[int]
-    geometric_f: list[int]
-    paper_f: list[int]
-    face_total: int
-
-    @property
-    def geometric_matches(self) -> bool:
-        return self.lattice_f == self.geometric_f
-
-
-def f_vector_crosscheck(a: DensityParam, n: int) -> CrosscheckResult:
-    """Brute-force lattice f-vector vs the recursion engines.
-
-    The geometric engine must match exactly (hard failure otherwise); the
-    printed recursion's f-vector, which dominates it coefficientwise, is
-    returned beside it.
-    """
-    poly = build_polytope(a, n)
-    lattice = face_lattice(poly)
-    lattice_f = lattice.proper_f_vector()
-    geometric_f = proper_f_vector(a, n)
-    d = 2**n
-    paper_f = face_numbers(a, n, d - 1 if d > 1 else 1, Engine.PAPER_EXACT)[:d]
-    result = CrosscheckResult(
-        n=n,
-        lattice_f=lattice_f,
-        geometric_f=geometric_f,
-        paper_f=paper_f,
-        face_total=lattice.total,
-    )
-    if not result.geometric_matches:
-        raise VerificationError(
-            f"lattice f-vector {lattice_f} != geometric engine {geometric_f} (a={a}, n={n})"
-        )
-    return result
-
-
-@dataclass(frozen=True)
 class RadiiState:
     R_sq: int  # squared circumradius
     r_inv_sq: int  # 1 / r^2
@@ -273,3 +234,44 @@ def radii_recursion(a: DensityParam, n: int) -> RadiiState:
         else:
             r_inv_sq *= 2
     return RadiiState(R_sq=r_sq, r_inv_sq=r_inv_sq)
+
+
+def oracle_report(a: DensityParam, n: int, full_lattice: bool = False) -> dict:
+    """The geometric oracle's verdict after n steps, as ``oracle`` prints it.
+
+    The one place the built polytope is compared with the recursions: its
+    radii with ``radii_recursion``, (R/r)^2 with d = 2^n, and, where the face
+    lattice is built (d <= 8, or any d with ``full_lattice``), the lattice
+    f-vector with the geometric engine's ``proper_f_vector`` and the face total
+    with 3^d.  Past d = 8 the f-vector is the engine's and the face total is
+    None.  ``crosscheck_failures`` names each comparison that failed.
+    """
+    poly = build_polytope(a, n)
+    r_sq, r_inv_sq = radii(poly)
+    rec = radii_recursion(a, n)
+    d = 2**n
+    failures = []
+    if (r_sq, r_inv_sq) != (rec.R_sq, rec.r_inv_sq):
+        failures.append("radii oracle disagrees with radii recursion")
+    if r_sq * r_inv_sq != d:
+        failures.append("(R/r)^2 != dimension")
+    if full_lattice or d <= 8:
+        lattice = face_lattice(poly)
+        f_vector, face_total = lattice.proper_f_vector(), lattice.total
+        if f_vector != proper_f_vector(a, n):
+            failures.append("lattice f-vector disagrees with geometric engine")
+        if face_total != 3**d:
+            failures.append("face total differs from 3^dim")
+    else:
+        f_vector, face_total = proper_f_vector(a, n), None
+    return {
+        "a": str(a),
+        "n": n,
+        "dim": d,
+        "R2": str(r_sq),
+        "r_inv_sq": str(r_inv_sq),
+        "ratio_sq": str(r_sq * r_inv_sq),
+        "f_vector": [str(x) for x in f_vector],
+        "face_total": face_total,
+        "crosscheck_failures": failures,
+    }

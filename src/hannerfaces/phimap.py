@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import UsageError, VerificationError
 from .polys import IntPoly, convolve_truncated, power_truncated
-from .schedule import STEP_LETTERS, DensityParam, StepKind, window_profile, word_letters
+from .schedule import STEP_LETTERS, StepKind, word_letters
 
 # The innermost letter is substituted last, into a map of up to 2^(Q-1) keys,
 # and key k costs k + 1 scalar multiplies, so an innermost Hull letter alone
@@ -141,6 +141,15 @@ def _compose_hull(terms: dict[int, Band]) -> dict[int, Band]:
     }
 
 
+def _checked(word) -> tuple[StepKind, ...]:
+    word = tuple(word)
+    if not word:
+        raise UsageError("window word must be nonempty")
+    if len(word) > _MAX_WORD_LEN:
+        raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
+    return word
+
+
 def compose_window(word) -> PhiMap:
     """Exact expansion of the window composition for ``word``.
 
@@ -149,15 +158,27 @@ def compose_window(word) -> PhiMap:
     ``_compose_hull``.  The terms are the bands it builds, in ascending key
     order; nothing is truncated.
     """
-    word = tuple(word)
-    if not word:
-        raise UsageError("window word must be nonempty")
-    if len(word) > _MAX_WORD_LEN:
-        raise UsageError(f"word length {len(word)} exceeds the feasibility cap {_MAX_WORD_LEN}")
+    word = _checked(word)
     cur: dict[int, Band] = {1: (0, (1,))}  # psi = x
     for letter in reversed(word):
         cur = _compose_hull(cur) if letter is StepKind.HULL else {2 * k: band for k, band in cur.items()}
     return PhiMap(word=word, terms=dict(sorted(cur.items())))
+
+
+def window_support(word) -> list[int]:
+    """The x-degrees ``compose_window(word)`` holds, from the letters alone,
+    under the same refusals.
+
+    Substituted from the outside in as the composer does, psi(S(x)) moves key
+    k to 2k and psi(R(x)) spreads it over k..2k; no coefficient is built.
+    """
+    keys = {1}
+    for letter in reversed(_checked(word)):
+        if letter is StepKind.HULL:
+            keys = {j for k in keys for j in range(k, 2 * k + 1)}
+        else:
+            keys = {2 * k for k in keys}
+    return sorted(keys)
 
 
 def tfree_and_top(phi: PhiMap) -> tuple[int, int, int, int]:
@@ -193,8 +214,3 @@ def apply_phi(phi: PhiMap, f: IntPoly) -> IntPoly:
     for k in phi.terms:
         out = out + convolve_truncated(phi.term_poly(k, kmax), power_truncated(f, k))
     return out
-
-
-def window_phis(a: DensityParam, Q: int, m: int) -> list[PhiMap]:
-    """PhiMaps of the aligned windows 0..m-1 (index j covers steps Qj..Qj+Q-1)."""
-    return [compose_window(window_profile(a, Q, j).word) for j in range(m)]

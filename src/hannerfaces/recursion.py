@@ -293,13 +293,17 @@ def trajectory(
     with a run to n at truncation bound k.
 
     A run predicted to pass STATE_BITS_CAP, or a log run predicted to leave
-    the log engine's range, is refused before the first step (``_admit``).
+    the log engine's range, is refused by this call, before the first state
+    is built (``_admit``).
     """
     if n_max < 0:
         raise UsageError(f"step count must be >= 0, got {n_max}")
     _check_kmax(kmax)  # before the size bound, which needs K >= 1
     _admit(a, n_max, kmax, engine)
-    state = initial_state(kmax, engine)
+    return _states(a, n_max, initial_state(kmax, engine))
+
+
+def _states(a: DensityParam, n_max: int, state: RecursionState) -> Iterator[RecursionState]:
     yield state
     for j in range(n_max):
         state = step(state, is_product_step(j, a))
@@ -340,22 +344,21 @@ def log2_face_number(a: DensityParam, n: int, k: int, engine: Engine) -> float:
     """log2 a_{n,k} under the given engine (exact engines converted exactly)."""
     if k < 0:
         raise UsageError(f"face index k must be nonnegative, got {k}")
-    return log2_face_numbers(a, [(n, k)], engine)[0]
+    return log2_face_numbers(a, trajectory(a, n, max(1, k), engine), [(n, k)])[0]
 
 
-def log2_face_numbers(a: DensityParam, points, engine: Engine) -> list[float]:
-    """log2 a_{n,k} at each (n, k) of ``points`` (n nondecreasing, k >= 0), from
-    one trajectory to the last n at the largest k, admitted at that n.
+def log2_face_numbers(a: DensityParam, states: Iterator[RecursionState], points) -> list[float]:
+    """log2 a_{n,k} at each (n, k) of ``points`` (n nondecreasing, up to the
+    last state of the trajectory ``states`` of density ``a``; 0 <= k <= its K).
 
-    An exact trajectory stops one state short of the last n, whose
+    An exact trajectory is read one state short of the last n, whose
     coefficients come from ``step_coefficient``: its whole square is never
     taken.  A log row's bytes depend on the band its block shares, so the log
     engine takes every step.
     """
-    n_last = points[-1][0]
-    built = n_last if engine.is_log else n_last - 1
-    states = trajectory(a, n_last, max(1, max(k for _, k in points)), engine)
     state = next(states)
+    n_last = points[-1][0]
+    built = n_last if state.engine.is_log else n_last - 1
     out = []
     for n, k in points:
         while state.n < min(n, built):

@@ -17,9 +17,9 @@ tree sum composes the histograms level by level, in the order
 weighs each distinct histogram once.  The weights share one table of factor
 powers C_deg^count per call, keyed by (height, degree, count), and the
 classes of one leaf count L are summed, count times W, before the one product
-with (2+t)^L.  ``enumerate_trees`` and ``degree_histogram`` stay as the
-independent oracle.  A family over the enumeration budget is refused from its
-count, before anything is composed.
+with (2+t)^L.  ``enumerate_trees`` stays as the independent oracle.  A family
+over the enumeration budget is refused from its count, read from its windows'
+x-degree supports before any window map is composed.
 
 The lower-bound certificate reads the explicit tree T_m through the closed
 form of its histogram alone, and the one coefficient of W(T_m) it needs in
@@ -36,7 +36,7 @@ from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UsageError, VerificationError
-from .phimap import PhiMap, compose_window, tfree_and_top, window_phis
+from .phimap import PhiMap, compose_window, tfree_and_top, window_support
 from .polys import IntPoly, convolve_truncated, power_truncated
 from .recursion import Engine, run
 from .schedule import DensityParam, window_profile
@@ -109,19 +109,6 @@ def enumerate_trees(m: int, supports, budget: int = DEFAULT_BUDGET) -> Iterator[
         subtrees = tuple(trees)  # the level below, listed once
         trees = chain(*(product(subtrees, repeat=k) for k in degrees))
     return trees
-
-
-def degree_histogram(tree: Tree) -> Histogram:
-    """Count internal vertices keyed by (height, degree); the one walk over a tree."""
-    out: Histogram = {}
-    stack = [(tree, 0)]
-    while stack:
-        node, h = stack.pop()
-        if node:
-            key = (h, len(node))
-            out[key] = out.get(key, 0) + 1
-            stack.extend((c, h + 1) for c in node)
-    return out
 
 
 def histogram_codes(per_level: list[list[int]]) -> tuple[list[int], Callable[[int], Histogram]]:
@@ -220,8 +207,10 @@ def tree_sum_check(
     sum_{j<=k} sum_T [t^j]W(T) * C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch
     raises.
 
-    An over-budget family is refused from its count, then the recursion runs,
-    so an input either refuses is refused before any histogram is composed.
+    An over-budget family is refused from its count, taken from the windows'
+    supports (``window_support``) before any window map is composed; then
+    each distinct window word is composed once and the recursion runs, so an
+    input any of them refuses is refused before any histogram is composed.
     W(T) and L(T) depend only on the tree's (height, degree) histogram, which
     ``histogram_codes`` composes level by level without building the tree;
     each distinct histogram is weighed once, from factor powers built once per
@@ -230,8 +219,10 @@ def tree_sum_check(
     the same per-L sums.
     """
     _check_budget(budget)
-    by_height = window_phis(a, Q, m)[::-1]  # the root takes the last window
-    per_level = _admit(m, [phi.support for phi in by_height], budget)
+    words = [window_profile(a, Q, j).word for j in reversed(range(m))]  # the root takes the last window
+    per_level = _admit(m, list(map(window_support, words)), budget)
+    phis = {word: compose_window(word) for word in dict.fromkeys(words)}  # each distinct word once
+    by_height = [phis[word] for word in words]
     engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
     codes, unpack = histogram_codes(per_level)
     powers: dict[tuple[int, int, int], IntPoly] = {}
@@ -335,8 +326,9 @@ def check_windows(m: int) -> None:
 
 
 def lower_bound_histogram(Q: int, p: int, h: int, m: int) -> Histogram:
-    """degree_histogram of the lower-bound tree, in closed form: 2^(Qj) vertices
-    of degree 2^Q at each height j < h, then 2^(Qh + p(j-h)) of degree 2^p."""
+    """The (height, degree) histogram of the lower-bound tree, in closed form:
+    2^(Qj) vertices of degree 2^Q at each height j < h, then 2^(Qh + p(j-h))
+    of degree 2^p."""
     hist = {(j, 2**Q): 2 ** (Q * j) for j in range(h)}
     hist.update({(j, 2**p): 2 ** (Q * h + p * (j - h)) for j in range(h, m)})
     return hist

@@ -1,9 +1,10 @@
 """The package's public names: each one resolves, and deleted ones stay gone."""
 
 import hannerfaces
-from hannerfaces import trees
+from hannerfaces import geometry, phimap, trees
 
-# names deleted from the package; neither the exports nor ``trees`` may hold them
+# names deleted from the package; neither the exports nor the modules that
+# held them may hold them
 DELETED = (
     "build_lower_bound_tree",
     "lower_bound_value",
@@ -12,6 +13,10 @@ DELETED = (
     "iter_nodes",
     "TreeStats",
     "atypical_count_and_leaf_bound",
+    "f_vector_crosscheck",
+    "CrosscheckResult",
+    "degree_histogram",
+    "window_phis",
 )
 
 
@@ -28,4 +33,4 @@ def test_deleted_names_stay_gone():
     for name in DELETED:
         assert name not in hannerfaces.__all__
         assert not hasattr(hannerfaces, name)
-        assert not hasattr(trees, name)
+        assert not any(hasattr(module, name) for module in (geometry, phimap, trees))

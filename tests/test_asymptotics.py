@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hannerfaces import schedule
+from hannerfaces import recursion, schedule
 from hannerfaces.asymptotics import (
     ScanRow,
     bound_envelope,
@@ -100,6 +100,22 @@ class TestScan:
         # a log scan meets the state size rule alone: K = 2^21 slots of 64 bits
         with pytest.raises(UsageError, match=r"at n=42, K=2097152 .*\(134,217,792 > 134,217,728 bits\)$"):
             scan(HALF, DELTA_HALF, [42], Engine.PAPER_LOG)
+
+    @pytest.mark.parametrize(
+        ("a", "nmax", "engine"),
+        [(HALF, 16, Engine.PAPER_EXACT), (golden_like(128), 22, Engine.PAPER_LOG)],
+    )
+    def test_one_size_bound_per_scan(self, monkeypatch, a, nmax, engine):
+        sized = []
+        real = recursion.widest_log2_bound
+
+        def spy(a, n_max, kmax, limit):
+            sized.append((n_max, kmax))
+            return real(a, n_max, kmax, limit)
+
+        monkeypatch.setattr(recursion, "widest_log2_bound", spy)
+        scan(a, DELTA_HALF, range(nmax + 1), engine)
+        assert sized == [(nmax, floor_d_delta(nmax, DELTA_HALF))]
 
     def test_exact_scan_is_admitted_by_its_state(self):
         # k = 1448 at n = 21 is refused for its predicted state, not for k

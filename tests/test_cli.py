@@ -5,16 +5,19 @@ import decimal
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hannerfaces import _kernels, cli, recursion, selftest, trees
+from hannerfaces import _kernels, cli, geometry, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
 from hannerfaces.polys import IntPoly
@@ -374,7 +377,6 @@ class TestTrees:
         # no tree is built or walked; one weight per distinct histogram, on a
         # histogram the result hands out
         assert spies["enumerate_trees"] == []
-        assert spies["degree_histogram"] == []
         (result,) = results
         held = {id(hist) for hist, _ in result.tree_classes}
         weighed = [args[0] for args, _ in spies["tree_weight"]]
@@ -446,6 +448,19 @@ class TestTrees:
             assert out == ""
             assert err == "error: enumeration refused: at least 20 items, more than budget 19\n"
 
+    def test_eleven_letter_windows_refused_before_they_are_composed(self):
+        # composing the two 11-letter windows alone took 37 s; their supports
+        # give the count, and the count refuses the family
+        argv = ["trees", "--a", "1/2", "--Q", "11", "--m", "2", "--kmax", "4"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hannerfaces.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert time.monotonic() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: enumeration refused: at least 2**20389 items, more than budget 1000000\n"
+
     def test_refusal_of_a_huge_count_is_short(self, run):
         # the windows of a=1/2 at Q=10 have 497 degrees each, so the root
         # level counts more than 2^9172 trees: 2,762 digits in full
@@ -464,7 +479,7 @@ class TestTrees:
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_nonpositive_budget_refused_before_any_tree_or_step(self, run, monkeypatch, budget):
         calls = []
-        for name in ("enumerate_trees", "window_phis", "run"):
+        for name in ("enumerate_trees", "window_support", "compose_window", "run"):
             monkeypatch.setattr(trees, name, lambda *args, _name=name: calls.append(_name))
         code, out, err = run(
             "trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "4", "--budget", budget
@@ -474,7 +489,7 @@ class TestTrees:
         assert calls == []
 
 
-_PER_TREE = ("enumerate_trees", "degree_histogram", "tree_weight")
+_PER_TREE = ("enumerate_trees", "tree_weight")
 
 
 class TestLowerBound:
@@ -833,7 +848,7 @@ class TestOracle:
         assert data["crosscheck_failures"] == []
 
     def test_crosscheck_failure_exits_2(self, run, monkeypatch):
-        monkeypatch.setattr(cli, "proper_f_vector", lambda a, n: [8, 24, 32, 17])
+        monkeypatch.setattr(geometry, "proper_f_vector", lambda a, n: [8, 24, 32, 17])
         code, out, _ = run("oracle", "--a", "1/2", "--n", "2")
         assert code == 2
         assert json.loads(out)["crosscheck_failures"] == [

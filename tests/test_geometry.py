@@ -5,14 +5,16 @@ import pytest
 from hannerfaces import geometry
 from hannerfaces.errors import UsageError, VerificationError
 from hannerfaces.geometry import (
+    FaceLattice,
     RadiiState,
     VPolytope,
     build_polytope,
-    f_vector_crosscheck,
     face_lattice,
+    oracle_report,
     radii,
     radii_recursion,
 )
+from hannerfaces.recursion import proper_f_vector
 from hannerfaces.schedule import DensityParam
 
 HALF = DensityParam.rational(1, 2)
@@ -310,30 +312,50 @@ class TestFaceLattice:
 
 
 class TestCrosscheck:
+    """``oracle_report``: the lattice against the free-sum engine and 3^d."""
+
     def test_half_n2(self):
-        res = f_vector_crosscheck(HALF, 2)
-        assert res.lattice_f == [8, 24, 32, 16]
-        assert res.geometric_matches
-        assert res.paper_f == [8, 24, 34, 24]
-        assert all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
+        rep = oracle_report(HALF, 2)
+        assert rep["f_vector"] == ["8", "24", "32", "16"]
+        assert (rep["face_total"], rep["crosscheck_failures"]) == (81, [])
 
     def test_segment(self):
-        res = f_vector_crosscheck(HALF, 0)
-        assert res.lattice_f == [2]
-        assert res.geometric_matches and all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
+        rep = oracle_report(HALF, 0)
+        assert rep["f_vector"] == ["2"]
+        assert (rep["face_total"], rep["crosscheck_failures"]) == (3, [])
 
     def test_hypercube_all_engines_agree(self):
-        res = f_vector_crosscheck(TWO_THIRDS, 2)
-        assert res.lattice_f == [16, 32, 24, 8]
-        assert res.paper_f == res.geometric_f  # no hull step yet
+        rep = oracle_report(TWO_THIRDS, 2)
+        assert rep["f_vector"] == ["16", "32", "24", "8"]
+        assert rep["crosscheck_failures"] == []
 
     @pytest.mark.parametrize("a", ALL_A)
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_grid(self, a, n):
-        res = f_vector_crosscheck(a, n)
-        assert res.geometric_matches
-        assert all(p >= g for p, g in zip(res.paper_f, res.geometric_f))
-        assert res.face_total == 3 ** (2**n)
+        rep = oracle_report(a, n)
+        assert rep["crosscheck_failures"] == []
+        assert rep["face_total"] == 3 ** (2**n)
+
+    def test_each_failure_is_named(self, monkeypatch):
+        monkeypatch.setattr(geometry, "radii", lambda poly: (3, 2))
+        monkeypatch.setattr(geometry, "proper_f_vector", lambda a, n: [8, 24, 32, 17])
+        monkeypatch.setattr(geometry, "face_lattice", lambda poly: FaceLattice(4, ()))
+        assert oracle_report(HALF, 2)["crosscheck_failures"] == [
+            "radii oracle disagrees with radii recursion",
+            "(R/r)^2 != dimension",
+            "lattice f-vector disagrees with geometric engine",
+            "face total differs from 3^dim",
+        ]
+
+    def test_past_dimension_8_the_engine_alone(self, monkeypatch):
+        monkeypatch.setattr(geometry, "face_lattice", lambda poly: pytest.fail("lattice built"))
+        rep = oracle_report(TWO_FIFTHS, 4)
+        assert rep["f_vector"] == [str(x) for x in proper_f_vector(TWO_FIFTHS, 4)]
+        assert (rep["face_total"], rep["crosscheck_failures"]) == (None, [])
+
+    def test_full_lattice_meets_the_face_guard_at_n4(self):
+        with pytest.raises(UsageError, match="face lattice guard"):
+            oracle_report(HALF, 4, full_lattice=True)
 
 
 class TestRadii:

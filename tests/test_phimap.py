@@ -11,7 +11,7 @@ from hannerfaces.phimap import (
     apply_phi,
     compose_window,
     tfree_and_top,
-    window_phis,
+    window_support,
     word_from_string,
 )
 from hannerfaces.polys import IntPoly, eval_at_one
@@ -374,6 +374,11 @@ class TestApplyPhi:
             assert apply_phi(phi, before) == after
 
 
+def window_phis(a: DensityParam, Q: int, m: int) -> list[PhiMap]:
+    """The PhiMaps of the aligned windows 0..m-1 (index j covers steps Qj..Qj+Q-1)."""
+    return [compose_window(window_profile(a, Q, j).word) for j in range(m)]
+
+
 class TestWindowPhis:
     def test_constant_words_for_aligned_rational(self):
         phis = window_phis(HALF, 2, 4)
@@ -384,6 +389,24 @@ class TestWindowPhis:
         phis = window_phis(THIRD, 2, 2)
         assert phis[0].word == (S, R)
         assert phis[1].word == (R, S)
+
+
+class TestWindowSupport:
+    def test_every_word_up_to_8_letters_matches_the_composer(self):
+        for q in range(1, 9):
+            for word in itertools.product((S, R), repeat=q):
+                assert window_support(word) == compose_window(word).support, word_letters(word)
+
+    @pytest.mark.parametrize(("word", "message"), [((), "nonempty"), ((R,) * 12, "feasibility cap 11")])
+    def test_refuses_what_the_composer_refuses(self, word, message):
+        for fn in (window_support, compose_window):
+            with pytest.raises(UsageError, match=message):
+                fn(word)
+
+    def test_eleven_letters_without_composing(self, monkeypatch):
+        monkeypatch.setattr(phimap, "_compose_hull", lambda terms: pytest.fail("composed"))
+        assert window_support((R,) * 11) == list(range(1, 2**11 + 1))
+        assert window_support(word_from_string("SRSRSRSRSRS")) == list(range(64, 2049, 2))
 
 
 class TestScaleSanity:

@@ -304,12 +304,11 @@ class TestStateAdmission:
     @pytest.mark.parametrize(("n", "kmax", "admitted"), [(20, 1024, True), (21, 1448, False), (42, 2**21, False)])
     @pytest.mark.parametrize("engine", EXACT_ENGINES)
     def test_no_log_step_sizes_an_exact_run(self, no_log_work, exact_steps, n, kmax, admitted, engine):
-        states = trajectory(HALF, n, kmax, engine)
         if admitted:
-            assert next(states).n == 0
-        else:
+            assert next(trajectory(HALF, n, kmax, engine)).n == 0
+        else:  # refused by the call that makes the trajectory
             with pytest.raises(UsageError, match=f"state at n={n}, K={kmax} is predicted to hold"):
-                next(states)
+                trajectory(HALF, n, kmax, engine)
         assert no_log_work == [] and exact_steps == []
 
     @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
@@ -500,6 +499,19 @@ class TestDominance:
                 assert paper[k] >= geo[k]
                 if k < zone:
                     assert paper[k] == geo[k]
+
+    @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_paper_dominates_the_proper_f_vector(self, a, n):
+        # the small grid whose proper f-vectors the face lattice confirms
+        d = 2**n
+        paper = face_numbers(a, n, max(1, d - 1), Engine.PAPER_EXACT)[:d]
+        geo = proper_f_vector(a, n)
+        assert all(p >= g for p, g in zip(paper, geo, strict=True))
+        if n <= first_hull_index(a):  # products only: both are the cube's f-vector
+            assert paper == geo
+        if (a, n) == (HALF, 2):
+            assert paper == [8, 24, 34, 24]
 
 
 class TestLogVsExact:

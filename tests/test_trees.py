@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from hannerfaces import trees
 from hannerfaces.asymptotics import floor_d_delta
 from hannerfaces.errors import BudgetExceededError, UsageError
-from hannerfaces.phimap import compose_window, tfree_and_top, window_phis
+from hannerfaces.phimap import compose_window, tfree_and_top
 from hannerfaces.polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
     count_trees,
-    degree_histogram,
     enumerate_trees,
     histogram_codes,
     histogram_leaves,
@@ -36,6 +35,25 @@ THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
 
 PHI_SR = compose_window((S, R))  # t x^4 + 2 x^2
+
+
+def degree_histogram(tree: tuple) -> dict[tuple[int, int], int]:
+    """Reference (height, degree) histogram of the internal vertices, by one
+    walk over the tree."""
+    out: dict[tuple[int, int], int] = {}
+    stack = [(tree, 0)]
+    while stack:
+        node, h = stack.pop()
+        if node:
+            key = (h, len(node))
+            out[key] = out.get(key, 0) + 1
+            stack.extend((c, h + 1) for c in node)
+    return out
+
+
+def window_phis(a: DensityParam, Q: int, m: int) -> list:
+    """Reference PhiMaps of the aligned windows 0..m-1, each composed anew."""
+    return [compose_window(window_profile(a, Q, j).word) for j in range(m)]
 
 
 def leaf_count(tree: tuple) -> int:
@@ -146,6 +164,13 @@ class TestEnumeration:
             with pytest.raises(UsageError, match=f"budget must be >= 1, got {budget}") as ei:
                 call()
             assert not isinstance(ei.value, BudgetExceededError)
+
+    @pytest.mark.parametrize(("a", "Q", "m", "words"), [(HALF, 2, 3, 1), (THIRD, 2, 2, 2), (THIRD, 3, 2, 1)])
+    def test_each_distinct_window_word_is_composed_once(self, monkeypatch, a, Q, m, words):
+        composed = []
+        monkeypatch.setattr(trees, "compose_window", lambda word: composed.append(word) or compose_window(word))
+        assert tree_sum_check(a, Q, m, 4).match
+        assert len(composed) == len(set(composed)) == words
 
     def test_tree_sum_check_refuses_before_the_recursion_runs(self, monkeypatch):
         # windows of a=1/2, Q=3 have supports {4,6,8}, {2..8}, {4,6,8}
@@ -457,11 +482,9 @@ class TestLowerBoundHistogram:
         tree, h, _ = lower_bound_tree(Q, p, lam, m, k)
         assert lower_bound_histogram(Q, p, h, m) == degree_histogram(tree)
 
-    def test_certificate_walks_no_tree(self, monkeypatch):
-        def no_walk(tree):
-            raise AssertionError("the lower-bound tree was walked")
-
-        monkeypatch.setattr(trees, "degree_histogram", no_walk)
+    def test_certificate_walks_no_tree(self):
+        # the one tree walk is this file's reference; the package holds none
+        assert not hasattr(trees, "degree_histogram")
         cert = lower_bound_certificate(HALF, 2, 20, 8)  # T_20 has about 2^21 vertices
         assert cert.leaves == 2**21 and cert.certified
 
