@@ -47,11 +47,8 @@ from .recursion import (
 from .schedule import DensityParam, StepKind, Window, choose_window, is_product_step, window_profile
 from .trees import (
     LowerBoundCertificate,
-    count_trees,
     enumerate_trees,
     lower_bound_certificate,
-    preorder_decode,
-    preorder_encode,
     tree_sum_check,
     tree_weight,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "choose_window",
     "compose_window",
     "convolve_truncated",
-    "count_trees",
     "enumerate_trees",
     "eval_at_one",
     "face_lattice",
@@ -98,8 +94,6 @@ __all__ = [
     "lower_bound_certificate",
     "oracle_report",
     "power_truncated",
-    "preorder_decode",
-    "preorder_encode",
     "proper_f_vector",
     "radii",
     "radii_recursion",

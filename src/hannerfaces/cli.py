@@ -314,7 +314,7 @@ def _add_density_flags(sub):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hannerfaces", description=__doc__)
+    parser = _Parser(prog="hannerfaces", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="key=value file of default flags")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.set_defaults(func=_cmd_flm_report)
 
-    s = subs.add_parser("selftest", help="run the acceptance criteria and invariant checks (about 4 s)")
+    s = subs.add_parser("selftest", help="run the acceptance criteria and invariant checks (about 2 s)")
     s.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -416,7 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # --config leads the argv; its values become subcommand defaults
+        # --config PATH or --config=PATH leads the argv; its values become subcommand defaults
+        if argv and argv[0].startswith("--config="):
+            argv[:1] = argv[0].split("=", 1)
         if argv and argv[0] == "--config":
             if len(argv) < 3:
                 raise UsageError("usage: --config PATH SUBCOMMAND [flags]")

@@ -6,8 +6,8 @@ cross-validation invariants that no criterion covers.  Each entry is a
 ``(name, check)`` pair; the check raises on failure and returns a one-line
 detail.  Two consumers run the whole table: the ``selftest`` subcommand
 (``run_selftest``) and the pytest acceptance gate
-(``tests/test_acceptance.py``).  The table takes about 4 s on one core
-(3.8-4.3 s as a child process on a 2-CPU Xeon VM), well under five minutes.
+(``tests/test_acceptance.py``).  The table takes about 2 s on one core
+(1.9-2.0 s as a child process on a 2-CPU Xeon VM), well under five minutes.
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ from .recursion import (
 )
 from .schedule import DensityParam, StepKind, is_product_step, window_profile
 from .trees import (
-    enumerate_trees,
     lower_bound_certificate,
     lower_bound_histogram,
-    preorder_decode,
-    preorder_encode,
     tree_sum_check,
     tree_weight,
 )
@@ -307,12 +304,6 @@ def _check_phi_apply():
     return "Q <= 3, 3 densities, kmax=32"
 
 
-def _check_preorder():
-    for t in enumerate_trees(2, {2, 4}):
-        check(preorder_decode(preorder_encode(t, [2, 4]), [2, 4]) == t, "round-trip broke")
-    return "every tree of height <= 2, degrees {2,4}"
-
-
 def _check_log_kernel_band():
     f = run(THIRD, 16, 256, Engine.PAPER_LOG).poly.log2_coeffs
     check(_kernels._run_and_defect(f)[0] == f.shape[0], "engine state fails the band's concavity check")
@@ -340,7 +331,6 @@ CHECKS = [
     ("log_engine_vs_exact_every_k", _check_log_vs_exact),
     ("coefficient_step_vs_full_step", _check_step_coefficient),
     ("window_map_apply_vs_recursion", _check_phi_apply),
-    ("preorder_round_trip", _check_preorder),
     ("banded_vs_full_log_kernel", _check_log_kernel_band),
 ]
 

@@ -73,11 +73,6 @@ def _count(per_level: list[list[int]], budget: int | None = None) -> int:
     return c
 
 
-def count_trees(m: int, supports) -> int:
-    """|T_m^K| without enumeration."""
-    return _count(_normalize_supports(m, supports))
-
-
 def _check_budget(budget: int):
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
@@ -253,45 +248,6 @@ def tree_sum_check(
                     f"{got} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
                 )
     return TreeSumResult(total=total, engine_poly=engine_poly, tree_classes=tree_classes)
-
-
-# ---------------------------------------------------------------------------
-# preorder encoding (injectivity certificate)
-# ---------------------------------------------------------------------------
-
-def preorder_encode(tree: Tree, alphabet: Sequence[int]) -> tuple[int, ...]:
-    """Letters over {0..|K|}: 0 for a leaf, 1+index(degree) otherwise."""
-    index = {d: i + 1 for i, d in enumerate(alphabet)}
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not node:
-            out.append(0)
-        else:
-            try:
-                out.append(index[len(node)])
-            except KeyError as exc:
-                raise UsageError(f"degree {len(node)} not in alphabet {list(alphabet)}") from exc
-            stack.extend(reversed(node))
-    return tuple(out)
-
-
-def preorder_decode(word: Sequence[int], alphabet: Sequence[int]) -> Tree:
-    it = iter(word)
-
-    def build() -> Tree:
-        letter = next(it)
-        if letter == 0:
-            return ()
-        return tuple(build() for _ in range(alphabet[letter - 1]))
-
-    tree = build()
-    try:
-        next(it)
-    except StopIteration:
-        return tree
-    raise UsageError("trailing letters after a complete preorder word")
 
 
 # ---------------------------------------------------------------------------

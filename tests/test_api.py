@@ -1,7 +1,7 @@
 """The package's public names: each one resolves, and deleted ones stay gone."""
 
 import hannerfaces
-from hannerfaces import geometry, phimap, trees
+from hannerfaces import geometry, phimap, selftest, trees
 
 # names deleted from the package; neither the exports nor the modules that
 # held them may hold them
@@ -17,6 +17,9 @@ DELETED = (
     "CrosscheckResult",
     "degree_histogram",
     "window_phis",
+    "preorder_encode",
+    "preorder_decode",
+    "count_trees",
 )
 
 
@@ -33,4 +36,4 @@ def test_deleted_names_stay_gone():
     for name in DELETED:
         assert name not in hannerfaces.__all__
         assert not hasattr(hannerfaces, name)
-        assert not any(hasattr(module, name) for module in (geometry, phimap, trees))
+        assert not any(hasattr(module, name) for module in (geometry, phimap, selftest, trees))

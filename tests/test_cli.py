@@ -1037,6 +1037,24 @@ class TestPlumbing:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    def test_config_equals_form_applies_the_file(self, run, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("a=1/3\nformat=json\n")
+        spaced = run("--config", str(cfg), "schedule", "--steps", "2")
+        assert spaced[0] == 0
+        assert json.loads(spaced[1]) == [{"n": "0", "kind": "P"}, {"n": "1", "kind": "H"}]
+        assert run(f"--config={cfg}", "schedule", "--steps", "2") == spaced
+
+    @pytest.mark.parametrize(
+        "spelling", [lambda path: ["--conf", path], lambda path: [f"--conf={path}"]], ids=["spaced", "equals"]
+    )
+    def test_abbreviated_config_is_refused(self, run, tmp_path, spelling):
+        # main applies only a --config that is spelled out; any other is refused, not ignored
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("format=json\n")
+        code, out, _ = run(*spelling(str(cfg)), "schedule", "--a", "1/2", "--steps", "2")
+        assert (code, out) == (3, "")
+
     def test_missing_config(self, run):
         code, _, err = run("--config", "/nonexistent.cfg", "schedule", "--steps", "1")
         assert code == 3

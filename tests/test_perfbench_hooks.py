@@ -1,18 +1,22 @@
 """The benchmark's span hooks name functions that exist, the tree check
-runs under exactly one span, and every CLI call the benchmark makes still
-parses.  ``perfbench/spans.py`` and ``perfbench/workloads.py`` are loaded by
-path and only read."""
+runs under exactly one span, every CLI call the benchmark makes still
+parses, and every kernel name ``perfbench/run.py`` reads exists and runs.
+``perfbench/spans.py`` and ``perfbench/workloads.py`` are loaded by path and
+only read; ``perfbench/run.py`` is only parsed."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hannerfaces import cli
+from hannerfaces import _kernels, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +70,21 @@ def test_every_benchmark_call_parses(workloads, seed):
     for argv in [*argvs, workloads.TREES_JSON_PROBE]:
         parser.parse_args(argv)  # raises UsageError on a flag the CLI no longer takes
     assert ("oracle", "--a", "1/2", "--n", "3", "--full-lattice") in argvs
+
+
+def test_every_kernel_name_run_reads_exists_and_runs():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_kernels"
+    }
+    assert read >= {"ACTIVE_KERNEL", "log_convolve", "convolve_exact", "convolve_schoolbook"}
+    assert [name for name in sorted(read) if not hasattr(_kernels, name)] == []
+    # the calls of ``micro_rows``, at K = 8
+    gen = np.random.default_rng(0)
+    f, g = gen.uniform(0, 1000, 8), gen.uniform(0, 1000, 8)
+    assert np.isfinite(_kernels.log_convolve(f, g)).all()
+    rng = random.Random(0)
+    ints = [rng.getrandbits(4096) for _ in range(8)]
+    assert _kernels.convolve_exact(ints, ints, 8) == _kernels.convolve_schoolbook(ints, ints, 8)

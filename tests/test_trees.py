@@ -16,14 +16,11 @@ from hannerfaces.polys import IntPoly, convolve_truncated, eval_at_one, log2_int
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
-    count_trees,
     enumerate_trees,
     histogram_codes,
     histogram_leaves,
     lower_bound_certificate,
     lower_bound_histogram,
-    preorder_decode,
-    preorder_encode,
     tree_sum_check,
     tree_weight,
 )
@@ -35,6 +32,11 @@ THIRD = DensityParam.rational(1, 3)
 TWO_THIRDS = DensityParam.rational(2, 3)
 
 PHI_SR = compose_window((S, R))  # t x^4 + 2 x^2
+
+
+def tree_count(m: int, supports) -> int:
+    """|T_m^K| from the count the enumeration budget reads."""
+    return trees._count(trees._normalize_supports(m, supports))
 
 
 def degree_histogram(tree: tuple) -> dict[tuple[int, int], int]:
@@ -105,17 +107,17 @@ def recursive_trees(m: int, per_level: list[list[int]], level: int = 0) -> Itera
 class TestEnumeration:
     def test_height_zero(self):
         assert list(enumerate_trees(0, [])) == [()]
-        assert count_trees(0, []) == 1
+        assert tree_count(0, []) == 1
 
     def test_height_one(self):
         trees = list(enumerate_trees(1, {2, 4}))
         assert len(trees) == 2
-        assert count_trees(1, {2, 4}) == 2
+        assert tree_count(1, {2, 4}) == 2
 
     def test_height_two(self):
         trees = list(enumerate_trees(2, {2, 4}))
         assert len(trees) == 20  # 2^2 + 2^4
-        assert count_trees(2, {2, 4}) == 20
+        assert tree_count(2, {2, 4}) == 20
         assert len(set(trees)) == 20
 
     def test_budget_error(self):
@@ -180,7 +182,7 @@ class TestEnumeration:
 
     def test_empty_level_rejected(self):
         with pytest.raises(UsageError):
-            count_trees(2, [{2}, set()])
+            tree_count(2, [{2}, set()])
 
     @pytest.mark.parametrize(
         ("m", "per_level"),
@@ -208,7 +210,7 @@ class TestEnumeration:
 
     def test_per_level_supports(self):
         # root degree from {2,3,4}, next level from {2,4}: 4+8+16 trees
-        assert count_trees(2, [{2, 3, 4}, {2, 4}]) == 28
+        assert tree_count(2, [{2, 3, 4}, {2, 4}]) == 28
         assert len(list(enumerate_trees(2, [{2, 3, 4}, {2, 4}]))) == 28
 
 
@@ -228,7 +230,7 @@ class TestHistogramCodes:
     @example([])
     def test_same_histograms_as_walking_every_tree(self, supports):
         m = len(supports)
-        n = count_trees(m, supports)
+        n = tree_count(m, supports)
         assume(n <= 3000)
         codes, unpack = histogram_codes([sorted(s) for s in supports])
         assert len(codes) == n
@@ -405,24 +407,6 @@ class TestAtypicalStats:
             hist = degree_histogram(t)
             assert histogram_leaves(hist) == leaf_count(t)
             assert sum(hist.values()) == internal_count(t)
-
-
-class TestPreorder:
-    def test_single_leaf(self):
-        assert preorder_encode((), [2, 4]) == (0,)
-
-    def test_distinct_words(self):
-        words = {preorder_encode(t, [2, 4]) for t in enumerate_trees(2, {2, 4})}
-        assert len(words) == 20
-
-    def test_round_trip(self):
-        for t in enumerate_trees(3, {1, 2}):
-            word = preorder_encode(t, [1, 2])
-            assert preorder_decode(word, [1, 2]) == t
-
-    def test_trailing_garbage(self):
-        with pytest.raises(UsageError):
-            preorder_decode((0, 0), [2])
 
 
 class TestLowerBoundTree:
