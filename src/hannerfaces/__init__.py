@@ -18,7 +18,6 @@ from .asymptotics import (
 from .errors import BudgetExceededError, PrecisionError, UsageError, VerificationError
 from .geometry import (
     FaceLattice,
-    RadiiState,
     VPolytope,
     build_polytope,
     face_lattice,
@@ -68,7 +67,6 @@ __all__ = [
     "LowerBoundCertificate",
     "PhiMap",
     "PrecisionError",
-    "RadiiState",
     "RecursionState",
     "ScanRow",
     "StepKind",

@@ -28,7 +28,6 @@ GOLDEN_DRIFT_CONSTANT = 0.75  # |log2(log2 a)/n - target| <= C / sqrt(n)
 @dataclass(frozen=True)
 class ScanRow:
     n: int
-    d: int
     k: int
     Q: int
     m: int
@@ -83,7 +82,6 @@ def scan(
         rows.append(
             ScanRow(
                 n=n,
-                d=2**n,
                 k=k,
                 Q=Q,
                 m=m,
@@ -108,22 +106,29 @@ class FitResult:
         return abs(self.slope - target) <= tol
 
 
+def fit_indices(ns, a: DensityParam | None = None) -> list[int]:
+    """The distinct n of ``ns``, in order, that a fit uses: for rational a = p/q
+    only n = 0 mod q.  Raises UsageError if there are fewer than the 4 a fit needs."""
+    q = a.value.denominator if a is not None and a.is_rational else 1
+    used = [n for n in dict.fromkeys(ns) if n % q == 0]
+    if len(used) < 4:
+        raise UsageError(f"need at least 4 distinct usable n to fit, have {len(used)}")
+    return used
+
+
 def fit_exponent(rows: list[ScanRow], a: DensityParam | None = None) -> FitResult:
     """Least-squares slope of log2(log2_coeff) against n.
 
     Rows with log2_coeff <= 0 (only n = 0) carry no signal and are
     dropped, and rows repeated at one n (a scan over repeated indices)
-    count once.  For rational a, only n = 0 mod q rows are used.
+    count once.  For rational a, only n = 0 mod q rows are used
+    (``fit_indices``).
     """
     engines = {r.engine for r in rows}
     if len(engines) > 1:
         raise UsageError(f"fit requires rows from a single engine, got {engines}")
-    usable = list({r.n: r for r in rows if r.log2_coeff > 0}.values())
-    if a is not None and a.is_rational:
-        q = a.value.denominator
-        usable = [r for r in usable if r.n % q == 0]
-    if len(usable) < 4:
-        raise UsageError(f"need at least 4 distinct usable n to fit, have {len(usable)}")
+    by_n = {r.n: r for r in rows if r.log2_coeff > 0}
+    usable = [by_n[n] for n in fit_indices(by_n, a)]
     xs = [r.n for r in usable]
     ys = [math.log2(r.log2_coeff) for r in usable]
     n = len(xs)

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from ._kernels import _EXACT
-from .asymptotics import check_fit_tol, flm_report, scan
+from .asymptotics import check_fit_tol, fit_indices, flm_report, scan
 from .errors import UsageError, VerificationError
 from .geometry import oracle_report
 from .phimap import compose_window, tfree_and_top, word_from_string
@@ -256,14 +256,18 @@ def _cmd_lower_bound(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _scan(args):
-    """Density, delta and the scan rows at n = 0..--nmax of asymptotics and flm-report."""
+def _scan(args, fit=False):
+    """Density, delta and the scan rows at n = 0..--nmax of asymptotics and
+    flm-report; with ``fit``, a scan too short to fit is refused before it runs."""
     a = _parse_density(args)
     delta = _parse_fraction(args.delta, "--delta")
     engine = Engine.parse(args.engine)
     if args.nmax < 0:
         raise UsageError(f"step count must be >= 0, got {args.nmax}")
-    return a, delta, scan(a, delta, range(args.nmax + 1), engine)
+    ns = range(args.nmax + 1)
+    if fit:  # the row at n = 0 reads log2 a_{0,1} = 0, which a fit drops
+        fit_indices(ns[1:], a)
+    return a, delta, scan(a, delta, ns, engine)
 
 
 def _cmd_asymptotics(args) -> int:
@@ -292,7 +296,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_flm_report(args) -> int:
     check_fit_tol(args.fit_tol, "--fit-tol")  # before the scan, which may take seconds
-    a, delta, rows = _scan(args)
+    a, delta, rows = _scan(args, fit=True)
     report = flm_report(a, delta, rows, fit_tol=args.fit_tol)
     _emit_object(args, report)
     return EXIT_OK if report["fit_ok"] else EXIT_VERIFICATION
@@ -317,6 +321,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hannerfaces", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="key=value file of default flags")
     subs = parser.add_subparsers(dest="command", required=True)
+    engines = [e.value for e in Engine]
 
     s = subs.add_parser("schedule", help="emit the product/hull step word")
     _add_density_flags(s)
@@ -328,7 +333,7 @@ def build_parser() -> _Parser:
     _add_density_flags(s)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--kmax", type=int, required=True)
-    s.add_argument("--engine", choices=("paper", "geometric", "log"), default="paper")
+    s.add_argument("--engine", choices=engines, default=Engine.PAPER_EXACT.value)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_fvector)
 
@@ -361,7 +366,7 @@ def build_parser() -> _Parser:
     _add_density_flags(s)
     s.add_argument("--delta", required=True, help="NUM/DEN in (0,1)")
     s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--engine", choices=("paper", "geometric", "log"), default="paper")
+    s.add_argument("--engine", choices=engines, default=Engine.PAPER_EXACT.value)
     s.add_argument("--csv", help="write CSV to this path instead of stdout")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_asymptotics)
@@ -382,7 +387,7 @@ def build_parser() -> _Parser:
     _add_density_flags(s)
     s.add_argument("--delta", required=True, help="NUM/DEN in (0,1)")
     s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--engine", choices=("paper", "geometric", "log"), default="log")
+    s.add_argument("--engine", choices=engines, default=Engine.PAPER_LOG.value)
     s.add_argument("--fit-tol", dest="fit_tol", type=float, default=0.1)
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.set_defaults(func=_cmd_flm_report)

@@ -1,10 +1,11 @@
 """Ground-truth geometry at small dimension.
 
 Builds exact vertex/facet representations of the recursive family,
-enumerates the full face lattice, and computes exact circumradius /
-inradius data.  This is the oracle the coefficient engines are validated
-against, and ``oracle_report`` is its one verdict: the ``oracle`` subcommand
-prints it and ``selftest`` checks it.
+enumerates the full face lattice where one guard admits its 3^d faces, and
+reads the radii as one (R^2, 1/r^2) int pair from the polytope (``radii``)
+and from the step word (``radii_recursion``).  This is the oracle the
+coefficient engines are validated against, and ``oracle_report`` is its one
+verdict: the ``oracle`` subcommand prints it and ``selftest`` checks it.
 
 The lattice is closed under intersection from the vertex-facet incidences
 on the smaller side: facet masks over the vertices when there are no more
@@ -212,12 +213,6 @@ def face_lattice(poly: VPolytope) -> FaceLattice:
     return lattice
 
 
-@dataclass(frozen=True)
-class RadiiState:
-    R_sq: int  # squared circumradius
-    r_inv_sq: int  # 1 / r^2
-
-
 def radii(poly: VPolytope) -> tuple[int, int]:
     """(R^2, 1/r^2): largest squared vertex norm and largest squared facet normal."""
     # every entry is -1, 0 or 1, so a squared norm counts the nonzero coordinates
@@ -225,15 +220,15 @@ def radii(poly: VPolytope) -> tuple[int, int]:
     return r_sq, r_inv_sq
 
 
-def radii_recursion(a: DensityParam, n: int) -> RadiiState:
-    """Product doubles R^2, Hull doubles 1/r^2; (R/r)^2 = 2^n throughout."""
+def radii_recursion(a: DensityParam, n: int) -> tuple[int, int]:
+    """(R^2, 1/r^2) from the step word: Product doubles R^2, Hull 1/r^2, so (R/r)^2 = 2^n."""
     r_sq, r_inv_sq = 1, 1
     for j in range(n):
         if is_product_step(j, a) is StepKind.PRODUCT:
             r_sq *= 2
         else:
             r_inv_sq *= 2
-    return RadiiState(R_sq=r_sq, r_inv_sq=r_inv_sq)
+    return r_sq, r_inv_sq
 
 
 def oracle_report(a: DensityParam, n: int, full_lattice: bool = False) -> dict:
@@ -241,21 +236,21 @@ def oracle_report(a: DensityParam, n: int, full_lattice: bool = False) -> dict:
 
     The one place the built polytope is compared with the recursions: its
     radii with ``radii_recursion``, (R/r)^2 with d = 2^n, and, where the face
-    lattice is built (d <= 8, or any d with ``full_lattice``), the lattice
+    lattice is built (whenever ``face_lattice``'s guard admits 3^d faces, and
+    past it with ``full_lattice``, which the guard then refuses), the lattice
     f-vector with the geometric engine's ``proper_f_vector`` and the face total
-    with 3^d.  Past d = 8 the f-vector is the engine's and the face total is
+    with 3^d.  Elsewhere the f-vector is the engine's and the face total is
     None.  ``crosscheck_failures`` names each comparison that failed.
     """
     poly = build_polytope(a, n)
     r_sq, r_inv_sq = radii(poly)
-    rec = radii_recursion(a, n)
     d = 2**n
     failures = []
-    if (r_sq, r_inv_sq) != (rec.R_sq, rec.r_inv_sq):
+    if (r_sq, r_inv_sq) != radii_recursion(a, n):
         failures.append("radii oracle disagrees with radii recursion")
     if r_sq * r_inv_sq != d:
         failures.append("(R/r)^2 != dimension")
-    if full_lattice or d <= 8:
+    if full_lattice or 3**d <= _LATTICE_FACE_GUARD:
         lattice = face_lattice(poly)
         f_vector, face_total = lattice.proper_f_vector(), lattice.total
         if f_vector != proper_f_vector(a, n):

@@ -1,9 +1,9 @@
-"""Truncated polynomials with nonnegative coefficients, in three types that
-share one arithmetic: ``IntPoly`` (exact ints), ``DecimalPoly`` (the exact
-engines' state, in integral Decimals) and ``LogPoly`` (float64 log2 entries,
-the log engine's state).  Each has ``monomial``, ``shift``, ``scale`` and
-``+``, and ``convolve_truncated`` is the one truncated product for all three,
-so a recursion step is one formula whatever its state type.
+"""Truncated polynomials with nonnegative coefficients, in three types.  The
+two recursion states, ``DecimalPoly`` (exact, in integral Decimals) and
+``LogPoly`` (float64 log2 entries), share ``monomial``, ``shift``, ``scale``
+and ``+``, so ``step`` is one formula for both; ``IntPoly`` (exact ints) holds
+the exact products of tree weights and window maps; and
+``convolve_truncated`` is the one truncated product for all three.
 
 Polynomials are value-semantic: operations return new objects and never
 mutate their inputs.  Explicit zeros are retained, so a polynomial always
@@ -61,18 +61,8 @@ class IntPoly:
     def one(cls, kmax: int) -> "IntPoly":
         return cls.from_coeffs((1,), kmax)
 
-    @classmethod
-    def monomial(cls, coeff: int, degree: int, kmax: int) -> "IntPoly":
-        if degree > kmax:
-            return cls.zero(kmax)
-        return cls.from_coeffs([0] * degree + [coeff], kmax)
-
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k <= self.kmax else 0
-
-    def log2(self, k: int) -> float:
-        """log2 of coefficient k to full float64 precision (-inf for zero)."""
-        return log2_int(self[k])
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         _check_compatible(self, other)
@@ -82,10 +72,6 @@ class IntPoly:
         if c < 0:
             raise UsageError("scale factor must be nonnegative")
         return IntPoly(tuple(c * a for a in self.coeffs), self.kmax)
-
-    def shift(self, d: int) -> "IntPoly":
-        """Multiply by t**d, truncating."""
-        return IntPoly.from_coeffs([0] * d + list(self.coeffs), self.kmax)
 
 
 @dataclass(frozen=True)
@@ -219,8 +205,8 @@ def power_truncated(f: IntPoly, e: int) -> IntPoly:
 class LogPoly:
     """The log engine's state: the float64 log2 of each coefficient, -inf
     for a zero one.  Its ``monomial``, ``shift``, ``scale`` and ``+`` are
-    those of IntPoly and DecimalPoly taken through log2, so every engine
-    steps through the same formula."""
+    DecimalPoly's taken through log2, so every engine steps through the same
+    formula."""
 
     __slots__ = ("log2_coeffs", "kmax")
 

@@ -60,7 +60,7 @@ class Engine(enum.Enum):
         for e in cls:
             if e.value == name:
                 return e
-        raise UsageError(f"unknown engine {name!r} (use paper|geometric|log)")
+        raise UsageError(f"unknown engine {name!r} (use {'|'.join(e.value for e in cls)})")
 
     @classmethod
     def for_kmax(cls, kmax: int) -> "Engine":

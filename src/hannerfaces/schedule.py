@@ -138,10 +138,6 @@ class Window:
     word: tuple[StepKind, ...]
     p: int  # number of Product steps in the window
 
-    @property
-    def word_str(self) -> str:
-        return word_letters(self.word)
-
 
 def window_profile(a: DensityParam, Q: int, m: int) -> Window:
     """Kind word of window ``m`` (innermost first) and its product count.

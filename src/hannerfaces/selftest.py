@@ -209,12 +209,11 @@ def _criterion_8():
 def _criterion_9():
     for a in (HALF, THIRD, TWO_THIRDS, TWO_FIFTHS, golden_like(128)):
         for n in range(17):
-            rec = radii_recursion(a, n)
-            check(rec.R_sq * rec.r_inv_sq == 2**n, f"(R/r)^2 != 2^n (a={a}, n={n})")
+            r_sq, r_inv_sq = radii_recursion(a, n)
+            check(r_sq * r_inv_sq == 2**n, f"(R/r)^2 != 2^n (a={a}, n={n})")
         for n in range(5):
-            rec = radii_recursion(a, n)
             oracle = radii(build_polytope(a, n))
-            check(oracle == (rec.R_sq, rec.r_inv_sq), f"radii oracle mismatch (a={a}, n={n})")
+            check(oracle == radii_recursion(a, n), f"radii oracle mismatch (a={a}, n={n})")
     return "(R/r)^2 = 2^n exactly: recursion n<=16, vertex/normal oracle n<=4, 5 densities"
 
 

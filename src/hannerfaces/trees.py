@@ -203,9 +203,10 @@ def tree_sum_check(
     raises.
 
     An over-budget family is refused from its count, taken from the windows'
-    supports (``window_support``) before any window map is composed; then
-    each distinct window word is composed once and the recursion runs, so an
-    input any of them refuses is refused before any histogram is composed.
+    supports (``window_support``) before any window map is composed; then the
+    recursion runs, so a kmax it refuses is refused before any window map is
+    composed, and each distinct window word is composed once, all before any
+    histogram is composed.
     W(T) and L(T) depend only on the tree's (height, degree) histogram, which
     ``histogram_codes`` composes level by level without building the tree;
     each distinct histogram is weighed once, from factor powers built once per
@@ -216,9 +217,9 @@ def tree_sum_check(
     _check_budget(budget)
     words = [window_profile(a, Q, j).word for j in reversed(range(m))]  # the root takes the last window
     per_level = _admit(m, list(map(window_support, words)), budget)
+    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
     phis = {word: compose_window(word) for word in dict.fromkeys(words)}  # each distinct word once
     by_height = [phis[word] for word in words]
-    engine_poly = run(a, Q * m, kmax, Engine.PAPER_EXACT).poly.to_intpoly()
     codes, unpack = histogram_codes(per_level)
     powers: dict[tuple[int, int, int], IntPoly] = {}
     classes: dict[int, tuple[Histogram, IntPoly]] = {}

@@ -1,7 +1,12 @@
 """The package's public names: each one resolves, and deleted ones stay gone."""
 
+import dataclasses
+
 import hannerfaces
 from hannerfaces import geometry, phimap, selftest, trees
+from hannerfaces.asymptotics import ScanRow
+from hannerfaces.polys import IntPoly
+from hannerfaces.schedule import Window
 
 # names deleted from the package; neither the exports nor the modules that
 # held them may hold them
@@ -20,6 +25,7 @@ DELETED = (
     "preorder_encode",
     "preorder_decode",
     "count_trees",
+    "RadiiState",
 )
 
 
@@ -37,3 +43,10 @@ def test_deleted_names_stay_gone():
         assert name not in hannerfaces.__all__
         assert not hasattr(hannerfaces, name)
         assert not any(hasattr(module, name) for module in (geometry, phimap, selftest, trees))
+
+
+def test_deleted_members_stay_gone():
+    # IntPoly holds products, not recursion states; nothing read ScanRow.d or Window.word_str
+    assert not any(hasattr(IntPoly, name) for name in ("monomial", "shift", "log2"))
+    assert "d" not in {field.name for field in dataclasses.fields(ScanRow)}
+    assert not hasattr(Window, "word_str")

@@ -156,7 +156,6 @@ class TestFitExponent:
         return [
             ScanRow(
                 n=n,
-                d=2**n,
                 k=1,
                 Q=1,
                 m=n,

@@ -713,6 +713,23 @@ class TestRefusedUpFront:
         assert code == 0
         assert len(out.splitlines()) == 70002
 
+    @pytest.mark.parametrize(
+        "density",
+        [("--a", "1/9"), ("--a-real", "0.6180339887498948482045868343656381177:128")],
+        ids=["n=0-mod-9", "irrational"],
+    )
+    def test_flm_report_too_short_to_fit_refused_before_the_scan(self, run, monkeypatch, density):
+        # fit rows: n = 9, 18, 27 up to 35 for a = 1/9, and n = 1, 2, 3 for an irrational a
+        nmax = "35" if density[0] == "--a" else "3"
+        monkeypatch.setattr(cli, "scan", lambda *args: pytest.fail("scanned"))
+        code, out, err = run("flm-report", *density, "--delta", "1/2", "--nmax", nmax, "--engine", "log")
+        assert (code, out, err) == (3, "", "error: need at least 4 distinct usable n to fit, have 3\n")
+
+    def test_trees_kmax_refused_before_any_window_is_composed(self, run, monkeypatch):
+        monkeypatch.setattr(trees, "compose_window", lambda word: pytest.fail("composed"))
+        code, out, err = run("trees", "--a", "1/2", "--Q", "11", "--m", "1", "--kmax", "0")
+        assert (code, out, err) == (3, "", "error: kmax must be >= 1, got 0\n")
+
     def test_fvector_negative_n_refused_before_any_step(self, run, monkeypatch):
         steps = []
         monkeypatch.setattr(recursion, "step", lambda state, kind: steps.append(state))
@@ -774,7 +791,7 @@ class TestAsymptotics:
         # 4300 digits for int -> str; the rows print d anyway, and the CLI
         # leaves the caller's limit as it found it.
         ns = [0, 1, 14285, 14286, 14300]
-        rows = [ScanRow(n, 2**n, 1, 1, n, 0, 0.0, 0.0, "log") for n in ns]
+        rows = [ScanRow(n, 1, 1, n, 0, 0.0, 0.0, "log") for n in ns]
         monkeypatch.setattr(cli, "_scan", lambda args: (None, None, rows))
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
@@ -1021,6 +1038,20 @@ class TestPlumbing:
         assert code == 3
         assert out == ""
         assert "log engine's range" in err
+
+    def test_every_engine_list_is_engines(self):
+        names = [e.value for e in Engine]
+        subs = next(x for x in cli.build_parser()._actions if isinstance(x, argparse._SubParsersAction))
+        lists = [
+            list(action.choices)
+            for sub in subs.choices.values()
+            for action in sub._actions
+            if "--engine" in action.option_strings
+        ]
+        assert lists == [names] * 3
+        with pytest.raises(cli.UsageError) as info:
+            Engine.parse("bogus")
+        assert str(info.value) == f"unknown engine 'bogus' (use {'|'.join(names)})"
 
     def test_determinism(self, run):
         a = run("asymptotics", "--a", "1/3", "--delta", "1/2", "--nmax", "8")

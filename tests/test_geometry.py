@@ -6,7 +6,6 @@ from hannerfaces import geometry
 from hannerfaces.errors import UsageError, VerificationError
 from hannerfaces.geometry import (
     FaceLattice,
-    RadiiState,
     VPolytope,
     build_polytope,
     face_lattice,
@@ -353,6 +352,13 @@ class TestCrosscheck:
         assert rep["f_vector"] == [str(x) for x in proper_f_vector(TWO_FIFTHS, 4)]
         assert (rep["face_total"], rep["crosscheck_failures"]) == (None, [])
 
+    def test_the_face_guard_decides_where_the_lattice_is_built(self, monkeypatch):
+        # d = 4 holds 81 faces: under a guard of 80 the engine alone reports
+        monkeypatch.setattr(geometry, "_LATTICE_FACE_GUARD", 80)
+        rep = oracle_report(HALF, 2)
+        assert rep["f_vector"] == ["8", "24", "32", "16"]
+        assert (rep["face_total"], rep["crosscheck_failures"]) == (None, [])
+
     def test_full_lattice_meets_the_face_guard_at_n4(self):
         with pytest.raises(UsageError, match="face lattice guard"):
             oracle_report(HALF, 4, full_lattice=True)
@@ -369,21 +375,17 @@ class TestRadii:
         assert r_sq * r_inv_sq == 4
 
     def test_half_n3(self):
-        state = radii_recursion(HALF, 3)
-        assert state == RadiiState(R_sq=4, r_inv_sq=2)
+        assert radii_recursion(HALF, 3) == (4, 2)
 
     @pytest.mark.parametrize("a", ALL_A)
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_oracle_matches_recursion(self, a, n):
-        poly = build_polytope(a, n)
-        r_sq, r_inv_sq = radii(poly)
-        rec = radii_recursion(a, n)
-        assert r_sq == rec.R_sq
-        assert r_inv_sq == rec.r_inv_sq
-        assert rec.R_sq * rec.r_inv_sq == 2**n
+        r_sq, r_inv_sq = radii_recursion(a, n)
+        assert radii(build_polytope(a, n)) == (r_sq, r_inv_sq)
+        assert r_sq * r_inv_sq == 2**n
 
     @pytest.mark.parametrize("a", ALL_A)
     def test_ratio_identity_to_n16(self, a):
         for n in range(17):
-            rec = radii_recursion(a, n)
-            assert rec.R_sq * rec.r_inv_sq == 2**n
+            r_sq, r_inv_sq = radii_recursion(a, n)
+            assert r_sq * r_inv_sq == 2**n

@@ -181,7 +181,7 @@ class TestLogConvolve:
 def _close_log2(got: np.ndarray, exact: DecimalPoly) -> bool:
     """got agrees with log2 of exact's coefficients within 2**-50 relative,
     and is -inf exactly where a coefficient is zero."""
-    want = np.array([exact.log2(k) for k in range(exact.kmax + 1)])
+    want = np.array([log2_int(exact[k]) for k in range(exact.kmax + 1)])
     zero = np.isneginf(want)
     return bool(
         (np.isneginf(got) == zero).all()
@@ -260,7 +260,3 @@ class TestHelpers:
         x = y**r + offset
         root = int_nth_root(x, r)
         assert root**r <= x < (root + 1) ** r
-
-    def test_shift(self):
-        f = P([0, 0, 5, 1], 5)
-        assert f.shift(2).coeffs == (0, 0, 0, 0, 5, 1)

@@ -9,6 +9,7 @@ from hannerfaces.schedule import (
     choose_window,
     is_product_step,
     window_profile,
+    word_letters,
 )
 from hannerfaces.selftest import golden_like
 
@@ -134,7 +135,7 @@ class TestWindowProfile:
             assert lo <= w.p <= hi  # loose float check; exact assert is internal
 
     def test_word_str(self):
-        assert window_profile(HALF, 4, 0).word_str == "SRSR"
+        assert word_letters(window_profile(HALF, 4, 0).word) == "SRSR"
 
     def test_bad_args(self):
         with pytest.raises(UsageError):
