@@ -17,13 +17,13 @@ import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
+from . import geometry
 from ._kernels import _EXACT
 from .asymptotics import check_fit_tol, fit_indices, flm_report, scan
 from .errors import UsageError, VerificationError
-from .geometry import oracle_report
 from .phimap import compose_window, tfree_and_top, word_from_string
 from .polys import eval_at_one
 from .recursion import Engine, log2_face_number, run
@@ -179,8 +179,8 @@ def _cmd_fvector(args) -> int:
     poly = run(a, args.n, args.kmax, engine).poly
     if engine.is_log:
         texts = map(_fmt_float, map(float, poly.log2_coeffs))
-    else:  # an integral Decimal's str() is its digits, in linear time
-        texts = map(str, poly.decimals)
+    else:  # an integral Decimal's str() is its digits, in linear time; unstored slots are 0
+        texts = chain(map(str, poly.decimals), repeat("0", poly.kmax + 1 - len(poly.decimals)))
     _emit_rows(args, ["k", "coefficient"], ([str(k), text] for k, text in enumerate(texts)))
     return EXIT_OK
 
@@ -289,7 +289,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    report = oracle_report(_parse_density(args), args.n, args.full_lattice)
+    report = geometry.oracle_report(_parse_density(args), args.n, args.full_lattice)
     _emit_object(args, report)
     return EXIT_VERIFICATION if report["crosscheck_failures"] else EXIT_OK
 
@@ -315,6 +315,21 @@ def _cmd_selftest(args) -> int:
 def _add_density_flags(sub):
     sub.add_argument("--a", help="rational density parameter P/Q")
     sub.add_argument("--a-real", dest="a_real", help="high-precision density VALUE:BITS")
+
+
+def _full_lattice_help() -> str:
+    """``--full-lattice``'s help, read from the face guard: the largest n whose
+    3^(2^n) faces it admits, and the guard itself (as 10^e if a power of ten)."""
+    guard = geometry._LATTICE_FACE_GUARD
+    n = 0
+    while 3 ** 2 ** (n + 1) <= guard:
+        n += 1
+    e = len(str(guard)) - 1
+    size = f"10^{e}" if guard == 10**e else str(guard)
+    return (
+        f"build the face lattice at any n; it is always built at n <= {n}, and at n >= {n + 1} "
+        f"its 3^(2^n) faces exceed the {size}-face guard, so the run exits 3"
+    )
 
 
 def build_parser() -> _Parser:
@@ -377,8 +392,7 @@ def build_parser() -> _Parser:
     s.add_argument(
         "--full-lattice",
         action="store_true",
-        help="build the face lattice at any n; it is always built at n <= 3, and at n >= 4 "
-        "its 3^(2^n) faces exceed the 10^5-face guard, so the run exits 3",
+        help=_full_lattice_help(),
     )
     s.add_argument("--format", choices=("csv", "json"), default="json")
     s.set_defaults(func=_cmd_oracle)

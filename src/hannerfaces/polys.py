@@ -6,9 +6,11 @@ the exact products of tree weights and window maps; and
 ``convolve_truncated`` is the one truncated product for all three.
 
 Polynomials are value-semantic: operations return new objects and never
-mutate their inputs.  Explicit zeros are retained, so a polynomial always
-stores exactly ``kmax + 1`` coefficients.  Two polynomials combine only if
-they have the same type and the same ``kmax``.
+mutate their inputs.  An ``IntPoly`` or ``LogPoly`` stores exactly ``kmax +
+1`` coefficients, explicit zeros included.  A ``DecimalPoly`` stores its
+first L of them, 1 <= L <= kmax + 1, and reads past L are 0; L follows the
+arithmetic, so an engine state stops at its degree.  Two polynomials combine
+only if they have the same type and the same ``kmax``.
 """
 
 from __future__ import annotations
@@ -76,11 +78,18 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class DecimalPoly:
-    """The exact engines' state: an IntPoly whose coefficients are held as
+    """The exact engines' state: a polynomial whose coefficients are held as
     nonnegative integral Decimals (exponent 0), so a step squares, shifts and
     adds in base 10 with no conversion.  Every operation runs in the trapping
-    ``_kernels._EXACT`` context, never the caller's, so nothing rounds.  Reads
-    give ints: ``[k]``, ``log2(k)`` and ``to_intpoly()``."""
+    ``_kernels._EXACT`` context, never the caller's, so nothing rounds.
+
+    Only the first L = len(decimals) coefficients are stored, 1 <= L <= kmax +
+    1, and every coefficient past them is 0.  L comes from the arithmetic: a
+    monomial of degree d holds d + 1 slots, ``+`` pads the shorter operand,
+    ``shift(d)`` grows by d and a square of L slots holds 2L - 1, each capped
+    at kmax + 1.  So a state holds min(kmax, degree) + 1 slots and never
+    carries or squares the zeros above its degree.  Reads give ints for any k:
+    ``[k]``, ``log2(k)``, and ``to_intpoly()`` with all kmax + 1 of them."""
 
     decimals: tuple[Decimal, ...]
     kmax: int
@@ -88,9 +97,9 @@ class DecimalPoly:
     def __post_init__(self):
         if self.kmax < 0:
             raise UsageError("kmax must be nonnegative")
-        if len(self.decimals) != self.kmax + 1:
+        if not 1 <= len(self.decimals) <= self.kmax + 1:
             raise UsageError(
-                f"expected {self.kmax + 1} coefficients, got {len(self.decimals)}"
+                f"expected 1 to {self.kmax + 1} coefficients, got {len(self.decimals)}"
             )
         ds = self.decimals
         if not (
@@ -102,13 +111,12 @@ class DecimalPoly:
 
     @classmethod
     def monomial(cls, coeff: int, degree: int, kmax: int) -> "DecimalPoly":
-        cs = [_ZERO] * (kmax + 1)
-        if degree <= kmax:
-            cs[degree] = Decimal(coeff)
-        return cls(tuple(cs), kmax)
+        if degree > kmax:
+            return cls((_ZERO,), kmax)
+        return cls((_ZERO,) * degree + (Decimal(coeff),), kmax)
 
     def __getitem__(self, k: int) -> int:
-        if not 0 <= k <= self.kmax:
+        if not 0 <= k < len(self.decimals):
             return 0
         return _kernels._digits_to_int(str(self.decimals[k]), {})
 
@@ -118,8 +126,10 @@ class DecimalPoly:
 
     def __add__(self, other: "DecimalPoly") -> "DecimalPoly":
         _check_compatible(self, other)
-        add = _kernels._EXACT.add
-        return DecimalPoly(tuple(map(add, self.decimals, other.decimals)), self.kmax)
+        a, b, add = self.decimals, other.decimals, _kernels._EXACT.add
+        if len(a) < len(b):
+            a, b = b, a
+        return DecimalPoly(tuple(map(add, a, b)) + a[len(b) :], self.kmax)
 
     def scale(self, c: int) -> "DecimalPoly":
         if c < 0:
@@ -130,13 +140,14 @@ class DecimalPoly:
     def shift(self, d: int) -> "DecimalPoly":
         """Multiply by t**d, truncating."""
         size = self.kmax + 1
-        return DecimalPoly((_ZERO,) * min(d, size) + self.decimals[: max(size - d, 0)], self.kmax)
+        return DecimalPoly(((_ZERO,) * min(d, size) + self.decimals)[:size], self.kmax)
 
     def to_intpoly(self) -> IntPoly:
-        """The same polynomial with int coefficients, converted subquadratically."""
+        """The same polynomial with int coefficients, all kmax + 1 of them,
+        converted subquadratically."""
         pow10: dict[int, int] = {}
         ints = (_kernels._digits_to_int(str(c), pow10) for c in self.decimals)
-        return IntPoly(tuple(ints), self.kmax)
+        return IntPoly.from_coeffs(ints, self.kmax)
 
 
 def _check_compatible(f, g):
@@ -158,7 +169,8 @@ def convolve_truncated(f, g):
         if g is not f:
             raise UsageError("a DecimalPoly takes no product but its square (see to_intpoly)")
         cf = list(f.decimals)
-        return DecimalPoly(tuple(_kernels.convolve_exact(cf, cf, f.kmax + 1)), f.kmax)
+        out_len = min(f.kmax + 1, 2 * len(cf) - 1)
+        return DecimalPoly(tuple(_kernels.convolve_exact(cf, cf, out_len)), f.kmax)
     cf = list(f.coeffs)
     out = _kernels.convolve_exact(cf, cf if g is f else list(g.coeffs), f.kmax + 1)
     return IntPoly(tuple(out), f.kmax)
@@ -168,14 +180,16 @@ def square_coefficient(f: DecimalPoly, k: int) -> Decimal:
     """Coefficient k <= kmax of ``convolve_truncated(f, f)`` alone, exact in
     decimal: 2 * sum_{i < k/2} f_i * f_{k-i}, plus f_{k/2}**2 for even k.  That is
     about k/2 products of single coefficients, where the whole square packs all
-    kmax + 1 of them into one number.  Only the exact state takes it: a log row's
-    bytes depend on the band width its block shares, so the log engine squares
-    whole states."""
+    L stored ones into one number.  A pair is taken only where both slots are
+    stored (k - i < L), so a slice never runs past the state.  Only the exact
+    state takes it: a log row's bytes depend on the band width its block
+    shares, so the log engine squares whole states."""
     cs, add, mul = f.decimals, _kernels._EXACT.add, _kernels._EXACT.multiply
     half = (k + 1) // 2
-    pairs = functools.reduce(add, map(mul, cs[:half], cs[k : k - half : -1]), _ZERO)
+    lo = max(k + 1 - len(cs), 0)  # the first i whose partner f_{k-i} is stored
+    pairs = functools.reduce(add, map(mul, cs[lo:half], cs[k - lo : k - half : -1]), _ZERO)
     out = add(pairs, pairs)
-    return add(out, mul(cs[half], cs[half])) if k % 2 == 0 else out
+    return add(out, mul(cs[half], cs[half])) if k % 2 == 0 and half < len(cs) else out
 
 
 def eval_at_one(f: IntPoly) -> int:

@@ -43,9 +43,11 @@ from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int, square_co
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
-# STATE_BITS_CAP bits: K+1 slots of its widest coefficient's bound, at least 64 bits
-# a slot (so K <= 2,097,151).  README gives the timings at a = 1/2: the exact run to
-# n=20/K=1024 is predicted at 109.8 Mbit (n=21/K=1448: 257.5), the log run to n=41 at 94.9.
+# STATE_BITS_CAP bits, predicted as K+1 slots of its widest coefficient's bound, at
+# least 64 bits a slot (so K <= 2,097,151).  An exact state stops at its degree and
+# may hold fewer slots, so there the prediction is an upper bound.  README gives the
+# timings at a = 1/2: the exact run to n=20/K=1024 is predicted at 109.8 Mbit
+# (n=21/K=1448: 257.5), the log run to n=41 at 94.9.
 EXACT_KMAX_CAP = 1024
 STATE_BITS_CAP = 2**27
 
@@ -133,14 +135,16 @@ def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
 
 
 def _without_improper_face(f: DecimalPoly, d: int) -> DecimalPoly:
-    """F - t^d while d fits under the truncation bound, else F."""
+    """F - t^d while d fits under the truncation bound, else F.  A top slot
+    t^d is dropped rather than zeroed, so the result stops at degree d - 1."""
     if d > f.kmax:
         return f
-    if f.decimals[d] != 1:
+    if f[d] != 1:
         raise VerificationError(
-            f"geometric state corrupt: improper coefficient at degree {d} is {f.decimals[d]}"
+            f"geometric state corrupt: improper coefficient at degree {d} is {f[d]}"
         )
-    return DecimalPoly(f.decimals[:d] + (Decimal(0),) + f.decimals[d + 1 :], f.kmax)
+    above = f.decimals[d + 1 :]
+    return DecimalPoly(f.decimals[:d] + ((Decimal(0),) + above if above else ()), f.kmax)
 
 
 def step_coefficient(state: RecursionState, kind: StepKind, k: int) -> int:
@@ -156,7 +160,8 @@ def step_coefficient(state: RecursionState, kind: StepKind, k: int) -> int:
         geometric = state.engine is Engine.GEOMETRIC_EXACT
         if geometric:
             f = _without_improper_face(f, d)
-        c = add(f.decimals[k], f.decimals[k])
+        f_k = f.decimals[k] if k < len(f.decimals) else Decimal(0)
+        c = add(f_k, f_k)
         if k:
             c = add(c, square_coefficient(f, k - 1))
         if geometric and k == 2 * d:
@@ -263,10 +268,12 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     STATE_BITS_CAP, or, in the log engine, its range of 2**53.
 
     One bound sizes every engine (``widest_log2_bound``), and the state at
-    ``n_max`` is the largest.  A state holds K+1 slots: 64 bits each in the log
-    engine, max(floor(bound) + 1, 64) in an exact one, whose slot is an object
-    however few bits it holds, so every engine refuses K > 2,097,151.  A log
-    run's size is checked before its range.
+    ``n_max`` is the largest.  The prediction counts K+1 slots: 64 bits each in
+    the log engine, max(floor(bound) + 1, 64) in an exact one, whose slot is an
+    object however few bits it holds, so every engine refuses K > 2,097,151.  A
+    log state holds all K+1; an exact one stops at its degree and so may hold
+    fewer, which makes the prediction an upper bound there.  A log run's size
+    is checked before its range.
     """
     what = f"the {engine.value} engine state at n={n_max}, K={kmax} is predicted to"
     if engine.is_log:

@@ -211,6 +211,40 @@ class TestFvector:
                 assert [int(decimal.Decimal(t) % m) for t in texts] == [c0, c1]
 
 
+    def test_past_the_degree_runs_small_and_prints_the_same_bytes(self):
+        # F_4 of a = 1/2 has degree 21, and the largest K admitted prints 2,097,131
+        # zeros after it.  While every state held K+1 slots this took 26.3 s at
+        # 1030 MiB as a child process (2-CPU Xeon VM); the sha256 is that run's.
+        argv = ["fvector", "--a", "1/2", "--n", "4", "--kmax", "2097151"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        # A child's ru_maxrss counts the memory of the process it was started
+        # from, up to its exec, so the CLI is started from a small interpreter
+        # that reports its child's peak (KiB) on stderr.
+        peak = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.call(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        digest, lines = hashlib.sha256(), 0
+        start = time.monotonic()
+        with subprocess.Popen(
+            [sys.executable, "-c", peak, sys.executable, "-m", "hannerfaces.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                digest.update(chunk)
+                lines += chunk.count(b"\n")
+            err = proc.stderr.read().decode()
+        seconds = time.monotonic() - start
+        assert proc.returncode == 0
+        assert lines == 1 + 2097152  # the header and K + 1 rows
+        assert digest.hexdigest() == "85bbc483421d37335f188a6a56a11b9c1ec8013b34479916dd1bf9096822e5e1"
+        assert re.fullmatch(r"\d+\n", err)  # nothing on stderr but the peak
+        assert int(err) < 103 * 1024  # a tenth of the 1030 MiB it took
+        assert seconds < 10.0  # 0.7 s measured; loose, for a loaded host
+
+
 class TestPhi:
     def test_word_form(self, run):
         code, out, _ = run("phi", "--word", "SR")
@@ -883,6 +917,17 @@ class TestOracle:
         data = json.loads(out)
         assert data["face_total"] is None
         assert data["ratio_sq"] == "16"
+
+    def test_full_lattice_help_follows_the_face_guard(self, capsys, monkeypatch):
+        def help_text():
+            with pytest.raises(SystemExit):
+                main(["oracle", "--help"])
+            return " ".join(capsys.readouterr().out.split())
+
+        rule = "always built at n <= {}, and at n >= {} its 3^(2^n) faces exceed the {}-face guard"
+        assert rule.format(3, 4, "10^5") in help_text()
+        monkeypatch.setattr(geometry, "_LATTICE_FACE_GUARD", 80)  # 3^2 <= 80 < 3^4
+        assert rule.format(1, 2, "80") in help_text()
 
     # sha256 of stdout, recorded while the incidences were read by one Python
     # dot product per vertex-facet pair.  At n=3 the words are PHP (1/2), PHH

@@ -18,11 +18,17 @@ from hannerfaces.polys import (
     int_nth_root,
     log2_int,
     power_truncated,
+    square_coefficient,
 )
 
 
 def P(coeffs, kmax):
     return IntPoly.from_coeffs(coeffs, kmax)
+
+
+def D(coeffs, kmax):
+    """A DecimalPoly storing exactly ``coeffs``, however few."""
+    return DecimalPoly(tuple(map(Decimal, coeffs)), kmax)
 
 
 def L(coeffs, kmax):
@@ -232,6 +238,63 @@ class TestLogArithmetic:
             LogPoly.monomial(-1, 0, 2)
         with pytest.raises(UsageError):
             L([1, 2], 1).scale(-2)
+
+
+def _short_lists(kmax):
+    """1 to kmax + 1 coefficients, zeros and a trailing zero among them."""
+    return st.lists(st.one_of(st.just(0), st.integers(0, 2**70)), min_size=1, max_size=kmax + 1)
+
+
+class TestShortDecimalPoly:
+    """A DecimalPoly stores its first L coefficients and reads 0 past them;
+    its arithmetic equals IntPoly's on all kmax + 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 14).flatmap(
+            lambda kmax: st.tuples(st.just(kmax), _short_lists(kmax), _short_lists(kmax))
+        ),
+        st.integers(0, 3),
+        st.integers(0, 16),
+    )
+    def test_arithmetic_on_operands_of_different_lengths(self, polys, c, d):
+        kmax, fs, gs = polys
+        f, g = D(fs, kmax), D(gs, kmax)
+        int_f, int_g = P(fs, kmax), P(gs, kmax)
+        assert [f[k] for k in range(kmax + 3)] == [int_f[k] for k in range(kmax + 3)]
+        for total in (f + g, g + f):
+            assert total.to_intpoly() == int_f + int_g
+            assert len(total.decimals) == max(len(fs), len(gs))
+        assert f.scale(c).to_intpoly() == int_f.scale(c)
+        assert len(f.scale(c).decimals) == len(fs)
+        assert f.shift(d).to_intpoly() == P([0] * d + fs, kmax)
+        assert len(f.shift(d).decimals) == min(len(fs) + d, kmax + 1)
+        square, want = convolve_truncated(f, f), convolve_truncated(int_f, int_f)
+        assert square.to_intpoly() == want
+        assert len(square.decimals) == min(2 * len(fs) - 1, kmax + 1)
+        assert [int(square_coefficient(f, k)) for k in range(kmax + 1)] == list(want.coeffs)
+
+    @pytest.mark.parametrize("kmax", [0, 1, 5])
+    @pytest.mark.parametrize("degree", [0, 1, 5, 6])
+    def test_monomial_holds_degree_plus_one_slots(self, kmax, degree):
+        mono = DecimalPoly.monomial(7, degree, kmax)
+        assert len(mono.decimals) == (degree + 1 if degree <= kmax else 1)
+        assert mono.to_intpoly() == P([0] * degree + [7], kmax)
+
+    def test_square_coefficient_past_the_stored_slots(self):
+        # 1 + 2t + 3t^2 squared: 1, 4, 10, 12, 9; k = 3 and 4 pair only stored slots
+        f = D([1, 2, 3], 8)
+        assert [int(square_coefficient(f, k)) for k in range(9)] == [1, 4, 10, 12, 9, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize(("coeffs", "kmax"), [((), 0), ((), 3), ((1,) * 5, 3), ((1, 2), 0)])
+    def test_constructor_rejects_lengths(self, coeffs, kmax):
+        with pytest.raises(UsageError, match=f"expected 1 to {kmax + 1} coefficients, got {len(coeffs)}"):
+            D(coeffs, kmax)
+
+    @pytest.mark.parametrize("bad", [Decimal(-1), Decimal("-0"), Decimal("2.5"), Decimal("1E+3"), 3])
+    def test_constructor_rejects_values_of_a_short_state(self, bad):
+        with pytest.raises(UsageError, match="nonnegative Decimals with exponent 0"):
+            DecimalPoly((Decimal(1), bad), 5)
 
 
 class TestHelpers:

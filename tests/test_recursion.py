@@ -2,6 +2,7 @@ import decimal
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hannerfaces import _kernels, recursion, selftest
 from hannerfaces._kernels import _EXACT, convolve_schoolbook, log_convolve
 from hannerfaces.asymptotics import scan
-from hannerfaces.errors import PrecisionError, UsageError
+from hannerfaces.errors import PrecisionError, UsageError, VerificationError
 from hannerfaces.polys import DecimalPoly, IntPoly, LogPoly, convolve_truncated, eval_at_one, log2_int
 from hannerfaces.trees import tree_sum_check
 from hannerfaces.recursion import (
@@ -618,6 +619,68 @@ def int_recursion(a: DensityParam, n: int, kmax: int, engine: Engine) -> list[in
 
 
 DENSITIES = [DensityParam.rational(p, q) for q in range(2, 7) for p in range(1, q)]
+
+
+def full_length_step(
+    f: tuple[Decimal, ...], n: int, kind: StepKind, engine: Engine, kmax: int
+) -> tuple[Decimal, ...]:
+    """Independent oracle for short states: one exact step on all K+1 slots,
+    zeros above the degree included, as every state was stepped before a
+    state stopped at its degree.  Free-sum Hull while d = 2^n fits under K:
+    with G = F - t^d, t*G^2 + 2G + t^(2d)."""
+    add, d = _EXACT.add, 2**n
+    hull = kind is StepKind.HULL
+    g = list(f)
+    if engine is Engine.GEOMETRIC_EXACT and hull and d <= kmax:
+        g[d] = _EXACT.subtract(g[d], Decimal(1))
+    sq = _kernels.convolve_exact(g, g, kmax + 1)
+    if not hull:
+        return tuple(sq)
+    out = [add(add(x, x), sq[k - 1]) if k else add(x, x) for k, x in enumerate(g)]
+    if engine is Engine.GEOMETRIC_EXACT and 2 * d <= kmax:
+        out[2 * d] = add(out[2 * d], Decimal(1))
+    return tuple(out)
+
+
+RANDOM_DENSITIES = st.integers(2, 40).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: DensityParam.rational(p, q))
+)
+
+
+class TestShortStates:
+    """An exact state stores min(K, D_n) + 1 slots, D_n its degree: D_0 = 1, a
+    Product step gives 2D and a Hull step 2D + 1 in the printed recursion, and
+    D_n = 2^n in the free-sum one.  Its steps, whole or one coefficient at a
+    time, equal steps on all K+1 slots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(RANDOM_DENSITIES, st.integers(1, 70), st.sampled_from(EXACT_ENGINES))
+    @example(HALF, 70, Engine.GEOMETRIC_EXACT)
+    @example(HALF, 1, Engine.PAPER_EXACT)
+    @example(TWO_FIFTHS, 64, Engine.PAPER_EXACT)
+    def test_steps_match_full_length_states(self, a, kmax, engine):
+        states = list(trajectory(a, 8, kmax, engine))
+        full, degree = (Decimal(2), Decimal(1)) + (Decimal(0),) * (kmax - 1), 1
+        for state, after in pairwise(states):
+            stored = state.poly.decimals
+            assert len(stored) == min(kmax, degree) + 1, (state.n, degree)
+            assert stored + (Decimal(0),) * (kmax + 1 - len(stored)) == full
+            kind = is_product_step(state.n, a)
+            full = full_length_step(full, state.n, kind, engine, kmax)
+            got = [recursion.step_coefficient(state, kind, k) for k in range(kmax + 1)]
+            assert got == [int(c) for c in full], (state.n, kind)  # k >= len(stored) included
+            assert after.poly.to_intpoly().coeffs == tuple(map(int, full))
+            if engine is Engine.GEOMETRIC_EXACT:
+                degree = 2 ** (state.n + 1)
+            else:
+                degree = 2 * degree + (kind is StepKind.HULL)
+        assert len(states[-1].poly.decimals) == min(kmax, degree) + 1
+
+    def test_a_short_geometric_state_without_its_improper_face_is_refused(self):
+        # d = 2 fits under K = 8, but the state stores only degrees 0 and 1
+        state = recursion.RecursionState(DecimalPoly.monomial(3, 1, 8), 1, Engine.GEOMETRIC_EXACT)
+        with pytest.raises(VerificationError, match="improper coefficient at degree 2 is 0"):
+            step(state, StepKind.HULL)
 
 
 class TestDecimalState:
