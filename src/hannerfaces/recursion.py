@@ -16,12 +16,12 @@ All polynomials are truncated at an explicit ``kmax``.  The exact engines
 hold their coefficients as integral Decimals (``DecimalPoly``) from step to
 step, the log engine as float64 log2 values (``LogPoly``).  Both types share
 one arithmetic, so ``step`` is one formula for the printed recursion on
-either, and only the free-sum Hull step has a branch of its own.  Every
-exact read (``[k]``, ``log2``, ``face_numbers``, ``proper_f_vector``,
-``verify_growth_bounds``) gives ints.  ``trajectory`` is the one driver:
-runs and scans step through it, after one saddle-point bound on the widest
-coefficient (``widest_log2_bound``, floats from the step formula alone) has
-sized the run for every engine.
+either; the free-sum Hull step is that formula on the proper faces F - t^d,
+plus t^(2d).  Every exact read (``[k]``, ``log2``, ``face_numbers``,
+``proper_f_vector``, ``verify_growth_bounds``) gives ints.  ``trajectory`` is
+the one driver: runs and scans step through it, after one saddle-point bound
+on the widest coefficient (``widest_log2_bound``, floats from the step formula
+alone) has sized the run for every engine.
 A read of single coefficients (``log2_face_numbers``: scans and
 ``log2_face_number``) stops an exact trajectory one state short and takes
 the last step's coefficients alone by ``step_coefficient``, which ``step``
@@ -43,11 +43,11 @@ from .polys import DecimalPoly, LogPoly, convolve_truncated, log2_int, square_co
 from .schedule import DensityParam, StepKind, is_product_step
 
 # Engine.for_kmax runs exact up to EXACT_KMAX_CAP.  A run's state may hold
-# STATE_BITS_CAP bits, predicted as K+1 slots of its widest coefficient's bound, at
-# least 64 bits a slot (so K <= 2,097,151).  An exact state stops at its degree and
-# may hold fewer slots, so there the prediction is an upper bound.  README gives the
-# timings at a = 1/2: the exact run to n=20/K=1024 is predicted at 109.8 Mbit
-# (n=21/K=1448: 257.5), the log run to n=41 at 94.9.
+# STATE_BITS_CAP bits, predicted as its slots times its widest coefficient's bound,
+# at least 64 bits a slot: K+1 slots in the log engine, min(K+1, 2**(n+1)) in an
+# exact one, and the K+1 values read out count 64 bits each (so K <= 2,097,151).
+# README gives the timings at a = 1/2: the exact run to n=20/K=1024 is predicted at
+# 109.8 Mbit (n=21/K=1448: 257.5), the log run to n=41 at 94.9.
 EXACT_KMAX_CAP = 1024
 STATE_BITS_CAP = 2**27
 
@@ -108,30 +108,22 @@ def initial_state(kmax: int, engine: Engine) -> RecursionState:
 
 def step(state: RecursionState, kind: StepKind) -> RecursionState:
     """Apply one Product (F -> F**2) or Hull (F -> t*F**2 + 2*F) step and
-    return the successor state; the free-sum Hull step is ``_geometric_hull``."""
+    return the successor state.
+
+    The free-sum Hull step at dimension d = 2**n is the same Hull step on the
+    proper faces G = F - t^d, plus the improper face t^(2d) of the free sum:
+    t*G**2 + 2*G + t^(2d).  Terms past kmax are dropped, so once d exceeds
+    kmax it is the printed step on F."""
     f = state.poly
-    if kind is StepKind.HULL and state.engine is Engine.GEOMETRIC_EXACT:
-        new = _geometric_hull(f, state.n)
-    else:
-        sq = convolve_truncated(f, f)
-        new = sq if kind is StepKind.PRODUCT else sq.shift(1) + f.scale(2)
+    free_sum = kind is StepKind.HULL and state.engine is Engine.GEOMETRIC_EXACT
+    if free_sum:
+        d = 2**state.n
+        f = _without_improper_face(f, d)
+    sq = convolve_truncated(f, f)
+    new = sq if kind is StepKind.PRODUCT else sq.shift(1) + f.scale(2)
+    if free_sum and 2 * d <= f.kmax:
+        new = new + DecimalPoly.monomial(1, 2 * d, f.kmax)
     return RecursionState(poly=new, n=state.n + 1, engine=state.engine)
-
-
-def _geometric_hull(f: DecimalPoly, n: int) -> DecimalPoly:
-    """Free-sum Hull step at dimension d = 2**n.
-
-    While d fits under the truncation bound the polynomial carries the
-    improper face t**d, which is not a face of the free sum; the corrected
-    update is 2*(F - t^d) + t*(F - t^d)^2 + t^(2d).  Once d exceeds kmax
-    all corrections lie above the bound and the printed formula applies.
-    """
-    kmax, d = f.kmax, 2**n
-    f = _without_improper_face(f, d)
-    out = convolve_truncated(f, f).shift(1) + f.scale(2)
-    if 2 * d <= kmax:
-        out = out + DecimalPoly.monomial(1, 2 * d, kmax)
-    return out
 
 
 def _without_improper_face(f: DecimalPoly, d: int) -> DecimalPoly:
@@ -156,9 +148,9 @@ def step_coefficient(state: RecursionState, kind: StepKind, k: int) -> int:
     if kind is StepKind.PRODUCT:
         c = square_coefficient(f, k)
     else:
-        d = 2**state.n
         geometric = state.engine is Engine.GEOMETRIC_EXACT
         if geometric:
+            d = 2**state.n
             f = _without_improper_face(f, d)
         f_k = f.decimals[k] if k < len(f.decimals) else Decimal(0)
         c = add(f_k, f_k)
@@ -268,12 +260,13 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     STATE_BITS_CAP, or, in the log engine, its range of 2**53.
 
     One bound sizes every engine (``widest_log2_bound``), and the state at
-    ``n_max`` is the largest.  The prediction counts K+1 slots: 64 bits each in
-    the log engine, max(floor(bound) + 1, 64) in an exact one, whose slot is an
-    object however few bits it holds, so every engine refuses K > 2,097,151.  A
-    log state holds all K+1; an exact one stops at its degree and so may hold
-    fewer, which makes the prediction an upper bound there.  A log run's size
-    is checked before its range.
+    ``n_max`` is the largest.  A log state holds K+1 slots of 64 bits, and a
+    log run's size is checked before its range.  An exact state stops at its
+    degree, below 2**(n+1) (the segment's is 1 and a step gives 2D or 2D + 1;
+    the free-sum state's is 2**n), so it holds min(K+1, 2**(n_max+1)) slots of
+    max(floor(bound) + 1, 64) bits, since each slot is an object however few
+    bits it holds.  Then the K+1 values every run reads out are counted at 64
+    bits each, as in the log engine, so every engine refuses K > 2,097,151.
     """
     what = f"the {engine.value} engine state at n={n_max}, K={kmax} is predicted to"
     if engine.is_log:
@@ -284,10 +277,12 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
                 f"{what} leave the log engine's range: log2 a_{{n,k}} up to {bound:.4g}, over 2**53"
             )
     else:
-        width = STATE_BITS_CAP // (kmax + 1)  # the widest coefficient admitted, in bits
+        slots = min(kmax + 1, 2 ** (n_max + 1))
+        width = STATE_BITS_CAP // slots  # the widest coefficient admitted, in bits
         bound = widest_log2_bound(a, n_max, kmax, width - 1)
-        bits = (kmax + 1) * max(math.floor(bound) + 1, 64) if bound < math.inf else math.inf
+        bits = slots * max(math.floor(bound) + 1, 64) if bound < math.inf else math.inf
         check_state_bits(bits, f"{what} hold")
+        check_state_bits((kmax + 1) * 64, f"{what} hold")
 
 
 def trajectory(

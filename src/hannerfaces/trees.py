@@ -16,10 +16,11 @@ tree sum composes the histograms level by level, in the order
 ``enumerate_trees`` yields the trees, without building or walking a tree, and
 weighs each distinct histogram once.  The weights share one table of factor
 powers C_deg^count per call, keyed by (height, degree, count), and the
-classes of one leaf count L are summed, count times W, before the one product
-with (2+t)^L.  ``enumerate_trees`` stays as the independent oracle.  A family
-over the enumeration budget is refused from its count, read from its windows'
-x-degree supports before any window map is composed.
+classes of one leaf count L are summed, count times W, before the coefficient
+formula expands (2+t)^L by the binomial theorem, the sum's one expansion.
+``enumerate_trees`` stays as the independent oracle.  A family over the
+enumeration budget is refused from its count, read from its windows' x-degree
+supports before any window map is composed.
 
 The lower-bound certificate reads the explicit tree T_m through the closed
 form of its histogram alone, and the one coefficient of W(T_m) it needs in
@@ -197,10 +198,10 @@ def tree_sum_check(
     a: DensityParam, Q: int, m: int, kmax: int, budget: int = DEFAULT_BUDGET
 ) -> TreeSumResult:
     """Evaluate sum_T W(T)*(2+t)^L(T) over every tree of the m aligned windows
-    of length Q and compare it, exactly, with the stepwise recursion run over
-    the same windows; also cross-check the coefficient formula a_{Qm,k} =
-    sum_{j<=k} sum_T [t^j]W(T) * C(L(T), k-j) * 2^(L(T)-(k-j)).  Any mismatch
-    raises.
+    of length Q, expanded once by the coefficient formula a_{Qm,k} =
+    sum_{j<=k} sum_T [t^j]W(T) * C(L(T), k-j) * 2^(L(T)-(k-j)), and compare
+    it, exactly and at every k <= kmax, with the stepwise recursion run over
+    the same windows.  Any mismatch raises.
 
     An over-budget family is refused from its count, taken from the windows'
     supports (``window_support``) before any window map is composed; then the
@@ -211,8 +212,7 @@ def tree_sum_check(
     ``histogram_codes`` composes level by level without building the tree;
     each distinct histogram is weighed once, from factor powers built once per
     call, and the weights of one leaf count L are summed, each times its class
-    size, before the one product with (2+t)^L; the coefficient formula reads
-    the same per-L sums.
+    size, before the formula expands (2+t)^L against their nonzero terms.
     """
     _check_budget(budget)
     words = [window_profile(a, Q, j).word for j in reversed(range(m))]  # the root takes the last window
@@ -231,23 +231,20 @@ def tree_sum_check(
         L = histogram_leaves(hist)
         by_leaves[L] = by_leaves.get(L, IntPoly.zero(kmax)) + w.scale(count)
     tree_classes = list(map(classes.__getitem__, codes))
-    seg = IntPoly.from_coeffs([2, 1], kmax)
-    total = IntPoly.zero(kmax)
-    coeff_sums = [0] * (kmax + 1)
+    coeffs = [0] * (kmax + 1)
     for L, w in by_leaves.items():
-        total = total + convolve_truncated(w, power_truncated(seg, L))
         # the nonzero terms only: w_j != 0 and 0 <= k - j <= L
         for j, wj in enumerate(w.coeffs):
             if wj:
                 for k in range(j, min(kmax, j + L) + 1):
-                    coeff_sums[k] += wj * math.comb(L, k - j) * 2 ** (L - (k - j))
+                    coeffs[k] += wj * math.comb(L, k - j) * 2 ** (L - (k - j))
+    total = IntPoly.from_coeffs(coeffs, kmax)
     for k in range(kmax + 1):
-        for name, got in (("tree sum", total[k]), ("coefficient formula", coeff_sums[k])):
-            if got != engine_poly[k]:
-                raise VerificationError(
-                    f"{name} differs from recursion first at k={k}: "
-                    f"{got} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
-                )
+        if total[k] != engine_poly[k]:
+            raise VerificationError(
+                f"tree sum differs from recursion first at k={k}: "
+                f"{total[k]} != {engine_poly[k]} (a={a}, Q={Q}, m={m})"
+            )
     return TreeSumResult(total=total, engine_poly=engine_poly, tree_classes=tree_classes)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import decimal
 import hashlib
 import io
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hannerfaces import _kernels, cli, geometry, recursion, selftest, trees
 from hannerfaces.asymptotics import ScanRow
 from hannerfaces.cli import main
-from hannerfaces.polys import IntPoly
+from hannerfaces.polys import DecimalPoly, IntPoly
 from hannerfaces.recursion import Engine
 from hannerfaces.schedule import DensityParam, StepKind, is_product_step
 
@@ -244,6 +245,38 @@ class TestFvector:
         assert int(err) < 103 * 1024  # a tenth of the 1030 MiB it took
         assert seconds < 10.0  # 0.7 s measured; loose, for a loaded host
 
+    def test_a_state_short_of_k_is_admitted_and_prints_zeros_above_it(self, run):
+        # F_12 of a = 1/2 has degree 5461, so K = 20000 keeps the 5,462 slots
+        # K = 5461 keeps.  Sized at K + 1 slots it was refused (135.8 Mbit);
+        # it runs in 0.95–1.08 s at 69 MiB as a child process (2-CPU Xeon VM).
+        argv = ["fvector", "--a", "1/2", "--n", "12", "--kmax", "20000"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        # started from a small interpreter that reports its child's peak (KiB)
+        # on stderr, as in the test above
+        peak = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.call(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", peak, sys.executable, "-m", "hannerfaces.cli", *argv],
+            capture_output=True, env=env,
+        )
+        seconds = time.monotonic() - start
+        assert proc.returncode == 0
+        rows = proc.stdout.decode().splitlines()
+        assert len(rows) == 1 + 20001  # the header and K + 1 rows
+        code, short, _ = run("fvector", "--a", "1/2", "--n", "12", "--kmax", "5461")
+        assert code == 0
+        assert rows[: 1 + 5462] == short.splitlines()
+        assert rows[1 + 5462 :] == [f"{k},0" for k in range(5462, 20001)]
+        err = proc.stderr.decode()
+        assert re.fullmatch(r"\d+\n", err)  # nothing on stderr but the peak
+        assert int(err) < 100 * 1024
+        assert seconds < 10.0
+
 
 class TestPhi:
     def test_word_form(self, run):
@@ -447,6 +480,20 @@ class TestTrees:
         code, _, _ = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
         assert code == 0
         assert len(calls) == 1
+
+    def test_a_recursion_off_by_one_exits_2_with_empty_stdout(self, run, monkeypatch):
+        real = trees.run
+
+        def off(a, n, kmax, engine):  # coefficient 3 of the recursion one too large
+            state = real(a, n, kmax, engine)
+            ds = list(state.poly.decimals)
+            ds[3] += 1
+            return dataclasses.replace(state, poly=DecimalPoly(tuple(ds), kmax))
+
+        monkeypatch.setattr(trees, "run", off)
+        code, out, err = run("trees", "--a", "1/2", "--Q", "2", "--m", "2", "--kmax", "8")
+        assert (code, out) == (2, "")
+        assert err == "verification failure: tree sum differs from recursion first at k=3: 294848 != 294849 (a=1/2, Q=2, m=2)\n"
 
     @pytest.mark.parametrize(
         "argv",

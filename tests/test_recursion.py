@@ -267,6 +267,45 @@ class TestStateAdmission:
         with pytest.raises(UsageError, match=r"K=30000000 is predicted to hold 1920.0 Mbit"):
             recursion._admit(HALF, 1, 30_000_000, engine)
 
+    @pytest.mark.parametrize("n", [1, 3, 10, 42])
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_k_past_the_read_out_is_refused_at_every_n(self, engine, n):
+        # at n < 42 the state is short or small, and the K + 1 values read out
+        # at 64 bits each refuse it
+        sizes = r"134.2 Mbit, .* \(134,217,792 > 134,217,728 bits\)$" if n < 42 or engine.is_log else ""
+        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n={n}, K=2097152 "
+                           rf"is predicted to hold {sizes}"):
+            recursion._admit(HALF, n, 2**21, engine)
+
+    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    def test_a_state_short_of_k_is_admitted_by_its_slots(self, engine):
+        # F_12 of a = 1/2 has degree 5461, so K = 20000 holds the slots K = 5461
+        # does; K + 1 slots of the widest bound would be 135.8 Mbit
+        recursion._admit(HALF, 12, 20000, engine)
+
+    @pytest.mark.parametrize(("a", "n", "kmax"), [(HALF, 6, 200), (THIRD, 7, 800), (TWO_FIFTHS, 8, 3000)])
+    @pytest.mark.parametrize("engine", EXACT_ENGINES)
+    def test_an_exact_state_counts_2_to_the_n_plus_1_slots(self, monkeypatch, a, n, kmax, engine):
+        # a cap at min(K + 1, 2^(n+1)) slots of the bound's width admits the
+        # run and a cap one bit under it refuses; the K + 1 values read out
+        # fit under both
+        slots = 2 ** (n + 1)
+        assert len(run(a, n, kmax, engine).poly.decimals) <= slots < kmax + 1
+        predicted = slots * (math.floor(recursion.widest_log2_bound(a, n, kmax, -math.inf)) + 1)
+        assert (kmax + 1) * 64 < predicted
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", predicted)
+        recursion._admit(a, n, kmax, engine)
+        monkeypatch.setattr(recursion, "STATE_BITS_CAP", predicted - 1)
+        with pytest.raises(UsageError, match=rf"\({predicted:,} > {predicted - 1:,} bits\)$"):
+            recursion._admit(a, n, kmax, engine)
+
+    @pytest.mark.parametrize("a", [HALF, THIRD, TWO_THIRDS, TWO_FIFTHS])
+    def test_every_exact_state_stops_below_2_to_the_n_plus_1(self, a):
+        # the slot count's premise: the degree is below 2^(n+1)
+        for engine in EXACT_ENGINES:
+            for state in trajectory(a, 10, 4096, engine):
+                assert len(state.poly.decimals) <= 2 ** (state.n + 1)
+
     @pytest.mark.parametrize("engine", [Engine.PAPER_EXACT, Engine.GEOMETRIC_EXACT])
     def test_refusal_names_the_engine_and_exact_sizes(self, exact_steps, engine):
         with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n=21, K=1448 .*"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from hannerfaces import trees
 from hannerfaces.asymptotics import floor_d_delta
-from hannerfaces.errors import BudgetExceededError, UsageError
+from hannerfaces.errors import BudgetExceededError, UsageError, VerificationError
 from hannerfaces.phimap import compose_window, tfree_and_top
-from hannerfaces.polys import IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
+from hannerfaces.polys import DecimalPoly, IntPoly, convolve_truncated, eval_at_one, log2_int, power_truncated
 from hannerfaces.recursion import Engine, face_numbers, run
 from hannerfaces.schedule import DensityParam, StepKind, window_profile
 from hannerfaces.trees import (
@@ -306,6 +307,22 @@ class TestTreeSumCheck:
         res = tree_sum_check(THIRD, 2, 2, 12)
         assert res.match
 
+    def test_a_recursion_off_by_one_is_refused(self, monkeypatch):
+        total = tree_sum_check(HALF, 2, 2, 16).total
+
+        def off(a, n, kmax, engine):  # coefficient 3 of the recursion one too large
+            state = run(a, n, kmax, engine)
+            ds = list(state.poly.decimals)
+            ds[3] += 1
+            return dataclasses.replace(state, poly=DecimalPoly(tuple(ds), kmax))
+
+        monkeypatch.setattr(trees, "run", off)
+        with pytest.raises(VerificationError) as refused:
+            tree_sum_check(HALF, 2, 2, 16)
+        assert str(refused.value) == (
+            f"tree sum differs from recursion first at k=3: {total[3]} != {total[3] + 1} (a=1/2, Q=2, m=2)"
+        )
+
 
 def _reference_weight(hist, phis_by_height, t_trunc):
     """W(T) with every factor power built anew, one histogram at a time."""
@@ -351,7 +368,8 @@ def _reference_tree_sum(a, Q, m, kmax):
 
 
 class TestSharedPowers:
-    """The tree sum builds each factor power and each (2+t)^L once per call."""
+    """The tree sum builds each factor power once per call, and no (2+t)^L:
+    the coefficient formula expands those by the binomial theorem."""
 
     @pytest.mark.parametrize("kmax", [1, 4, 16])
     @pytest.mark.parametrize("Qm", [(Q, m) for Q in (1, 2, 3) for m in (0, 1, 2)])
@@ -371,7 +389,7 @@ class TestSharedPowers:
         assert (res.total, res.engine_poly, res.tree_classes) == _reference_tree_sum(THIRD, 2, 2, 12)
 
     @pytest.mark.parametrize(("a", "Q", "m", "kmax"), [(THIRD, 2, 2, 12), (HALF, 3, 2, 4)])
-    def test_one_power_per_factor_and_per_leaf_count(self, monkeypatch, a, Q, m, kmax):
+    def test_one_power_per_factor(self, monkeypatch, a, Q, m, kmax):
         calls = []
 
         def spy(f, e):
@@ -384,8 +402,7 @@ class TestSharedPowers:
             res = tree_sum_check(a, Q, m, kmax)
             hists = {tuple(sorted(hist.items())) for hist, _ in res.tree_classes}
             factors = {(h, deg, count) for hist in hists for (h, deg), count in hist}
-            leaf_counts = {histogram_leaves(dict(hist)) for hist in hists}
-            assert len(calls) == len(factors) + len(leaf_counts)
+            assert len(calls) == len(factors)
 
     def test_a_shared_table_gives_the_fresh_weight(self):
         phis = window_phis(THIRD, 2, 2)[::-1]
