@@ -6,14 +6,22 @@ exit codes 0 (success), 1 (internal error), 2 (verification or tolerance
 failure), 3 (usage or precondition error).  Identical invocations produce
 byte-identical output.  Tables stream out as their rows are formatted, after
 every check has passed, so a run that fails prints nothing on stdout.
+
+The first two paragraphs are the program's ``--help`` description.  The
+parser is built once per process (``build_parser`` is cached), so a caller
+that runs ``main`` many times in one process parses each argv with the same
+tree; parsing never changes it.  A run whose reader closes stdout early
+stops quietly with exit 141, as a shell reports a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -34,6 +42,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer its reader left
 _ROWS_PER_WRITE = 4096
 
 
@@ -332,8 +341,14 @@ def _full_lattice_help() -> str:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hannerfaces", description=__doc__, allow_abbrev=False)
+    """The one parser of the process: built on the first call, and reused,
+    since ``parse_args`` leaves it as it was (``--config`` is expanded into
+    argv, and every parse fills a new namespace).  Every caller gets the same
+    object, so none may change it."""
+    description = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None  # None under -OO
+    parser = _Parser(prog="hannerfaces", description=description, allow_abbrev=False)
     parser.add_argument("--config", help="key=value file of default flags")
     subs = parser.add_subparsers(dest="command", required=True)
     engines = [e.value for e in Engine]
@@ -444,7 +459,18 @@ def main(argv: list[str] | None = None) -> int:
             config_flags = _load_config(argv[1])
             argv = argv[2:3] + config_flags + argv[3:]
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so the
+        # shutdown flush fails nowhere (a stdout without a descriptor has no pipe)
+        with contextlib.suppress(OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -266,9 +266,12 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
     the free-sum state's is 2**n), so it holds min(K+1, 2**(n_max+1)) slots of
     max(floor(bound) + 1, 64) bits, since each slot is an object however few
     bits it holds.  Then the K+1 values every run reads out are counted at 64
-    bits each, as in the log engine, so every engine refuses K > 2,097,151.
+    bits each, as in the log engine, so every engine refuses K > 2,097,151;
+    an exact state that fits is refused for the values read out of it, and
+    the message says so.
     """
-    what = f"the {engine.value} engine state at n={n_max}, K={kmax} is predicted to"
+    state = f"the {engine.value} engine state at n={n_max}, K={kmax}"
+    what = f"{state} is predicted to"
     if engine.is_log:
         check_state_bits((kmax + 1) * 64, f"{what} hold")
         bound = widest_log2_bound(a, n_max, kmax, _kernels._LOG2_LIMIT)
@@ -282,7 +285,8 @@ def _admit(a: DensityParam, n_max: int, kmax: int, engine: Engine):
         bound = widest_log2_bound(a, n_max, kmax, width - 1)
         bits = slots * max(math.floor(bound) + 1, 64) if bound < math.inf else math.inf
         check_state_bits(bits, f"{what} hold")
-        check_state_bits((kmax + 1) * 64, f"{what} hold")
+        read_out = f"{state} fits, but the {kmax + 1:,} values read out of it at 64 bits each hold"
+        check_state_bits((kmax + 1) * 64, read_out)
 
 
 def trajectory(

@@ -750,18 +750,25 @@ class TestRefusedUpFront:
              "the log engine state at n=100000, K=1 is predicted to leave the log engine's range"),
             (("asymptotics", "--a", "1/2", "--delta", "1/2000", "--nmax", "15000", "--engine", "log"),
              "the log engine state at n=15000, K=181 is predicted to leave the log engine's range"),
-            # K + 1 slots of at least 64 bits each in every engine: K = 2^21 is one slot over
+            # K + 1 values of 64 bits each in every engine: K = 2^21 is one over.  A log
+            # state holds them; an exact one stops at 2^(n+1) slots, and the values read
+            # out are named
             *(
                 (("fvector", "--a", "1/2", "--n", "3", "--kmax", "2097152", "--engine", engine),
-                 f"the {engine} engine state at n=3, K=2097152 is predicted to hold 134.2 Mbit, "
-                 "over the 134.2 Mbit allowed (134,217,792 > 134,217,728 bits)\n")
-                for engine in ("paper", "geometric", "log")
+                 f"the {engine} engine state at n=3, K=2097152 fits, but the 2,097,153 values read out of "
+                 "it at 64 bits each hold 134.2 Mbit, over the 134.2 Mbit allowed (134,217,792 > 134,217,728 bits)\n")
+                for engine in ("paper", "geometric")
             ),
-            # small coefficients in 30M slots, which would be built one Decimal each
+            (("fvector", "--a", "1/2", "--n", "3", "--kmax", "2097152", "--engine", "log"),
+             "the log engine state at n=3, K=2097152 is predicted to hold 134.2 Mbit, "
+             "over the 134.2 Mbit allowed (134,217,792 > 134,217,728 bits)\n"),
+            # 30M values read out of a state of 4 small coefficients
             (("fvector", "--a", "1/2", "--n", "1", "--kmax", "30000000", "--engine", "paper"),
-             "the paper engine state at n=1, K=30000000 is predicted to hold 1920.0 Mbit"),
+             "the paper engine state at n=1, K=30000000 fits, but the 30,000,001 values read out of it "
+             "at 64 bits each hold 1920.0 Mbit"),
             (("trees", "--a", "1/2", "--Q", "1", "--m", "1", "--kmax", "30000000"),
-             "the paper engine state at n=1, K=30000000 is predicted to hold 1920.0 Mbit"),
+             "the paper engine state at n=1, K=30000000 fits, but the 30,000,001 values read out of it "
+             "at 64 bits each hold 1920.0 Mbit"),
         ],
     )
     def test_absurd_sizes_refused_cleanly(self, run, monkeypatch, argv, named):
@@ -966,6 +973,12 @@ class TestOracle:
         assert data["ratio_sq"] == "16"
 
     def test_full_lattice_help_follows_the_face_guard(self, capsys, monkeypatch):
+        # the cached parser keeps the help of the guard it was built under, so
+        # each help here comes from a parser built for it, and none is cached
+        cached = cli.build_parser
+        before = cached.cache_info()
+        monkeypatch.setattr(cli, "build_parser", cached.__wrapped__)
+
         def help_text():
             with pytest.raises(SystemExit):
                 main(["oracle", "--help"])
@@ -975,6 +988,7 @@ class TestOracle:
         assert rule.format(3, 4, "10^5") in help_text()
         monkeypatch.setattr(geometry, "_LATTICE_FACE_GUARD", 80)  # 3^2 <= 80 < 3^4
         assert rule.format(1, 2, "80") in help_text()
+        assert cached.cache_info() == before
 
     # sha256 of stdout, recorded while the incidences were read by one Python
     # dot product per vertex-facet pair.  At n=3 the words are PHP (1/2), PHH
@@ -1181,6 +1195,110 @@ class TestPlumbing:
     def test_missing_config(self, run):
         code, _, err = run("--config", "/nonexistent.cfg", "schedule", "--steps", "1")
         assert code == 3
+
+
+def _fresh(*argv):
+    """(exit code, stdout, stderr) of ``argv`` run by a fresh interpreter, at 80 columns."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "hannerfaces.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process, and a call prints
+    what it prints in a fresh interpreter whatever ran before it."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help are wrapped to the terminal
+
+    def test_three_calls_build_one_parser_tree(self, run, monkeypatch):
+        built = []
+        real_init = cli._Parser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", init)
+        cli.build_parser.cache_clear()
+        for argv in (("schedule", "--a", "1/2", "--steps", "2"), ("phi", "--word", "SR"), ("transmogrify",)):
+            run(*argv)
+        assert len(built) == 10  # the program and its 9 subcommands, once
+        assert cli.build_parser.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+    def test_a_config_leaves_no_default_behind(self, run, tmp_path):
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text("engine=log\nformat=json\n")
+        argv = ("fvector", "--a", "1/2", "--n", "3", "--kmax", "4")
+        with_config = run(f"--config={cfg}", *argv)
+        assert with_config == _fresh(f"--config={cfg}", *argv)
+        assert with_config[1].startswith("[")
+        assert run(*argv) == _fresh(*argv) == (0, "k,coefficient\n0,64\n1,384\n2,1120\n3,2016\n4,2436\n", "")
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            ("fvector", "--a", "1/2", "--n", "3", "--kmax", "4", "--engine", "bogus"),
+            ("fvector", "--a", "1/2", "--n", "3"),
+            ("schedule", "--a", "1/2", "--steps", "2", "--frobnicate"),
+            ("fvector", "--a", "1/2", "--n", "3", "--kmax", "0"),
+        ],
+        ids=["choice", "required", "unknown", "precondition"],
+    )
+    def test_a_refusal_leaves_the_next_call_as_it_was(self, run, refused):
+        valid = ("fvector", "--a", "1/2", "--n", "3", "--kmax", "4", "--format", "json")
+        code, out, err = run(*refused)
+        assert (code, out) == (3, "") and err.startswith(("usage: hannerfaces", "error: "))
+        assert (code, out, err) == _fresh(*refused)
+        assert run(*valid) == _fresh(*valid)
+
+    # sha256 of --help at 80 columns, recorded while a parser was built per call
+    HELP = {
+        (): "2a4b87bd5b0d46ce0cb96a00fc16088a35c493297ea7f06be17c0ced8753791c",
+        ("schedule",): "84007dd11471482b4e87b0c5c9c181369c1092a8820d44dad500e5aaa1248751",
+        ("fvector",): "410247ab06078f6f708f521c4431b80710ffbbb93ead672e9f9453b2f432edf8",
+        ("phi",): "7d37ccc0987892383403a043551d1d4694963d247b59abc03bc8220856f091b2",
+        ("trees",): "bef5b29290b17db710e074e37358e6fd65b759d57d838201509eb35dad023bd8",
+        ("lower-bound",): "8fc7856e8aba7c68bd118c24e910239a244c8a4b04eefdb09a4e685a9b863e5e",
+        ("asymptotics",): "e9aa7e25368ffdaeeec65c24a15d55ee28858a55280b90d23b9760bff7ed1d51",
+        ("oracle",): "b89f8d26749d068673557f6a65d661aeace12599108a2a95a2a096323a1c0ba3",
+        ("flm-report",): "8d9301c56e63c1dcffe0cdb517a9df853c0eb79a940120c264eb70f4c465ee52",
+        ("selftest",): "add9b0086d8d231dbd0c740e5cc2acc1f4faa2d5f73a7a062605934f0e745ca0",
+    }
+
+    @pytest.mark.parametrize("command", list(HELP), ids=lambda c: c[0] if c else "program")
+    def test_help_twice_in_one_process_keeps_its_bytes(self, capsys, command):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exited:
+                main([*command, "--help"])
+            out = capsys.readouterr().out
+            assert exited.value.code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == self.HELP[command]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        ("argv", "wanted"),
+        [
+            # 1.69 MB of rows: a write meets the closed pipe mid-table
+            (("fvector", "--a", "1/2", "--n", "4", "--kmax", "200000"), b"k,coeffici"),
+            # a few bytes, still buffered when the pipe is found closed
+            (("schedule", "--a", "1/2", "--steps", "3"), b""),
+        ],
+        ids=["mid-table", "buffered"],
+    )
+    def test_a_reader_that_leaves_early_gets_exit_141_and_no_report(self, argv, wanted):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "hannerfaces.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            head = proc.stdout.read(len(wanted))
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert head == wanted
+        assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+        assert cli.EXIT_BROKEN_PIPE == 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 
 class TestSelftest:

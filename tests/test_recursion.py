@@ -260,21 +260,34 @@ class TestStateAdmission:
     @pytest.mark.parametrize("engine", list(Engine))
     def test_every_slot_counts_at_least_64_bits(self, engine):
         # at n = 1 every coefficient has a few bits, so only the slots bind:
-        # 2^21 slots of 64 bits meet the cap, one slot more passes it
+        # 2^21 slots of 64 bits meet the cap, one slot more passes it.  A log
+        # state holds the K + 1 slots; an exact one holds 4, and the values
+        # read out of it are named
+        sizes = "is predicted to hold"
+        if not engine.is_log:
+            sizes = "fits, but the 30,000,001 values read out of it at 64 bits each hold"
         recursion._admit(HALF, 1, 2**21 - 1, engine)
         with pytest.raises(UsageError, match=r"K=2097152 .*\(134,217,792 > 134,217,728 bits\)$"):
             recursion._admit(HALF, 1, 2**21, engine)
-        with pytest.raises(UsageError, match=r"K=30000000 is predicted to hold 1920.0 Mbit"):
+        with pytest.raises(UsageError, match=rf"K=30000000 {sizes} 1920.0 Mbit"):
             recursion._admit(HALF, 1, 30_000_000, engine)
 
     @pytest.mark.parametrize("n", [1, 3, 10, 42])
     @pytest.mark.parametrize("engine", list(Engine))
     def test_k_past_the_read_out_is_refused_at_every_n(self, engine, n):
-        # at n < 42 the state is short or small, and the K + 1 values read out
-        # at 64 bits each refuse it
-        sizes = r"134.2 Mbit, .* \(134,217,792 > 134,217,728 bits\)$" if n < 42 or engine.is_log else ""
-        with pytest.raises(UsageError, match=rf"the {engine.value} engine state at n={n}, K=2097152 "
-                           rf"is predicted to hold {sizes}"):
+        # at n < 42 an exact state is short or small: it fits, and the K + 1
+        # values read out of it at 64 bits each refuse the run.  A log state
+        # holds the K + 1 slots, and at n = 42 an exact state passes the cap
+        # by itself
+        state = rf"the {engine.value} engine state at n={n}, K=2097152"
+        sizes = r"134.2 Mbit, over the 134.2 Mbit allowed \(134,217,792 > 134,217,728 bits\)$"
+        if engine.is_log:
+            refusal = rf"{state} is predicted to hold {sizes}"
+        elif n < 42:
+            refusal = rf"{state} fits, but the 2,097,153 values read out of it at 64 bits each hold {sizes}"
+        else:
+            refusal = rf"{state} is predicted to hold [\d.]+ Mbit"
+        with pytest.raises(UsageError, match=refusal):
             recursion._admit(HALF, n, 2**21, engine)
 
     @pytest.mark.parametrize("engine", EXACT_ENGINES)
